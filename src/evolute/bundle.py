@@ -3,9 +3,14 @@
 For a rank n-r+1 sheaf F on an r-dimensional base inside n-space, P(F) is
 n-dimensional and carries the tautological degree-1 class zeta.  Classes on
 P(F) are polynomials in zeta over the base generators, truncated at total
-degree n; pushforward to the base sends zeta^(n-r+i) to the i-th Segre
-class of F, and everything downstream (tangent Chern classes, the virtual
-classes of the map to ambient space) is computed by series arithmetic from
+degree n and at base degree r: the table comes from
+`GeneratorTable.extended`, and a monomial whose base part has degree above
+r is zero in A*(P(F)) = A*(X)[zeta] / (Grothendieck relation).  Truncating
+by that ideal is a ring homomorphism, so every class below is exact, and
+neither the pushforward nor `integrate` reads the dropped monomials.
+Pushforward to the base sends zeta^(n-r+i) to the i-th Segre class of F,
+and everything downstream (tangent Chern classes, the virtual classes of
+the map to ambient space) is computed by series arithmetic from
 
     c(cotangent of P(F)) = c(cotangent of base) * c(F (x) O(-1)),
     virtual series       = (1 + zeta)^(n+1) / c(tangent of P(F)).

@@ -176,11 +176,15 @@ def _emit(text: str, out: str | None) -> None:
 # --------------------------------------------------------------------------
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(flag: str, text: str) -> list[int]:
+    """Values of a sweep option: `lo..hi` (inclusive), `a,b,c` or one integer."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"{flag} {text} is an empty range")
+        return values
     if "," in text:
         return [int(v) for v in text.split(",")]
     return [int(text)]
@@ -294,21 +298,21 @@ def _surface_numbers(args: argparse.Namespace) -> tuple[SurfaceChernNumbers, int
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    reports: list[EnumerativeReport] = []
+    ns, ds = _parse_range("--n", args.n), _parse_range("--d", args.d)
+    reports: list[EnumerativeReport]
     if args.target == "curve":
-        for n in _parse_range(args.n):
-            for d in _parse_range(args.d):
-                for g in _parse_range(args.g):
-                    for k0 in _parse_range(args.k0):
-                        reports.append(curve_report(CurveInvariants(n, d, g, (k0,))))
+        gs, k0s = _parse_range("--g", args.g), _parse_range("--k0", args.k0)
+        reports = [
+            curve_report(CurveInvariants(n, d, g, (k0,)))
+            for n in ns
+            for d in ds
+            for g in gs
+            for k0 in k0s
+        ]
     elif args.target == "surface":
-        for n in _parse_range(args.n):
-            for d in _parse_range(args.d):
-                reports.append(surface_report_from_degree(d, ambient=n))
+        reports = [surface_report_from_degree(d, ambient=n) for n in ns for d in ds]
     else:
-        for n in _parse_range(args.n):
-            for d in _parse_range(args.d):
-                reports.append(hypersurface_report(n, d))
+        reports = [hypersurface_report(n, d) for n in ns for d in ds]
 
     if args.format == "json":
         _emit(render_json({"points": [r.to_dict() for r in reports]}), args.out)

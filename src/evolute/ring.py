@@ -10,6 +10,16 @@ dimension:
     K + 3*H            -> terms {(1, 0): 1, (0, 1): 3}
     (1 + K) * (1 - K)  -> 1 - K**2   (K**3 and beyond would vanish)
 
+A table may carry a second bound on its leading `base_size` generators.
+Tables made by `GeneratorTable.extended` describe a projective bundle P(F)
+over a base X: the old generators are the base classes and the old bound is
+dim X.  In A*(P(F)) = A*(X)[zeta] / (Grothendieck relation) (Fulton,
+*Intersection Theory*, 3.2) a monomial whose base part has weighted degree
+above dim X is zero, so it is dropped too.  The dropped monomials span a
+homogeneous ideal, hence truncating by it is a ring homomorphism: sums,
+products, powers, series inverses, sign alternation and homogeneous parts
+give exactly the truncation of what the total bound alone would give.
+
 Coefficients are `fractions.Fraction`, never floats; the zero class stores
 no terms.  Values are immutable after construction and safe to share.
 """
@@ -33,15 +43,21 @@ class NotInvertibleError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorTable:
-    """Named generators with cohomological degrees and a truncation bound.
+    """Named generators with cohomological degrees and truncation bounds.
 
     The bound is the dimension of the space the classes live on; it must be
-    at least as large as every generator degree.
+    at least as large as every generator degree.  The first `base_size`
+    generators are pulled back from a base of dimension `base_bound`, so a
+    monomial whose weighted degree in them exceeds `base_bound` is zero as
+    well.  With the default `base_size` 0 the second bound never applies;
+    `extended` sets both for a projective bundle over this table.
     """
 
     names: tuple[str, ...]
     degrees: tuple[int, ...]
     bound: int
+    base_size: int = 0
+    base_bound: int = 0
 
     def __post_init__(self) -> None:
         if len(self.names) != len(self.degrees):
@@ -54,7 +70,13 @@ class GeneratorTable:
             raise ValueError("truncation bound below a generator degree")
         if self.bound < 0:
             raise ValueError("truncation bound must be nonnegative")
+        if not 0 <= self.base_size <= len(self.names):
+            raise ValueError("base size must count leading generators of the table")
+        if self.base_bound < max(self.degrees[: self.base_size], default=0):
+            raise ValueError("base bound below a base generator degree")
         object.__setattr__(self, "_degree_cache", {})
+        object.__setattr__(self, "_base_degree_cache", {})
+        object.__setattr__(self, "_admissible_cache", {})
 
     def __len__(self) -> int:
         return len(self.names)
@@ -71,11 +93,43 @@ class GeneratorTable:
             cache[exponents] = d
         return d
 
+    def base_degree(self, exponents: Exponents) -> int:
+        """Weighted degree of the leading base part (memoized like `degree`)."""
+        cache = self._base_degree_cache
+        d = cache.get(exponents)
+        if d is None:
+            d = sum(e * w for e, w in zip(exponents[: self.base_size], self.degrees))
+            cache[exponents] = d
+        return d
+
+    def admissible(self, exponents: Exponents) -> bool:
+        """Whether the monomial survives both truncation bounds (memoized)."""
+        cache = self._admissible_cache
+        ok = cache.get(exponents)
+        if ok is None:
+            ok = (
+                self.degree(exponents) <= self.bound
+                and self.base_degree(exponents) <= self.base_bound
+            )
+            cache[exponents] = ok
+        return ok
+
     def extended(self, name: str, degree: int, bound: int) -> GeneratorTable:
-        """New table with one more generator appended and a new bound."""
+        """New table with one more generator appended and a new bound.
+
+        The generators of this table become the base generators of the new
+        one, bounded by this table's bound: the new table describes a
+        projective bundle over the space this table describes.
+        """
         if name in self.names:
             raise ValueError(f"generator {name!r} already present")
-        return GeneratorTable(self.names + (name,), self.degrees + (degree,), bound)
+        return GeneratorTable(
+            self.names + (name,),
+            self.degrees + (degree,),
+            bound,
+            base_size=len(self.names),
+            base_bound=self.bound,
+        )
 
     def monomials(self, degree: int) -> Iterator[Exponents]:
         """All exponent vectors of the given weighted degree."""
@@ -97,7 +151,7 @@ class GradedClass:
 
     Supports +, -, * and integer powers; scalars (int or Fraction) coerce to
     multiples of the unit class.  No zero coefficients are stored, and no
-    monomial above the table bound survives any operation.
+    monomial beyond either table bound survives any operation.
     """
 
     __slots__ = ("table", "terms")
@@ -109,7 +163,7 @@ class GradedClass:
             if len(exps) != len(table):
                 raise ValueError(f"exponent vector {exps} does not fit table of size {len(table)}")
             coeff = Fraction(value)
-            if coeff == 0 or table.degree(exps) > table.bound:
+            if coeff == 0 or not table.admissible(exps):
                 continue
             cleaned[exps] = coeff
         object.__setattr__(self, "table", table)
@@ -117,7 +171,7 @@ class GradedClass:
 
     @classmethod
     def _unchecked(cls, table: GeneratorTable, terms: dict[Exponents, Fraction]) -> "GradedClass":
-        # internal fast path: terms already pruned, in-bound and Fraction-valued
+        # internal fast path: terms already pruned, admissible and Fraction-valued
         obj = object.__new__(cls)
         object.__setattr__(obj, "table", table)
         object.__setattr__(obj, "terms", terms)
@@ -139,11 +193,6 @@ class GradedClass:
 
     def coefficient(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def max_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(self.table.degree(e) for e in self.terms)
 
     def homogeneous_part(self, k: int) -> GradedClass:
         """Sum of the monomials of weighted degree exactly k."""
@@ -200,14 +249,14 @@ class GradedClass:
         if other is NotImplemented:
             return NotImplemented
         table = self.table
-        bound = table.bound
-        deg = table.degree
-        bitems = [(eb, cb, deg(eb)) for eb, cb in other.terms.items()]
+        bound, base_bound = table.bound, table.base_bound
+        deg, base_deg = table.degree, table.base_degree
+        bitems = [(eb, cb, deg(eb), base_deg(eb)) for eb, cb in other.terms.items()]
         out: dict[Exponents, Fraction] = {}
         for ea, ca in self.terms.items():
-            da = deg(ea)
-            for eb, cb, db in bitems:
-                if da + db > bound:
+            da, ba = deg(ea), base_deg(ea)
+            for eb, cb, db, bb in bitems:
+                if da + db > bound or ba + bb > base_bound:
                     continue
                 key = tuple(i + j for i, j in zip(ea, eb))
                 value = out.get(key)
@@ -299,10 +348,6 @@ def zero(table: GeneratorTable) -> GradedClass:
 
 def unit(table: GeneratorTable) -> GradedClass:
     return GradedClass(table, {(0,) * len(table): Fraction(1)})
-
-
-def scalar(table: GeneratorTable, value: Fraction | int) -> GradedClass:
-    return GradedClass(table, {(0,) * len(table): Fraction(value)})
 
 
 def generator(table: GeneratorTable, name: str) -> GradedClass:

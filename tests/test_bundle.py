@@ -139,6 +139,19 @@ def test_virtual_series_remultiplication_degree_four():
             assert product.homogeneous_part(i) == target.homogeneous_part(i)
 
 
+def test_bundle_classes_respect_base_dimension():
+    # monomials of base degree above dim X vanish on P(F) and are never kept
+    rng = random.Random(2027)
+    for _ in range(100):
+        space = random_bundle_space(rng)
+        weights = space.base.table.degrees
+        classes = [space.tangent_chern, *space.virtual_chern(space.dim)]
+        for cls in classes:
+            for exps in cls.terms:
+                base_degree = sum(e * w for e, w in zip(exps, weights))
+                assert base_degree <= space.base.dim, (exps, cls)
+
+
 def test_virtual_chern_range_validation(cubic_space):
     with pytest.raises(ValueError):
         cubic_space.virtual_chern(0)

@@ -93,6 +93,14 @@ def test_sweep_curve_json(capsys):
     assert len(payload["points"]) == 6
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_sweep_empty_range_rejected(capsys, fmt):
+    code, out, err = run(capsys, "sweep", "curve", "--d", "3..1", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "--d 3..1 is an empty range" in err
+
+
 def test_oracle_cli(capsys):
     code, out, _ = run(capsys, "oracle", "--poly", "x**2/4 + y**2 - 1", "--format", "json")
     assert code == 0

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from evolute.bundle import BundleSpace
 from evolute.pipelines import (
@@ -6,6 +8,7 @@ from evolute.pipelines import (
     curve_closed_forms,
     curve_report,
     hypersurface_report,
+    osculating_envelope_closed_form,
     osculating_report,
     salmon_characters,
     salmon_identity_checks,
@@ -317,12 +320,29 @@ def test_osculating_twisted_cubic():
     assert report.passed
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(3, 13))
 def test_osculating_rational_normal_curves(n):
     report = osculating_report(CurveInvariants(n, n, 0))
     rows = {r.locus: r for r in report.results}
     assert rows["envelope of osculating hyperplanes"].engine_degree == 2 * (n - 1)
     assert rows["hyperosculation index"].closed_form == 0
+    assert report.passed
+
+
+@settings(max_examples=60, deadline=2000)
+@given(
+    n=st.integers(2, 9),
+    extra=st.integers(0, 3),
+    g=st.integers(0, 2),
+    ks=st.lists(st.integers(0, 2), max_size=8),
+)
+def test_osculating_realizable_matches_closed_form(n, extra, g, ks):
+    inv = CurveInvariants(n, n + extra, g, tuple(ks[: n - 1]))
+    assume(inv.hyperosculation_index >= 0)
+    report = osculating_report(inv)
+    rows = {r.locus: r for r in report.results}
+    envelope = rows["envelope of osculating hyperplanes"].engine_degree
+    assert envelope == osculating_envelope_closed_form(inv)
     assert report.passed
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evolute.ring import (
     GeneratorTable,
@@ -163,3 +165,60 @@ def test_monomial_enumeration():
     assert set(table.monomials(2)) == {(2, 0), (0, 1)}
     assert set(table.monomials(0)) == {(0, 0)}
     assert len(list(table.monomials(4))) == 3  # a^4, a^2 b, b^2
+
+
+# -- base-degree truncation on bundle tables ----------------------------------
+
+
+@st.composite
+def bundle_tables(draw):
+    base_degrees = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    r = draw(st.integers(max(base_degrees), 3))
+    names = tuple(f"c{i}" for i in range(len(base_degrees)))
+    base = GeneratorTable(names, base_degrees, bound=r)
+    return base.extended("zeta", 1, bound=r + draw(st.integers(1, 3)))
+
+
+def _draw_terms(data, table, constant=None):
+    # monomials up to the total bound only, so some break the base bound
+    pool = [e for d in range(table.bound + 1) for e in table.monomials(d)]
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    terms = data.draw(st.dictionaries(st.sampled_from(pool), coeffs, max_size=5))
+    if constant is not None:
+        terms[(0,) * len(table)] = Fraction(constant)
+    return terms
+
+
+def _truncate(table, a):
+    return GradedClass(table, a.terms)
+
+
+def test_extended_sets_base_bound():
+    base = GeneratorTable(("K", "H"), (1, 1), bound=1)
+    table = base.extended("zeta", 1, bound=3)
+    assert (table.base_size, table.base_bound) == (2, 1)
+    K, z = generator(table, "K"), generator(table, "zeta")
+    assert (K * K).is_zero and (K * z**2) == GradedClass(table, {(1, 0, 2): 1})
+    assert GeneratorTable(("K", "zeta"), (1, 1), bound=3).admissible((2, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=bundle_tables(), data=st.data())
+def test_base_truncation_commutes_with_products(table, data):
+    free = GeneratorTable(table.names, table.degrees, table.bound)
+    ta, tb = _draw_terms(data, table), _draw_terms(data, table)
+    a, b = GradedClass(table, ta), GradedClass(table, tb)
+    fa, fb = GradedClass(free, ta), GradedClass(free, tb)
+    assert a * b == _truncate(table, fa * fb)
+    k = data.draw(st.integers(0, 4))
+    assert a**k == _truncate(table, fa**k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=bundle_tables(), data=st.data())
+def test_base_truncation_commutes_with_series_inverse(table, data):
+    free = GeneratorTable(table.names, table.degrees, table.bound)
+    terms = _draw_terms(data, table, constant=1)
+    a, fa = GradedClass(table, terms), GradedClass(free, terms)
+    assert a.series_inverse() == _truncate(table, fa.series_inverse())
+    assert a * a.series_inverse() == unit(table)
