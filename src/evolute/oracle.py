@@ -83,6 +83,8 @@ class PlaneCurve:
         squarefree = sp.gcd(sp.gcd(poly, sp.diff(poly, x)), sp.diff(poly, y))
         if sp.total_degree(squarefree, x, y) > 0:
             raise ValueError("curve polynomial must be squarefree")
+        if len(sp.factor_list(poly)[1]) > 1:
+            raise DegenerateCurveError("curve polynomial must be irreducible over Q")
         if genus is None:
             genus = (d - 1) * (d - 2) // 2
         return cls(poly, d, int(genus), cusps)

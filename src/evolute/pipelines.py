@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundle import BundleSpace
-from .chow import binomial, integrate
+from .chow import SheafData, VarietyDescriptor, binomial, integrate
 from .thom import MAX_CODIMENSION, UnsupportedCodimensionError, thom_class
 from .varieties import (
     CurveInvariants,
@@ -291,6 +291,24 @@ def _validity_flags(results: tuple[LocusResult, ...]) -> list[str]:
     return []
 
 
+def _locus_results(
+    variety: VarietyDescriptor, normal: SheafData, closed: tuple[int, ...]
+) -> tuple[LocusResult, ...]:
+    """Engine degree of each k-fold locus, k up to min(MAX_CODIMENSION, n),
+    beside its closed form closed[k-1] where k <= len(closed)."""
+    space = BundleSpace(variety, normal)
+    r, n = variety.dim, variety.ambient_dim
+    return tuple(
+        _entry(
+            _locus_label(r, n, k),
+            k,
+            sigma_degree(space, k),
+            closed[k - 1] if k <= len(closed) else None,
+        )
+        for k in range(1, min(MAX_CODIMENSION, n) + 1)
+    )
+
+
 def _require_reachable_evolute(base_dim: int, ambient: int) -> None:
     order = ambient - base_dim
     if order > MAX_CODIMENSION:
@@ -306,18 +324,7 @@ def curve_report(inv: CurveInvariants) -> EnumerativeReport:
     n, d, g, k0 = inv.ambient, inv.degree, inv.genus, inv.cusp_count
     _require_reachable_evolute(1, n)
     geom = curve_geometry(inv)
-    space = BundleSpace(geom.variety, geom.normal_bundle)
-    closed = curve_closed_forms(d, g, k0)
-    max_k = min(MAX_CODIMENSION, n)
-
-    results = []
-    for k in range(1, max_k + 1):
-        engine = sigma_degree(space, k)
-        closed_k: int | None = None
-        if k <= 2 or (k == 3 and n >= 3):
-            closed_k = closed[k - 1]
-        results.append(_entry(_locus_label(1, n, k), k, engine, closed_k))
-    results = tuple(results)
+    results = _locus_results(geom.variety, geom.normal_bundle, curve_closed_forms(d, g, k0))
 
     identities = []
     if n == 3:
@@ -333,7 +340,7 @@ def curve_report(inv: CurveInvariants) -> EnumerativeReport:
         identities.extend(salmon_identity_checks(inv))
 
     flags = _validity_flags(results) + [NOTE_CYCLE_DEGREES]
-    citations = _thom_citations(max_k) + [CITE_CURVE_FORMS, CITE_PLUCKER]
+    citations = _thom_citations(len(results)) + [CITE_CURVE_FORMS, CITE_PLUCKER]
     return EnumerativeReport(
         input={
             "kind": "curve",
@@ -370,16 +377,7 @@ def surface_report(
 ) -> EnumerativeReport:
     _require_reachable_evolute(2, ambient)
     variety, normal = surface_geometry(ambient, numbers)
-    space = BundleSpace(variety, normal)
-    closed = surface_closed_forms(numbers)
-    max_k = min(MAX_CODIMENSION, ambient)
-
-    results = []
-    for k in range(1, max_k + 1):
-        engine = sigma_degree(space, k)
-        closed_k = closed[k - 1] if k <= 3 else None
-        results.append(_entry(_locus_label(2, ambient, k), k, engine, closed_k))
-    results = tuple(results)
+    results = _locus_results(variety, normal, surface_closed_forms(numbers))
 
     flags = _validity_flags(results) + [NOTE_CYCLE_DEGREES]
     input_echo = {
@@ -398,7 +396,7 @@ def surface_report(
         input=input_echo,
         results=results,
         identities=(),
-        citations=tuple(_thom_citations(max_k) + [CITE_SURFACE_FORMS]),
+        citations=tuple(_thom_citations(len(results)) + [CITE_SURFACE_FORMS]),
         flags=tuple(flags),
     )
 
@@ -415,29 +413,17 @@ def hypersurface_report(ambient: int, degree: int) -> EnumerativeReport:
     curve forms (in the plane, with the smooth plane-curve genus) or the
     surface forms (in 3-space) as cross-checks."""
     variety, normal = hypersurface_geometry(ambient, degree)
-    space = BundleSpace(variety, normal)
-    max_k = min(MAX_CODIMENSION, ambient)
-
-    companions: tuple[int, int, int] | None = None
+    companions: tuple[int, ...] = ()
     if ambient == 2:
         genus = (degree - 1) * (degree - 2) // 2
         companions = curve_closed_forms(degree, genus, 0)
     elif ambient == 3:
         companions = surface_closed_forms(SurfaceChernNumbers.from_degree(degree))
-
-    results = []
-    for k in range(1, max_k + 1):
-        engine = sigma_degree(space, k)
-        closed_k: int | None = None
-        if k == 1:
-            closed_k = trifogli_degree(ambient, degree)
-        elif companions is not None and k <= 3:
-            closed_k = companions[k - 1]
-        results.append(_entry(_locus_label(ambient - 1, ambient, k), k, engine, closed_k))
-    results = tuple(results)
+    closed = (trifogli_degree(ambient, degree),) + companions[1:]
+    results = _locus_results(variety, normal, closed)
 
     flags = _validity_flags(results) + [NOTE_CYCLE_DEGREES]
-    citations = _thom_citations(max_k) + [CITE_TRIFOGLI]
+    citations = _thom_citations(len(results)) + [CITE_TRIFOGLI]
     if ambient == 2:
         citations.append(CITE_CURVE_FORMS)
     elif ambient == 3:

@@ -1,237 +1,48 @@
-"""Acceptance suite: one test per criterion, exact integer tolerances.
+"""Acceptance suite: one test per selftest check, plus the twisted-cubic time budget.
 
-Each test prints a single PASS line on success (visible with `pytest -s` or
-in failure output); any mismatch fails the assertion with the offending
-parameters.
+The checks and their grids live in `evolute.selftest.BATTERY`.  Each test
+prints a single PASS line on success (visible with `pytest -s`); a failing
+check reports its detail.
 """
 
-import random
 import time
 
-from evolute.chow import SheafData, direct_sum, dual, kernel_from_trivial, segre, twist_by_line
-from evolute.oracle import PlaneCurve, oracle_check
-from evolute.pipelines import (
-    curve_closed_forms,
-    curve_report,
-    hypersurface_report,
-    osculating_report,
-    salmon_identity_checks,
-    salmon_surface_reference,
-    surface_degree_forms,
-    surface_report_from_degree,
-    trifogli_degree,
-)
-from evolute.reference_forms import (
-    ambient_tangent_pullback,
-    tangent_chern_reference,
-    virtual_chern_reference,
-)
-from evolute.ring import GeneratorTable, GradedClass, unit
-from evolute.selftest import (
-    random_bundle_space,
-    random_graded_class,
-    random_positive_class,
-)
+from evolute import selftest
+from evolute.pipelines import curve_report
 from evolute.varieties import CurveInvariants
 
-CURVE_GRID = [
-    (n, d, g, k0)
-    for n in (3, 4, 5)
-    for d in range(1, 9)
-    for g in range(0, 5)
-    for k0 in range(0, 4)
-]
+
+def _criterion(check):
+    def test(battery_result):
+        name, ok, detail = battery_result(check)
+        assert ok, f"{name}: {detail}"
+        print(f"ACCEPTANCE: PASS - {name}: {detail}")
+
+    test.check = check
+    return test
 
 
-def _ok(number: int, message: str) -> None:
-    print(f"ACCEPTANCE {number}: PASS - {message}")
+test_criterion_1_twisted_cubic = _criterion(selftest.check_twisted_cubic)
+test_criterion_2_quadric_surface = _criterion(selftest.check_quadric_surface)
+test_criterion_3_surface_grid = _criterion(selftest.check_surface_grid)
+test_criterion_4_hypersurface_grid = _criterion(selftest.check_hypersurface_grid)
+test_criterion_5_curve_grid = _criterion(selftest.check_curve_grid)
+test_criterion_6_salmon_consistency = _criterion(selftest.check_salmon_grid)
+test_criterion_7_osculating_suite = _criterion(selftest.check_osculating)
+test_criterion_8_class_form_regressions = _criterion(selftest.check_class_form_regressions)
+test_criterion_9_algebra_properties = _criterion(selftest.check_algebra_properties)
+test_criterion_10_elimination_oracle = _criterion(selftest.check_oracle)
+test_criterion_11_salmon_reference = _criterion(selftest.check_salmon_reference)
 
 
-def test_criterion_1_twisted_cubic():
+def test_every_check_has_one_criterion():
+    checks = [v.check for k, v in globals().items() if k.startswith("test_criterion_")]
+    assert len(checks) == len(selftest.BATTERY) and set(checks) == set(selftest.BATTERY)
+
+
+def test_twisted_cubic_budget():
     start = time.perf_counter()
-    report = curve_report(CurveInvariants(3, 3, 0))
+    curve_report(CurveInvariants(3, 3, 0))
     elapsed = time.perf_counter() - start
-    degrees = tuple(r.engine_degree for r in report.results)
-    assert degrees == (12, 15, 16)
     assert elapsed < 0.1, f"took {elapsed:.3f}s, budget 0.1s"
-    _ok(1, f"twisted cubic degrees {degrees} in {elapsed * 1000:.1f} ms")
-
-
-def test_criterion_2_quadric_surface():
-    report = surface_report_from_degree(2)
-    degrees = tuple(r.engine_degree for r in report.results)
-    assert degrees == (12, 24, 32)
-    assert all(r.match for r in report.results)
-    _ok(2, f"quadric evolute/cuspidal/cusp degrees {degrees}")
-
-
-def test_criterion_3_surface_grid():
-    checked = 0
-    for d in range(2, 11):
-        report = surface_report_from_degree(d)
-        engine = tuple(r.engine_degree for r in report.results)
-        assert engine == surface_degree_forms(d), f"degree {d}: {engine}"
-        checked += len(engine)
-    assert checked == 27
-    _ok(3, "surfaces d=2..10, all 27 values exact")
-
-
-def test_criterion_4_hypersurface_grid():
-    cases = 0
-    for n in range(2, 7):
-        for d in range(2, 7):
-            report = hypersurface_report(n, d)
-            evolute = report.results[0]
-            assert evolute.engine_degree == trifogli_degree(n, d), (n, d)
-            if d == 2:
-                assert evolute.engine_degree == 6 * (n - 1), (n, d)
-            cases += 1
-    assert cases == 25
-    _ok(4, "hypersurfaces n=2..6, d=2..6 match the focal-degree closed form")
-
-
-def test_criterion_5_curve_grid():
-    for n, d, g, k0 in CURVE_GRID:
-        report = curve_report(CurveInvariants(n, d, g, (k0,)))
-        closed = curve_closed_forms(d, g, k0)
-        for row in report.results:
-            if row.k is not None and row.k <= 3:
-                assert row.engine_degree == closed[row.k - 1], (n, d, g, k0, row.k)
-        if n == 3:
-            env, cusp, kappa = (r.engine_degree for r in report.results[:3])
-            assert env == 2 * cusp + 2 * g - 2 - kappa, (d, g, k0)
-    _ok(5, f"curve grid, {len(CURVE_GRID)} points, engine = closed forms and degree relation")
-
-
-def test_criterion_6_salmon_consistency():
-    points = 0
-    for d in range(1, 9):
-        for g in range(0, 5):
-            for k0 in range(0, 4):
-                for k1 in range(0, 4):
-                    checks = salmon_identity_checks(CurveInvariants(3, d, g, (k0, k1)))
-                    assert all(c.holds for c in checks), (d, g, k0, k1)
-                    points += 1
-    _ok(6, f"Salmon count identities hold at {points} grid points")
-
-
-def test_criterion_7_osculating_suite():
-    for n in range(3, 7):
-        report = osculating_report(CurveInvariants(n, n, 0))
-        rows = {r.locus: r for r in report.results}
-        env = rows["envelope of osculating hyperplanes"]
-        assert env.engine_degree == 2 * (n - 1), n
-        assert rows["hyperosculation index"].closed_form == 0, n
-        assert report.passed, n
-    twisted = osculating_report(CurveInvariants(3, 3, 0))
-    d1 = next(r for r in twisted.results if r.locus == "osculating developable D^1")
-    assert d1.engine_degree == 4
-    for n, d, g, k0 in CURVE_GRID:
-        report = osculating_report(CurveInvariants(n, d, g, (k0,)))
-        assert all(i.holds for i in report.identities), (n, d, g, k0)
-    _ok(7, "rational normal curves, tangent developable, decomposition identity on the grid")
-
-
-def test_criterion_8_class_form_regressions():
-    rng = random.Random(20250808)
-    for sample in range(100):
-        space = random_bundle_space(rng)
-        tangent = space.tangent_chern
-        for i, expected in enumerate(tangent_chern_reference(space), start=1):
-            assert tangent.homogeneous_part(i) == expected, (sample, "tangent", i)
-        computed = space.virtual_chern(min(3, space.dim))
-        for i, (got, expected) in enumerate(zip(computed, virtual_chern_reference(space)), 1):
-            assert got == expected, (sample, "virtual", i)
-        top = min(4, space.dim)
-        series = unit(space.table)
-        for cbar in space.virtual_chern(top):
-            series = series + cbar
-        product = series * tangent
-        target = ambient_tangent_pullback(space)
-        for i in range(top + 1):
-            assert product.homogeneous_part(i) == target.homogeneous_part(i), (sample, i)
-    _ok(8, "100 random instances: series path = componentwise forms, degree-4 remultiplication")
-
-
-def test_criterion_9_algebra_properties():
-    rng = random.Random(424243)
-    cases = 0
-
-    table = GeneratorTable(("p", "q", "s"), (1, 1, 2), bound=4)
-    for _ in range(250):
-        a, b, c = (random_graded_class(rng, table) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        cases += 1
-
-    for _ in range(250):
-        a = unit(table) + sum(
-            (random_positive_class(rng, table, k) for k in (1, 2, 3)),
-            GradedClass(table),
-        )
-        assert a * a.series_inverse() == unit(table)
-        cases += 1
-
-    for _ in range(250):
-        space = random_bundle_space(rng)
-        alpha = random_graded_class(rng, space.base.table)
-        k = rng.randint(0, space.dim)
-        pushed = space.pushforward(space.lift(alpha) * space.zeta**k)
-        j = k - space.fiber_dim
-        if 0 <= j <= space.base.dim:
-            assert pushed == alpha * segre(space.sheaf, j)
-        else:
-            assert pushed.is_zero
-        cases += 1
-
-    for _ in range(250):
-        space = random_bundle_space(rng)
-        table_b = space.base.table
-        A = space.sheaf
-        B = SheafData(rng.randint(1, 3), unit(table_b) + random_positive_class(rng, table_b, 1))
-        assert direct_sum(A, B).chern == A.chern * B.chern
-        assert dual(dual(A)) == A
-        line = random_positive_class(rng, table_b, 1)
-        assert twist_by_line(twist_by_line(A, line), -line) == A
-        kernel = kernel_from_trivial(A.rank + B.rank + 1, B)
-        assert kernel.chern * B.chern == unit(table_b)
-        f = space.fiber_dim
-        assert space.pushforward(space.zeta**f) == unit(table_b)
-        if f >= 1:
-            assert space.pushforward(space.zeta ** (f - 1)).is_zero
-        assert space.pushforward(space.zeta ** (f + 1)) == A.chern_part(1)
-        cases += 1
-
-    assert cases == 1000
-    _ok(9, "1000 randomized algebra cases (Whitney, inverse, projection, pushforward basis)")
-
-
-def test_criterion_10_elimination_oracle():
-    ellipse = oracle_check(PlaneCurve.from_expr("x**2/4 + y**2 - 1"))
-    assert ellipse.degree == 6
-    assert ellipse.match is True
-    assert ellipse.expected_degree == curve_closed_forms(2, 0, 0)[0] == trifogli_degree(2, 2)
-
-    circle = oracle_check(PlaneCurve.from_expr("x**2 + y**2 - 1"))
-    assert circle.match is None
-    assert any("circular points" in f for f in circle.flags)
-
-    cubic = oracle_check(PlaneCurve.from_expr("x**3 + y**3 + x*y + x - 2*y + 1"))
-    assert cubic.degree == 18
-    assert cubic.match is True
-    _ok(10, "oracle: ellipse sextic, circle flagged, cubic evolute of degree 18")
-
-
-def test_criterion_11_salmon_reference():
-    expected = {
-        2: (4, 6, 12),
-        3: (30, 21, 84),
-        4: (88, 52, 280),
-        5: (190, 105, 660),
-        6: (348, 186, 1284),
-    }
-    for d, values in expected.items():
-        ref = salmon_surface_reference(d)
-        assert (ref.evolute_class, ref.ed_degree, ref.umbilic_count) == values, d
-    _ok(11, "centro-surface class, distance degree and umbilic count, d=2..6")
+    print(f"ACCEPTANCE: PASS - twisted cubic report in {elapsed * 1000:.1f} ms (budget 100 ms)")

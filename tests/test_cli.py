@@ -177,13 +177,6 @@ def test_exit_one_on_mismatch(capsys):
     capsys.readouterr()
 
 
-def test_selftest_smoke(capsys):
-    code, out, _ = run(capsys, "selftest", "--skip-oracle")
-    assert code == 0
-    assert "checks passed" in out
-    assert "FAIL" not in out
-
-
 def test_sweep_csv_renderer_direct():
     reports = [curve_report(CurveInvariants(3, d, 0)) for d in (2, 3)]
     text = render_sweep_csv(reports)

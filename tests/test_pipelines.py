@@ -22,6 +22,14 @@ from evolute.pipelines import (
     trifogli_degree,
     vertices_count,
 )
+from evolute.selftest import (
+    HYPERSURFACE_GRID,
+    SURFACE_DEGREES,
+    check_curve_grid,
+    check_salmon_grid,
+    hypersurface_point_ok,
+    surface_point_ok,
+)
 from evolute.thom import UnsupportedCodimensionError
 from evolute.varieties import (
     CurveInvariants,
@@ -205,16 +213,9 @@ def test_curve_report_with_cusps():
     assert _engine_degrees(report) == curve_closed_forms(4, 0, 2)
 
 
-def test_curve_grid_against_closed_forms():
-    for n in (3, 4, 5):
-        for d in (1, 3, 6, 8):
-            for g in (0, 2, 4):
-                for k0 in (0, 3):
-                    report = curve_report(CurveInvariants(n, d, g, (k0,)))
-                    closed = curve_closed_forms(d, g, k0)
-                    for row in report.results:
-                        if row.k is not None and row.k <= 3:
-                            assert row.engine_degree == closed[row.k - 1], (n, d, g, k0)
+def test_curve_grid_against_closed_forms(battery_result):
+    name, ok, detail = battery_result(check_curve_grid)
+    assert ok, f"{name}: {detail}"
 
 
 def test_surface_report_quadric():
@@ -224,11 +225,9 @@ def test_surface_report_quadric():
     assert report.results[0].locus == "envelope [evolute]"
 
 
-@pytest.mark.parametrize("d", range(2, 11))
+@pytest.mark.parametrize("d", SURFACE_DEGREES)
 def test_surface_grid(d):
-    report = surface_report_from_degree(d)
-    assert _engine_degrees(report) == surface_degree_forms(d)
-    assert report.passed
+    assert surface_point_ok(d)
 
 
 def test_surface_report_higher_ambient():
@@ -261,12 +260,9 @@ def test_hypersurface_reports():
     assert plane.passed
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize(("n", "d"), HYPERSURFACE_GRID)
 def test_hypersurface_grid(n, d):
-    report = hypersurface_report(n, d)
-    assert report.results[0].engine_degree == trifogli_degree(n, d)
-    assert report.passed
+    assert hypersurface_point_ok(n, d)
 
 
 # -- Salmon characters --------------------------------------------------------
@@ -293,13 +289,9 @@ def test_salmon_strict_dual_class_is_second_developable():
                 assert salmon_characters(inv).strict_dual_class == developable_closed_form(inv, 2)
 
 
-def test_salmon_identities_grid():
-    for d in range(1, 9):
-        for g in range(0, 5):
-            for k0 in range(0, 4):
-                for k1 in range(0, 4):
-                    checks = salmon_identity_checks(CurveInvariants(3, d, g, (k0, k1)))
-                    assert all(c.holds for c in checks), (d, g, k0, k1)
+def test_salmon_identities_grid(battery_result):
+    name, ok, detail = battery_result(check_salmon_grid)
+    assert ok, f"{name}: {detail}"
 
 
 def test_salmon_identities_need_threespace():
