@@ -15,8 +15,11 @@ A single iterated-resultant order introduces extraneous components coming
 from pairs of distinct curve points that share one coordinate, so both
 elimination orders are computed and their gcd taken; the orders have
 disjoint extraneous loci, and every removal is logged.  The second-stage
-resultants are evaluated on an integer grid and interpolated exactly, which
-keeps each step a univariate resultant over the rationals.
+resultants are evaluated on an integer grid and interpolated exactly in
+integer arithmetic (Collins' evaluation-interpolation scheme), which keeps
+each step a univariate resultant over the integers.  Polynomials stay
+`sp.Poly` from the first stage to the final factor; only the reported
+evolute is an expression.
 
 This module shares no code with the intersection-theoretic engine; the two
 paths cross-check each other through the closed-form target
@@ -26,17 +29,11 @@ paths cross-check each other through the closed-form target
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from functools import reduce
 
 import sympy as sp
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_resultant
-
-try:  # gmpy2 ships with sympy's optional fast ground types
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - plain python ground types
-    _rational = Fraction
 
 x, y = sp.symbols("x y")
 X, Y = sp.symbols("X Y")
@@ -201,13 +198,11 @@ def center_of_curvature_system(curve: PlaneCurve) -> tuple[sp.Expr, sp.Expr, sp.
 # --------------------------------------------------------------------------
 
 
-def _integer_terms(poly: sp.Expr, main: sp.Symbol, par: sp.Symbol) -> dict[tuple[int, int], int]:
+def _integer_terms(poly: sp.Poly, main: sp.Symbol, par: sp.Symbol) -> dict[tuple[int, int], int]:
     """Exponent map of the polynomial with denominators cleared (the global
     rational scale is irrelevant downstream, where content is removed)."""
-    P = sp.Poly(poly, main, par)
-    rationals = {m: sp.Rational(c) for m, c in P.terms()}
-    scale = lcm(*(c.q for c in rationals.values()))
-    return {(i, j): int(c * scale) for (i, j), c in rationals.items()}
+    _, P = sp.Poly(poly, main, par).clear_denoms(convert=True)
+    return {m: int(c) for m, c in P.terms()}
 
 
 def _specialize(terms: dict[tuple[int, int], int], main_degree: int, value: int) -> list[int]:
@@ -217,29 +212,28 @@ def _specialize(terms: dict[tuple[int, int], int], main_degree: int, value: int)
     return coeffs
 
 
-def _interpolate(xs: list[int], ys: list) -> list:
-    """Exact Newton interpolation through integer nodes; returns ascending
-    monomial coefficients (exact rationals)."""
+def _interpolate(xs: list[int], ys: list[int]) -> list[int]:
+    """Exact Newton interpolation of samples of an integer polynomial at
+    integer nodes; returns its ascending monomial coefficients.
+
+    Every divided difference of an integer polynomial at integer nodes is an
+    integer, so each division is exact; a remainder means the samples are
+    not those of an integer polynomial of degree < len(xs)."""
     n = len(xs)
-    dd = [_rational(v) for v in ys]
+    dd = [int(v) for v in ys]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    # expand sum_j dd[j] * prod_{i<j} (t - xs[i]) incrementally
-    zero = _rational(0)
-    coeffs = [zero] * n
-    basis = [_rational(1)]  # coefficients of the node product so far
-    for j in range(n):
-        dj = dd[j]
-        if dj:
-            for k, b in enumerate(basis):
-                coeffs[k] += dj * b
-        if j < n - 1:
-            new = [zero] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k + 1] += b
-                new[k] -= xs[j] * b
-            basis = new
+            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - j])
+            if r:
+                raise ArithmeticError("interpolated samples are not an integer polynomial")
+            dd[i] = q
+    # Horner form: dd[0] + (t - xs[0]) (dd[1] + (t - xs[1]) (dd[2] + ...))
+    coeffs = [dd[-1]]
+    for j in range(n - 2, -1, -1):
+        shifted = [dd[j]] + coeffs
+        for k, c in enumerate(coeffs):
+            shifted[k] -= xs[j] * c
+        coeffs = shifted
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return coeffs
@@ -263,10 +257,11 @@ def _grid(terms: dict[tuple[int, int], int], main_degree: int, count: int) -> li
 
 
 def _resultant_by_interpolation(
-    A: sp.Expr, B: sp.Expr, elim: sp.Symbol, pa: sp.Symbol, pb: sp.Symbol
-) -> sp.Expr:
-    """Res_elim(A(elim, pa), B(elim, pb)) as a polynomial in (pa, pb), up to
-    a nonzero rational scale, from exact samples on an integer grid.
+    A: sp.Poly, B: sp.Poly, elim: sp.Symbol, pa: sp.Symbol, pb: sp.Symbol
+) -> sp.Poly:
+    """Res_elim(A(elim, pa), B(elim, pb)) as an integer polynomial in
+    (pa, pb), up to a nonzero rational scale, from exact samples on an
+    integer grid.
 
     A carries only (elim, pa) and B only (elim, pb), so the resultant's
     degree in pa is bounded by deg_pa(A) * deg_elim(B) and symmetrically in
@@ -288,18 +283,15 @@ def _resultant_by_interpolation(
         a_col = [ZZ(c) for c in reversed(_specialize(ta, da, x0))]
         samples = [dup_resultant(a_col, b_cols[y0], ZZ) for y0 in ys]
         per_x[x0] = _interpolate(ys, samples)
-    result: dict[tuple[int, int], Fraction] = {}
+    result: dict[tuple[int, int], int] = {}
     for j in range(deg_pb + 1):
         col = [per_x[x0][j] if j < len(per_x[x0]) else 0 for x0 in xs]
         for i, c in enumerate(_interpolate(xs, col)):
             if c:
-                frac = Fraction(int(c.numerator), int(c.denominator))
-                result[(i, j)] = frac
+                result[(i, j)] = c
     if not result:
         raise InconclusiveEliminationError("interpolated resultant is identically zero")
-    return sp.Add(
-        *[sp.Rational(c.numerator, c.denominator) * pa**i * pb**j for (i, j), c in result.items()]
-    )
+    return sp.Poly.from_dict(result, pa, pb, domain=ZZ)
 
 
 # --------------------------------------------------------------------------
@@ -307,43 +299,49 @@ def _resultant_by_interpolation(
 # --------------------------------------------------------------------------
 
 
-def _first_stage(F: sp.Expr, G: sp.Expr, elim: sp.Symbol, log: list[str]) -> sp.Expr:
-    res = sp.expand(sp.resultant(sp.Poly(F, elim), sp.Poly(G, elim)))
-    if res == 0:
-        raise InconclusiveEliminationError(f"resultant in {elim} vanished identically")
+def _first_stage(F: sp.Expr, G: sp.Expr, elim: sp.Symbol, log: list[str]) -> sp.Poly:
+    """Res_elim(F, G) as a polynomial in (other, target), with its content
+    in target removed."""
     other = x if elim is y else y
     target = X if G.has(X) else Y
+    res = sp.resultant(sp.Poly(F, elim, other, target), sp.Poly(G, elim, other, target))
+    if res.is_zero:
+        raise InconclusiveEliminationError(f"resultant in {elim} vanished identically")
     # strip content in the surviving affine variable (extraneous for the image)
-    coeffs = sp.Poly(res, target).all_coeffs()
-    content = sp.gcd_list([c for c in coeffs if c != 0])
-    if sp.total_degree(content, other) > 0:
-        log.append(
-            f"removed first-stage content of degree {sp.total_degree(content, other)} in {other}"
-        )
-        res = sp.expand(sp.quo(res, content, other, target))
+    columns: dict[int, dict] = {}
+    for (i, j), c in res.terms():
+        columns.setdefault(j, {})[(i, 0)] = c
+    content = reduce(
+        lambda a, b: a.gcd(b),
+        (sp.Poly.from_dict(col, other, target, domain=res.domain) for col in columns.values()),
+    )
+    if content.degree(other) > 0:
+        log.append(f"removed first-stage content of degree {content.degree(other)} in {other}")
+        res = res.exquo(content)
     return res
 
 
-def eliminate(system: tuple[sp.Expr, sp.Expr, sp.Expr]) -> tuple[sp.Expr, list[str]]:
+def eliminate(system: tuple[sp.Expr, sp.Expr, sp.Expr]) -> tuple[sp.Poly, list[str]]:
     """Project the curvature system to (X, Y): both iterated-resultant
     orders, cross-order gcd, content and squarefree reduction, and the
-    extraneous-factor policy.  Returns the evolute polynomial and the log."""
+    extraneous-factor policy.  Returns the evolute polynomial in (X, Y) and
+    the log."""
     F, G1, G2 = system
     log: list[str] = []
 
     A_y = _first_stage(F, G1, y, log)
     B_y = _first_stage(F, G2, y, log)
-    if not A_y.has(x) or not B_y.has(x):
+    if A_y.degree(x) == 0 or B_y.degree(x) == 0:
         return _zero_dimensional_image(A_y, B_y, log), log
     A_x = _first_stage(F, G1, x, log)
     B_x = _first_stage(F, G2, x, log)
 
     R1 = _resultant_by_interpolation(A_y, B_y, x, X, Y)
     R2 = _resultant_by_interpolation(A_x, B_x, y, X, Y)
-    d1, d2 = sp.total_degree(R1, X, Y), sp.total_degree(R2, X, Y)
+    d1, d2 = R1.total_degree(), R2.total_degree()
 
-    G = sp.gcd(sp.Poly(R1, X, Y), sp.Poly(R2, X, Y)).as_expr()
-    dg = sp.total_degree(G, X, Y)
+    G = sp.gcd(R1, R2)
+    dg = G.total_degree()
     if dg == 0:
         raise InconclusiveEliminationError("elimination left no hypersurface part")
     if dg < max(d1, d2):
@@ -351,17 +349,17 @@ def eliminate(system: tuple[sp.Expr, sp.Expr, sp.Expr]) -> tuple[sp.Expr, list[s
             f"removed cross-order resultant extraneity: degrees {d1}/{d2} -> {dg}"
         )
 
-    sqf = sp.Poly(G, X, Y).sqf_part().as_expr()
-    if sp.total_degree(sqf, X, Y) < dg:
-        log.append(f"took squarefree part: degree {dg} -> {sp.total_degree(sqf, X, Y)}")
+    sqf = G.sqf_part()
+    if sqf.total_degree() < dg:
+        log.append(f"took squarefree part: degree {dg} -> {sqf.total_degree()}")
 
+    # sp.factor_list sorts the factors, which fixes the order of the log
     _, factors = sp.factor_list(sqf)
-    kept: list[sp.Expr] = []
-    isotropic: list[sp.Expr] = []
+    kept: list[sp.Poly] = []
+    isotropic: list[sp.Poly] = []
     for fac, mult in factors:
-        fvars = fac.free_symbols
-        if X not in fvars or Y not in fvars:
-            log.append(f"stripped univariate extraneous factor: {sp.sstr(fac)}")
+        if fac.degree(X) == 0 or fac.degree(Y) == 0:
+            log.append(f"stripped univariate extraneous factor: {sp.sstr(fac.as_expr())}")
             continue
         if _is_isotropic_factor(fac):
             isotropic.append(fac)
@@ -374,19 +372,17 @@ def eliminate(system: tuple[sp.Expr, sp.Expr, sp.Expr]) -> tuple[sp.Expr, list[s
         kept = isotropic
     else:
         for fac in isotropic:
-            log.append(f"stripped isotropic-line factor: {sp.sstr(fac)}")
+            log.append(f"stripped isotropic-line factor: {sp.sstr(fac.as_expr())}")
     if not kept:
         raise InconclusiveEliminationError("every factor was extraneous")
 
-    evolute = sp.expand(sp.prod(kept))
-    evolute = _normalize_sign(evolute)
-    return evolute, log
+    return _normalize_sign(sp.prod(kept)), log
 
 
-def _zero_dimensional_image(A: sp.Expr, B: sp.Expr, log: list[str]) -> sp.Expr:
+def _zero_dimensional_image(A: sp.Poly, B: sp.Poly, log: list[str]) -> sp.Poly:
     """Constant center map (circles): the image is a single point (a, b),
     reported through its isotropic representative (X-a)^2 + (Y-b)^2."""
-    if A.has(x, y) or B.has(x, y):
+    if A.degree(x) > 0 or B.degree(x) > 0:
         raise InconclusiveEliminationError(
             "mixed zero-dimensional elimination; cannot separate image points"
         )
@@ -401,31 +397,27 @@ def _zero_dimensional_image(A: sp.Expr, B: sp.Expr, log: list[str]) -> sp.Expr:
     log.append(
         f"image is the single point ({a}, {b}); reporting its isotropic representative"
     )
-    return _normalize_sign(sp.expand((X - a) ** 2 + (Y - b) ** 2))
+    return _normalize_sign(sp.Poly((X - a) ** 2 + (Y - b) ** 2, X, Y))
 
 
-def _is_isotropic_factor(fac: sp.Expr) -> bool:
-    """True when the factor's leading form is a power of X^2 + Y^2, i.e. the
-    component sits entirely on the circular points at infinity."""
-    d = sp.total_degree(fac, X, Y)
+def _is_isotropic_factor(fac: sp.Poly) -> bool:
+    """True when the factor's leading form is a nonzero constant times a
+    power of X^2 + Y^2, i.e. the component sits entirely on the circular
+    points at infinity.  Both forms have degree d, so an exact division
+    leaves a nonzero constant quotient."""
+    d = fac.total_degree()
     if d % 2:
         return False
-    lead = sp.Add(
-        *[t for t in sp.Add.make_args(sp.expand(fac)) if sp.total_degree(t, X, Y) == d]
+    lead = sp.Poly.from_dict(
+        {m: c for m, c in fac.terms() if sum(m) == d}, X, Y, domain=fac.domain
     )
-    quotient = sp.simplify(lead / (X**2 + Y**2) ** (d // 2))
-    return quotient.is_number and quotient != 0
+    return lead.rem(sp.Poly(X**2 + Y**2, X, Y) ** (d // 2)).is_zero
 
 
-def _normalize_sign(poly: sp.Expr) -> sp.Expr:
+def _normalize_sign(P: sp.Poly) -> sp.Poly:
     """Integer-primitive form with positive leading (graded-lex) coefficient."""
-    P = sp.Poly(sp.expand(poly), X, Y)
-    _, prim = P.primitive()
-    terms = sorted(prim.terms(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-    if terms and terms[0][1] < 0:
-        prim = -prim
-    denominators = [sp.Rational(c).q for _, c in prim.terms()]
-    return sp.expand(prim.as_expr() * lcm(*denominators))
+    _, prim = P.clear_denoms(convert=True)[1].primitive()
+    return -prim if prim.LC(order="grlex") < 0 else prim
 
 
 def oracle_check(curve: PlaneCurve) -> EvoluteResult:
@@ -435,10 +427,10 @@ def oracle_check(curve: PlaneCurve) -> EvoluteResult:
     generic = not flags
     system = center_of_curvature_system(curve)
     evolute, log = eliminate(system)
-    degree = int(sp.total_degree(evolute, X, Y))
+    degree = evolute.total_degree()
     match = degree == curve.expected_evolute_degree if generic else None
     return EvoluteResult(
-        polynomial=evolute,
+        polynomial=evolute.as_expr(),
         degree=degree,
         expected_degree=curve.expected_evolute_degree,
         match=match,

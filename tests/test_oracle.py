@@ -2,12 +2,18 @@ import os
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evolute.oracle import (
     DegenerateCurveError,
     PlaneCurve,
     X,
     Y,
+    _first_stage,
+    _interpolate,
+    _is_isotropic_factor,
+    _resultant_by_interpolation,
     canonical_text,
     center_of_curvature_system,
     oracle_check,
@@ -137,6 +143,62 @@ def test_nodal_cubic_tangent_to_infinity_exploratory():
     assert result.match is None
     assert any("tangent to the line at infinity" in f for f in result.flags)
     assert result.degree == 6  # frozen observed value for regression
+
+
+def _nodes(count):
+    return [(k + 1) // 2 * (-1) ** (k + 1) for k in range(count)]  # 0, 1, -1, 2, -2, ...
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-(2**300), 2**300), min_size=1, max_size=61),
+    st.integers(0, 3),
+)
+def test_interpolate_recovers_integer_polynomial(coeffs, extra):
+    nodes = _nodes(len(coeffs) + extra)
+    samples = [sum(c * t**k for k, c in enumerate(coeffs)) for t in nodes]
+    expected = list(coeffs)
+    while len(expected) > 1 and not expected[-1]:
+        expected.pop()
+    result = _interpolate(nodes, samples)
+    assert result == expected
+    assert all(type(c) is int for c in result)
+
+
+def test_interpolate_rejects_non_integer_polynomial():
+    # the parabola through (0, 0), (1, 1), (-1, 0) is (t + t**2)/2
+    with pytest.raises(ArithmeticError):
+        _interpolate([0, 1, -1], [0, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "factor, isotropic",
+    [
+        ((X**2 + Y**2) ** 2 + X, True),
+        (2 * X**2 + 2 * Y**2 - 1, True),
+        ((X**2 + Y**2) ** 3 + Y**5, True),
+        (X**2 - Y**2, False),
+        (X**2 + 2 * Y**2 + X, False),
+        ((X**2 + Y**2) * X + Y, False),
+    ],
+)
+def test_is_isotropic_factor(factor, isotropic):
+    assert _is_isotropic_factor(sp.Poly(factor, X, Y)) is isotropic
+
+
+@pytest.mark.parametrize("conic", [ELLIPSE, "2*x**2 - 3*x*y + 4*y**2 + x - 2*y - 3"])
+def test_grid_resultant_matches_direct_resultant(conic):
+    F, G1, G2 = center_of_curvature_system(PlaneCurve.from_expr(conic))
+    A, B = _first_stage(F, G1, y, []), _first_stage(F, G2, y, [])
+    grid = _resultant_by_interpolation(A, B, x, X, Y)
+    direct = sp.Poly(sp.resultant(A.as_expr(), B.as_expr(), x), X, Y)
+
+    def normal(P):
+        prim = P.clear_denoms(convert=True)[1].primitive()[1]
+        return -prim if prim.LC() < 0 else prim
+
+    assert grid.total_degree() > 0
+    assert normal(grid) == normal(direct)
 
 
 def test_canonical_text_deterministic():
