@@ -45,6 +45,7 @@ INPUT_ERRORS = (
     UnsupportedCodimensionError,
     DegenerateCurveError,
     InconclusiveEliminationError,
+    OSError,
 )
 
 

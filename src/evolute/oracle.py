@@ -17,9 +17,9 @@ elimination orders are computed and their gcd taken; the orders have
 disjoint extraneous loci, and every removal is logged.  The second-stage
 resultants are evaluated on an integer grid and interpolated exactly in
 integer arithmetic (Collins' evaluation-interpolation scheme), which keeps
-each step a univariate resultant over the integers.  Polynomials stay
-`sp.Poly` from the first stage to the final factor; only the reported
-evolute is an expression.
+each step a univariate resultant over the integers.  Polynomials are
+`sp.Poly` from the parsed curve to the reported evolute; only the public
+`EvoluteResult.polynomial` is an expression.
 
 This module shares no code with the intersection-theoretic engine; the two
 paths cross-check each other through the closed-form target
@@ -49,13 +49,14 @@ class InconclusiveEliminationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlaneCurve:
-    """An implicit plane curve with its declared numerical invariants.
+    """An implicit plane curve, a `Poly` in (x, y) over ZZ or QQ, with its
+    declared numerical invariants.
 
     The genus defaults to the smooth plane-curve value (d-1)(d-2)/2 and the
     weighted cusp count k0 to 0; both only feed the expected-degree target.
     """
 
-    poly: sp.Expr
+    poly: sp.Poly
     degree: int
     genus: int
     cusps: int
@@ -67,21 +68,29 @@ class PlaneCurve:
         genus: int | None = None,
         cusps: int = 0,
     ) -> "PlaneCurve":
-        poly = sp.sympify(expr, locals={"x": x, "y": y}, rational=True)
-        if poly.free_symbols - {x, y}:
-            raise ValueError(f"curve may involve only x and y, got {poly.free_symbols}")
-        poly = sp.expand(poly)
-        if not poly.has(x) and not poly.has(y):
+        if genus is not None and genus < 0:
+            raise ValueError("genus must be nonnegative")
+        if cusps < 0:
+            raise ValueError("cusp count must be nonnegative")
+        parsed = sp.sympify(expr, locals={"x": x, "y": y}, rational=True)
+        if not isinstance(parsed, sp.Expr):
+            raise ValueError("curve must be a polynomial in x and y")
+        extra = sorted(map(str, parsed.free_symbols - {x, y}))
+        if extra:
+            raise ValueError(f"curve may involve only x and y, got {', '.join(extra)}")
+        try:
+            poly = sp.Poly(parsed, x, y)
+        except sp.PolynomialError:
+            raise ValueError("curve must be a polynomial in x and y") from None
+        if poly.is_ground:
             raise ValueError("constant input is not a curve")
-        for coeff in sp.Poly(poly, x, y).coeffs():
-            if not coeff.is_rational:
-                raise ValueError("curve coefficients must be rational")
-        d = int(sp.total_degree(poly, x, y))
-        squarefree = sp.gcd(sp.gcd(poly, sp.diff(poly, x)), sp.diff(poly, y))
-        if sp.total_degree(squarefree, x, y) > 0:
+        if not all(c.is_rational for c in poly.coeffs()):
+            raise ValueError("curve coefficients must be rational")
+        if not _is_squarefree(poly):
             raise ValueError("curve polynomial must be squarefree")
         if len(sp.factor_list(poly)[1]) > 1:
             raise DegenerateCurveError("curve polynomial must be irreducible over Q")
+        d = poly.total_degree()
         if genus is None:
             genus = (d - 1) * (d - 2) // 2
         return cls(poly, d, int(genus), cusps)
@@ -90,28 +99,18 @@ class PlaneCurve:
     def expected_evolute_degree(self) -> int:
         return 6 * (self.degree + self.genus - 1) - 2 * self.cusps
 
-    def leading_form(self) -> sp.Expr:
-        terms = [
-            t
-            for t in sp.Add.make_args(self.poly)
-            if sp.total_degree(t, x, y) == self.degree
-        ]
-        return sp.Add(*terms)
-
     def through_circular_points(self) -> bool:
         """Whether the projective closure meets the circular points at
         infinity (1 : +-i : 0), i.e. the leading form shares a factor with
         x^2 + y^2.  Such curves violate the genericity the degree formulas
         assume."""
-        return sp.total_degree(sp.gcd(self.leading_form(), x**2 + y**2), x, y) > 0
+        return _leading_form(self.poly).gcd(sp.Poly(x**2 + y**2, x, y)).total_degree() > 0
 
     def meets_infinity_transversally(self) -> bool:
         """Whether the curve meets the line at infinity in d distinct points,
         i.e. the leading form is squarefree.  Tangency at infinity also
         violates the general-position assumption."""
-        lead = self.leading_form()
-        common = sp.gcd(sp.gcd(lead, sp.diff(lead, x)), sp.diff(lead, y))
-        return sp.total_degree(common, x, y) == 0
+        return _is_squarefree(_leading_form(self.poly))
 
     def genericity_flags(self) -> list[str]:
         flags = []
@@ -128,21 +127,38 @@ class PlaneCurve:
         return flags
 
 
+def _leading_form(P: sp.Poly) -> sp.Poly:
+    d = P.total_degree()
+    return sp.Poly.from_dict({m: c for m, c in P.terms() if sum(m) == d}, *P.gens, domain=P.domain)
+
+
+def _is_squarefree(P: sp.Poly) -> bool:
+    """Whether gcd(P, dP/dx, dP/dy) is constant, i.e. P has no repeated factor."""
+    return P.gcd(P.diff(x)).gcd(P.diff(y)).total_degree() == 0
+
+
 @dataclass(frozen=True)
 class EvoluteResult:
-    """Squarefree, content-free defining polynomial of the evolute with its
-    degree, the closed-form target, and the elimination log."""
+    """Squarefree, content-free defining polynomial of the evolute in (X, Y),
+    the closed-form target, and the elimination log."""
 
-    polynomial: sp.Expr
-    degree: int
+    poly: sp.Poly
     expected_degree: int
     match: bool | None
     flags: tuple[str, ...]
     log: tuple[str, ...]
 
     @property
+    def polynomial(self) -> sp.Expr:
+        return self.poly.as_expr()
+
+    @property
+    def degree(self) -> int:
+        return self.poly.total_degree()
+
+    @property
     def text(self) -> str:
-        return canonical_text(self.polynomial)
+        return canonical_text(self.poly)
 
     def to_dict(self) -> dict:
         return {
@@ -155,41 +171,32 @@ class EvoluteResult:
         }
 
 
-def canonical_text(poly: sp.Expr) -> str:
+def canonical_text(poly: sp.Poly) -> str:
     """Deterministic plain-text form: graded lexicographic, descending."""
-    P = sp.Poly(sp.expand(poly), X, Y)
     pieces = []
-    for (i, j), coeff in sorted(
-        P.terms(), key=lambda t: (sum(t[0]), t[0]), reverse=True
-    ):
-        mono = "*".join(
-            ([f"X**{i}" if i > 1 else "X"] if i else [])
-            + ([f"Y**{j}" if j > 1 else "Y"] if j else [])
-        )
-        c = sp.Rational(coeff)
+    for monom, c in poly.terms(order="grlex"):
+        mono = "*".join(f"{v}**{e}" if e > 1 else str(v) for v, e in zip(poly.gens, monom) if e)
         body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else (mono or f"{abs(c)}")
         pieces.append(("- " if c < 0 else "+ ") + body)
-    if not pieces:
-        return "0"
     head = pieces[0].replace("+ ", "", 1).replace("- ", "-", 1)
     return " ".join([head] + pieces[1:])
 
 
-def center_of_curvature_system(curve: PlaneCurve) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
-    """The three polynomials {F, G1, G2} in (x, y, X, Y) whose solutions
+def center_of_curvature_system(curve: PlaneCurve) -> tuple[sp.Poly, sp.Poly, sp.Poly]:
+    """F in (x, y), G1 in (x, y, X) and G2 in (x, y, Y), whose common zeros
     project to the evolute; raises DegenerateCurveError when the curvature
     numerator vanishes on the whole curve (zero-curvature input)."""
     F = curve.poly
-    Fx, Fy = sp.diff(F, x), sp.diff(F, y)
-    if Fx == 0 and Fy == 0:
+    Fx, Fy = F.diff(x), F.diff(y)
+    if Fx.is_zero and Fy.is_zero:
         raise DegenerateCurveError("curve has identically vanishing gradient")
-    Fxx, Fxy, Fyy = sp.diff(Fx, x), sp.diff(Fx, y), sp.diff(Fy, y)
-    D = sp.expand(Fy**2 * Fxx - 2 * Fx * Fy * Fxy + Fx**2 * Fyy)
-    if D == 0 or sp.div(D, F, x, y)[1] == 0:
+    Fxx, Fxy, Fyy = Fx.diff(x), Fx.diff(y), Fy.diff(y)
+    D = Fy**2 * Fxx - 2 * Fx * Fy * Fxy + Fx**2 * Fyy
+    if D.is_zero or D.rem(F).is_zero:
         raise DegenerateCurveError("zero curvature along the curve (line components)")
-    S = sp.expand(Fx**2 + Fy**2)
-    G1 = sp.expand(D * (X - x) + S * Fx)
-    G2 = sp.expand(D * (Y - y) + S * Fy)
+    S = Fx**2 + Fy**2
+    G1 = D * sp.Poly(X - x, x, y, X) + S * Fx
+    G2 = D * sp.Poly(Y - y, x, y, Y) + S * Fy
     return F, G1, G2
 
 
@@ -299,12 +306,12 @@ def _resultant_by_interpolation(
 # --------------------------------------------------------------------------
 
 
-def _first_stage(F: sp.Expr, G: sp.Expr, elim: sp.Symbol, log: list[str]) -> sp.Poly:
+def _first_stage(F: sp.Poly, G: sp.Poly, elim: sp.Symbol, log: list[str]) -> sp.Poly:
     """Res_elim(F, G) as a polynomial in (other, target), with its content
     in target removed."""
     other = x if elim is y else y
-    target = X if G.has(X) else Y
-    res = sp.resultant(sp.Poly(F, elim, other, target), sp.Poly(G, elim, other, target))
+    target = X if X in G.gens else Y
+    res = sp.resultant(*(P.reorder(elim, other, target) for P in F.unify(G)))
     if res.is_zero:
         raise InconclusiveEliminationError(f"resultant in {elim} vanished identically")
     # strip content in the surviving affine variable (extraneous for the image)
@@ -321,7 +328,7 @@ def _first_stage(F: sp.Expr, G: sp.Expr, elim: sp.Symbol, log: list[str]) -> sp.
     return res
 
 
-def eliminate(system: tuple[sp.Expr, sp.Expr, sp.Expr]) -> tuple[sp.Poly, list[str]]:
+def eliminate(system: tuple[sp.Poly, sp.Poly, sp.Poly]) -> tuple[sp.Poly, list[str]]:
     """Project the curvature system to (X, Y): both iterated-resultant
     orders, cross-order gcd, content and squarefree reduction, and the
     extraneous-factor policy.  Returns the evolute polynomial in (X, Y) and
@@ -408,10 +415,7 @@ def _is_isotropic_factor(fac: sp.Poly) -> bool:
     d = fac.total_degree()
     if d % 2:
         return False
-    lead = sp.Poly.from_dict(
-        {m: c for m, c in fac.terms() if sum(m) == d}, X, Y, domain=fac.domain
-    )
-    return lead.rem(sp.Poly(X**2 + Y**2, X, Y) ** (d // 2)).is_zero
+    return _leading_form(fac).rem(sp.Poly(X**2 + Y**2, X, Y) ** (d // 2)).is_zero
 
 
 def _normalize_sign(P: sp.Poly) -> sp.Poly:
@@ -424,14 +428,10 @@ def oracle_check(curve: PlaneCurve) -> EvoluteResult:
     """Full oracle pipeline: build the curvature system, eliminate, and
     compare the evolute degree with the closed-form target."""
     flags = curve.genericity_flags()
-    generic = not flags
-    system = center_of_curvature_system(curve)
-    evolute, log = eliminate(system)
-    degree = evolute.total_degree()
-    match = degree == curve.expected_evolute_degree if generic else None
+    evolute, log = eliminate(center_of_curvature_system(curve))
+    match = evolute.total_degree() == curve.expected_evolute_degree if not flags else None
     return EvoluteResult(
-        polynomial=evolute.as_expr(),
-        degree=degree,
+        poly=evolute,
         expected_degree=curve.expected_evolute_degree,
         match=match,
         flags=tuple(flags),

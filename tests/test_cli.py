@@ -136,6 +136,20 @@ def test_out_file(tmp_path, capsys):
     assert payload["input"]["degree"] == 3
 
 
+def test_unwritable_out_file_exit_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "curve", "--d", "3", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_missing_config_file_exit_two(tmp_path, capsys):
+    config = tmp_path / "missing.json"
+    code, out, err = run(capsys, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(config) in err
+
+
 def test_config_file(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"subcommand": "hypersurface", "n": 3, "d": 2, "format": "json"}))

@@ -34,8 +34,20 @@ def test_plane_curve_validation():
         PlaneCurve.from_expr("x**2")  # not squarefree
     with pytest.raises(ValueError):
         PlaneCurve.from_expr("1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="only x and y, got z$"):
         PlaneCurve.from_expr("x + z")
+    with pytest.raises(ValueError, match="only x and y, got w, z$"):
+        PlaneCurve.from_expr("x + z + w")
+    for text in ("1/x", "sqrt(x) + y", "exp(x) + y", "x**2 + y**2.5 - 1", "x**2 + y**2 - 1 == 0"):
+        with pytest.raises(ValueError, match="^curve must be a polynomial in x and y$"):
+            PlaneCurve.from_expr(text)
+
+
+def test_negative_invariants_rejected():
+    with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+        PlaneCurve.from_expr(ELLIPSE, genus=-3)
+    with pytest.raises(ValueError, match="^cusp count must be nonnegative$"):
+        PlaneCurve.from_expr(ELLIPSE, cusps=-1)
 
 
 def test_cubic_default_genus():
@@ -52,9 +64,10 @@ def test_circular_point_detection():
 def test_system_circle_forces_center():
     F, G1, G2 = center_of_curvature_system(PlaneCurve.from_expr("x**2 + y**2 - 1"))
     # on the circle the system reduces to X = 0, Y = 0
+    assert (F.gens, G1.gens, G2.gens) == ((x, y), (x, y, X), (x, y, Y))
     on_curve = {x: sp.Rational(3, 5), y: sp.Rational(4, 5)}
-    g1 = sp.expand(G1.subs(on_curve))
-    g2 = sp.expand(G2.subs(on_curve))
+    g1 = sp.expand(G1.as_expr().subs(on_curve))
+    g2 = sp.expand(G2.as_expr().subs(on_curve))
     assert sp.solve(g1, X) == [0]
     assert sp.solve(g2, Y) == [0]
 
@@ -63,8 +76,8 @@ def test_system_ellipse_vertex_center():
     # center of curvature at the vertex (2, 0) of the 2-by-1 ellipse is (3/2, 0)
     F, G1, G2 = center_of_curvature_system(PlaneCurve.from_expr(ELLIPSE))
     at_vertex = {x: 2, y: 0}
-    assert sp.solve(G1.subs(at_vertex), X) == [sp.Rational(3, 2)]
-    assert sp.solve(G2.subs(at_vertex), Y) == [0]
+    assert sp.solve(G1.as_expr().subs(at_vertex), X) == [sp.Rational(3, 2)]
+    assert sp.solve(G2.as_expr().subs(at_vertex), Y) == [0]
 
 
 def test_line_is_degenerate():
@@ -202,9 +215,22 @@ def test_grid_resultant_matches_direct_resultant(conic):
 
 
 def test_canonical_text_deterministic():
-    expr = sp.expand(3 * X**2 * Y - Y**3 + X - 7)
-    assert canonical_text(expr) == "3*X**2*Y - Y**3 + X - 7"
-    assert canonical_text(sp.Integer(0)) == "0"
+    poly = sp.Poly(3 * X**2 * Y - Y**3 + X - 7, X, Y)
+    assert canonical_text(poly) == "3*X**2*Y - Y**3 + X - 7"
+    assert canonical_text(sp.Poly(-2 * X * Y**2 + Y - 1, X, Y)) == "-2*X*Y**2 + Y - 1"
+    assert canonical_text(sp.Poly(0, X, Y)) == "0"
+
+
+# small values hit the +-1 and zero special cases, large ones the bignum printing
+_COEFFICIENTS = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)), _COEFFICIENTS, max_size=20))
+def test_canonical_text_round_trip(terms):
+    # the empty dictionary is the zero polynomial
+    poly = sp.Poly.from_dict({m: c for m, c in terms.items() if sum(m) <= 8} or {(0, 0): 0}, X, Y)
+    assert sp.Poly(sp.sympify(canonical_text(poly)), X, Y) == poly
 
 
 @pytest.mark.skipif(
