@@ -17,6 +17,7 @@ from .pipelines import (
     curve_closed_forms,
     curve_report,
     hypersurface_report,
+    locus_class,
     osculating_report,
     salmon_reference_report,
     sigma_degree,
@@ -67,6 +68,7 @@ __all__ = [
     "hypersurface_report",
     "integrate",
     "kernel_from_trivial",
+    "locus_class",
     "osculating_report",
     "salmon_reference_report",
     "segre",

@@ -7,25 +7,22 @@ parameter ranges; `selftest` reproduces the whole verification grid.
 
 Reports serialize to text tables, JSON (stable: sorted keys, two-space
 indent) or CSV.  Exit status: 0 when every engine value matches its closed
-form and every identity holds, 1 on any mismatch, 2 on input errors.
+form and every identity holds, 1 on any mismatch, 2 on input errors, 3 on
+an internal arithmetic fault (a locus degree that is not an integer, an
+inexact interpolation).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
-from .oracle import (
-    DegenerateCurveError,
-    EvoluteResult,
-    InconclusiveEliminationError,
-    PlaneCurve,
-    oracle_check,
-)
 from .pipelines import (
     EnumerativeReport,
     curve_report,
@@ -39,14 +36,28 @@ from .selftest import run_battery
 from .thom import UnsupportedCodimensionError
 from .varieties import CurveInvariants, SurfaceChernNumbers
 
-INPUT_ERRORS = (
-    ValueError,
-    KeyError,
-    UnsupportedCodimensionError,
-    DegenerateCurveError,
-    InconclusiveEliminationError,
-    OSError,
-)
+INPUT_ERRORS = (ValueError, KeyError, UnsupportedCodimensionError, OSError)
+
+
+def _lazy_module(name: str):
+    """The module `name`, executed on its first attribute access.
+
+    The oracle imports sympy, which takes most of the start-up time and
+    about two thirds of the memory of a process that never runs the oracle.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+oracle = _lazy_module(f"{__package__}.oracle")
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +149,7 @@ def render_sweep_csv(reports: list[EnumerativeReport]) -> str:
     return buffer.getvalue()
 
 
-def render_oracle_text(result: EvoluteResult) -> str:
+def render_oracle_text(result: oracle.EvoluteResult) -> str:
     lines = [
         f"evolute polynomial: {result.text}",
         f"total degree: {result.degree}",
@@ -152,7 +163,7 @@ def render_oracle_text(result: EvoluteResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_oracle_csv(result: EvoluteResult) -> str:
+def render_oracle_csv(result: oracle.EvoluteResult) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["degree", "expected_degree", "match", "flags", "polynomial"])
@@ -215,7 +226,9 @@ def _add_curve_options(parser: argparse.ArgumentParser) -> None:
         )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="evolute",
         description="Exact degrees of envelopes, evolutes and their cuspidal loci.",
@@ -342,8 +355,8 @@ def _run_selftest(args: argparse.Namespace) -> int:
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
-    curve = PlaneCurve.from_expr(args.poly, genus=args.g, cusps=args.k0)
-    result = oracle_check(curve)
+    curve = oracle.PlaneCurve.from_expr(args.poly, genus=args.g, cusps=args.k0)
+    result = oracle.oracle_check(curve)
     if args.format == "json":
         _emit(render_json(result.to_dict()), args.out)
     elif args.format == "csv":
@@ -411,6 +424,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         return _dispatch(args)
     except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    # evaluated only for an exception that got this far, so the engine
+    # subcommands never load the oracle
+    except oracle.InconclusiveEliminationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

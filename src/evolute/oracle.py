@@ -19,7 +19,9 @@ resultants are evaluated on an integer grid and interpolated exactly in
 integer arithmetic (Collins' evaluation-interpolation scheme), which keeps
 each step a univariate resultant over the integers.  Polynomials are
 `sp.Poly` from the parsed curve to the reported evolute; only the public
-`EvoluteResult.polynomial` is an expression.
+`EvoluteResult.polynomial` is an expression.  The curve text is read by a
+whitelisting walk over its syntax tree (`parse_polynomial`) and is never
+evaluated.
 
 This module shares no code with the intersection-theoretic engine; the two
 paths cross-check each other through the closed-form target
@@ -28,11 +30,13 @@ paths cross-check each other through the closed-form target
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 import sympy as sp
-from sympy.polys.domains import ZZ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_resultant
 
 x, y = sp.symbols("x y")
@@ -72,20 +76,9 @@ class PlaneCurve:
             raise ValueError("genus must be nonnegative")
         if cusps < 0:
             raise ValueError("cusp count must be nonnegative")
-        parsed = sp.sympify(expr, locals={"x": x, "y": y}, rational=True)
-        if not isinstance(parsed, sp.Expr):
-            raise ValueError("curve must be a polynomial in x and y")
-        extra = sorted(map(str, parsed.free_symbols - {x, y}))
-        if extra:
-            raise ValueError(f"curve may involve only x and y, got {', '.join(extra)}")
-        try:
-            poly = sp.Poly(parsed, x, y)
-        except sp.PolynomialError:
-            raise ValueError("curve must be a polynomial in x and y") from None
+        poly = parse_polynomial(str(expr))
         if poly.is_ground:
             raise ValueError("constant input is not a curve")
-        if not all(c.is_rational for c in poly.coeffs()):
-            raise ValueError("curve coefficients must be rational")
         if not _is_squarefree(poly):
             raise ValueError("curve polynomial must be squarefree")
         if len(sp.factor_list(poly)[1]) > 1:
@@ -125,6 +118,95 @@ class PlaneCurve:
                 "degree comparison suspended"
             )
         return flags
+
+
+# --------------------------------------------------------------------------
+# input parsing
+# --------------------------------------------------------------------------
+
+MAX_DEGREE = 24  # largest exponent, and largest degree of any product
+MAX_POWER_BITS = 4096  # largest coefficient size a power may produce
+NOT_POLYNOMIAL = "curve must be a polynomial in x and y"
+TOO_LARGE = (
+    f"curve polynomial too large: degree cap {MAX_DEGREE}, power size cap {MAX_POWER_BITS} bits"
+)
+TOO_DEEP = "curve polynomial nested too deeply"
+_SYNTAX = (
+    ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Load,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub,
+)
+
+
+def parse_polynomial(text: str) -> sp.Poly:
+    """The polynomial in x and y written in `text`, built without evaluating
+    any code: integer and decimal literals (read exactly), x, y, + - * /,
+    unary signs, parentheses, division by a nonzero constant, and ** (or ^)
+    with an integer literal exponent in 0..MAX_DEGREE.  The domain is ZZ
+    when every coefficient is an integer and QQ otherwise."""
+    text = text.strip().replace("^", "**")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"curve polynomial does not parse: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(TOO_DEEP) from None
+    nodes = list(ast.walk(tree.body))
+    if not all(isinstance(node, _SYNTAX) for node in nodes):
+        raise ValueError(NOT_POLYNOMIAL)
+    foreign = sorted({node.id for node in nodes if isinstance(node, ast.Name)} - {"x", "y"})
+    if foreign:
+        raise ValueError(f"curve may involve only x and y, got {', '.join(foreign)}")
+    try:
+        return _build(tree.body, text).retract()
+    except RecursionError:
+        raise ValueError(TOO_DEEP) from None
+
+
+def _build(node: ast.expr, text: str) -> sp.Poly:
+    # a sum or product of m terms nests m levels deep on the left; fold that
+    # spine in a loop, so that only parentheses and powers recurse
+    spine = []
+    while isinstance(node, ast.BinOp) and not isinstance(node.op, ast.Pow):
+        spine.append(node)
+        node = node.left
+    value = _leaf(node, text)
+    for binop in reversed(spine):
+        value = _combine(binop.op, value, _build(binop.right, text))
+    return value
+
+
+def _leaf(node: ast.expr, text: str) -> sp.Poly:
+    if isinstance(node, ast.Name):
+        return sp.Poly(x if node.id == "x" else y, x, y, domain=QQ)
+    if isinstance(node, ast.Constant):
+        if type(node.value) is int:
+            return sp.Poly(QQ(node.value), x, y, domain=QQ)
+        if type(node.value) is float:
+            value = Fraction(ast.get_source_segment(text, node))
+            return sp.Poly(QQ(value.numerator, value.denominator), x, y, domain=QQ)
+        raise ValueError(NOT_POLYNOMIAL)
+    if isinstance(node, ast.UnaryOp):
+        operand = _build(node.operand, text)
+        return -operand if isinstance(node.op, ast.USub) else operand
+    base, e = _build(node.left, text), node.right  # a power
+    if not (isinstance(e, ast.Constant) and type(e.value) is int):
+        raise ValueError(NOT_POLYNOMIAL)
+    bits = max(max(abs(c.p).bit_length(), c.q.bit_length()) for c in base.coeffs())
+    if e.value * max(base.total_degree(), 1) > MAX_DEGREE or e.value * bits > MAX_POWER_BITS:
+        raise ValueError(TOO_LARGE)
+    return base**e.value
+
+
+def _combine(op: ast.operator, left: sp.Poly, right: sp.Poly) -> sp.Poly:
+    if isinstance(op, ast.Div):
+        if not right.is_ground or right.is_zero:
+            raise ValueError(NOT_POLYNOMIAL)
+        return left.quo_ground(right.LC())
+    if isinstance(op, ast.Mult):
+        if left.total_degree() + right.total_degree() > MAX_DEGREE:
+            raise ValueError(TOO_LARGE)
+        return left * right
+    return left + right if isinstance(op, ast.Add) else left - right
 
 
 def _leading_form(P: sp.Poly) -> sp.Poly:

@@ -6,6 +6,14 @@ with the complementary power of the tautological class and integrates:
 
     deg(k-fold locus image) = int_X  push( TP_k(cbar) * zeta^(n-k) ).
 
+The pushed-forward class is a universal polynomial in the Chern classes of
+the base and the sheaf, and for curves and surfaces it does not depend on
+the invariants at all: it is compiled once per (kind, n), and a report
+only integrates it against the point's integrals.  Hypersurfaces, whose
+degree enters the sheaves, build their classes per point, and so does the
+envelope of osculating hyperplanes, so that an osculating report costs the
+same whatever ran before it in the process.
+
 Every theorem-level closed form is implemented independently of the engine
 and both values are reported side by side; identities between them (the
 tangent-developable degree relation, Salmon's classical counts) are checked
@@ -15,9 +23,11 @@ and reported as named verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .bundle import BundleSpace
-from .chow import SheafData, VarietyDescriptor, binomial, integrate
+from .chow import VarietyDescriptor, binomial, integrate
+from .ring import GradedClass
 from .thom import MAX_CODIMENSION, UnsupportedCodimensionError, thom_class
 from .varieties import (
     CurveInvariants,
@@ -37,12 +47,10 @@ class InternalInconsistencyError(ArithmeticError):
 # --------------------------------------------------------------------------
 
 
-def sigma_degree(space: BundleSpace, k: int) -> int:
-    """Degree of the image of the k-fold corank-1 locus of the family map.
-
-    The locus has dimension n - k; its image degree is the integral of the
-    Thom class capped with zeta^(n-k).
-    """
+def locus_class(space: BundleSpace, k: int) -> GradedClass:
+    """push(TP_k(cbar) * zeta^(n-k)): the base class whose integral is the
+    degree of the image of the k-fold corank-1 locus of the family map (the
+    locus has dimension n - k)."""
     n = space.dim
     if k > MAX_CODIMENSION:
         raise UnsupportedCodimensionError(
@@ -51,12 +59,41 @@ def sigma_degree(space: BundleSpace, k: int) -> int:
     if not 1 <= k <= n:
         raise ValueError(f"locus order must lie in 1..{n}")
     tp = thom_class(k, space.virtual_chern(k))
-    value = integrate(space.base, space.pushforward(tp * space.zeta ** (n - k)))
+    return space.pushforward(tp * space.zeta ** (n - k))
+
+
+def _degree(variety: VarietyDescriptor, cls: GradedClass, k: int) -> int:
+    value = integrate(variety, cls)
     if value.denominator != 1:
         raise InternalInconsistencyError(
             f"non-integer locus degree {value} (order {k})"
         )
     return int(value)
+
+
+def sigma_degree(space: BundleSpace, k: int) -> int:
+    """Degree of the image of the k-fold corank-1 locus of the family map."""
+    return _degree(space.base, locus_class(space, k), k)
+
+
+def _locus_classes(space: BundleSpace, top: int) -> tuple[GradedClass, ...]:
+    return tuple(locus_class(space, k) for k in range(1, top + 1))
+
+
+@cache
+def _compiled_classes(kind: str, n: int) -> tuple[GradedClass, ...]:
+    """Locus classes of a curve or a surface in n-space, k = 1..min(4, n).
+
+    The sheaves of these shapes depend only on n and pushing forward never
+    reads the integrals, so the classes are built once on an arbitrary point
+    and every report integrates them against its own integrals.
+    """
+    if kind == "surface":
+        space = BundleSpace(*surface_geometry(n, SurfaceChernNumbers(0, 0, 0, 0)))
+    else:
+        geom = curve_geometry(CurveInvariants(n, 1, 0))
+        space = BundleSpace(geom.variety, geom.normal_bundle)
+    return _locus_classes(space, min(MAX_CODIMENSION, n))
 
 
 # --------------------------------------------------------------------------
@@ -292,20 +329,19 @@ def _validity_flags(results: tuple[LocusResult, ...]) -> list[str]:
 
 
 def _locus_results(
-    variety: VarietyDescriptor, normal: SheafData, closed: tuple[int, ...]
+    variety: VarietyDescriptor, classes: tuple[GradedClass, ...], closed: tuple[int, ...]
 ) -> tuple[LocusResult, ...]:
-    """Engine degree of each k-fold locus, k up to min(MAX_CODIMENSION, n),
+    """Engine degree of each k-fold locus (the integral of classes[k-1])
     beside its closed form closed[k-1] where k <= len(closed)."""
-    space = BundleSpace(variety, normal)
     r, n = variety.dim, variety.ambient_dim
     return tuple(
         _entry(
             _locus_label(r, n, k),
             k,
-            sigma_degree(space, k),
+            _degree(variety, cls, k),
             closed[k - 1] if k <= len(closed) else None,
         )
-        for k in range(1, min(MAX_CODIMENSION, n) + 1)
+        for k, cls in enumerate(classes, 1)
     )
 
 
@@ -323,8 +359,9 @@ def curve_report(inv: CurveInvariants) -> EnumerativeReport:
     loci against the closed forms, plus the n=3 consistency identities."""
     n, d, g, k0 = inv.ambient, inv.degree, inv.genus, inv.cusp_count
     _require_reachable_evolute(1, n)
-    geom = curve_geometry(inv)
-    results = _locus_results(geom.variety, geom.normal_bundle, curve_closed_forms(d, g, k0))
+    results = _locus_results(
+        curve_geometry(inv).variety, _compiled_classes("curve", n), curve_closed_forms(d, g, k0)
+    )
 
     identities = []
     if n == 3:
@@ -376,8 +413,10 @@ def surface_report(
     ambient: int, numbers: SurfaceChernNumbers, degree: int | None = None
 ) -> EnumerativeReport:
     _require_reachable_evolute(2, ambient)
-    variety, normal = surface_geometry(ambient, numbers)
-    results = _locus_results(variety, normal, surface_closed_forms(numbers))
+    variety, _ = surface_geometry(ambient, numbers)
+    results = _locus_results(
+        variety, _compiled_classes("surface", ambient), surface_closed_forms(numbers)
+    )
 
     flags = _validity_flags(results) + [NOTE_CYCLE_DEGREES]
     input_echo = {
@@ -420,7 +459,8 @@ def hypersurface_report(ambient: int, degree: int) -> EnumerativeReport:
     elif ambient == 3:
         companions = surface_closed_forms(SurfaceChernNumbers.from_degree(degree))
     closed = (trifogli_degree(ambient, degree),) + companions[1:]
-    results = _locus_results(variety, normal, closed)
+    classes = _locus_classes(BundleSpace(variety, normal), min(MAX_CODIMENSION, ambient))
+    results = _locus_results(variety, classes, closed)
 
     flags = _validity_flags(results) + [NOTE_CYCLE_DEGREES]
     citations = _thom_citations(len(results)) + [CITE_TRIFOGLI]
@@ -482,8 +522,7 @@ def osculating_report(inv: CurveInvariants) -> EnumerativeReport:
         _entry("dual variety", None, dev_engine[1], 2 * inv.degree + 2 * inv.genus - 2 - inv.cusp_count)
     )
 
-    hyperplane_family = BundleSpace(geom.variety, geom.osculating_sheaf(n - 1))
-    env_engine = sigma_degree(hyperplane_family, 1)
+    env_engine = sigma_degree(BundleSpace(geom.variety, geom.osculating_sheaf(n - 1)), 1)
     results.append(
         _entry(
             "envelope of osculating hyperplanes",
@@ -534,8 +573,7 @@ def vertices_count(inv: CurveInvariants) -> int:
         raise UnsupportedCodimensionError(
             f"vertex counts available for ambient dimension 2..{MAX_CODIMENSION}"
         )
-    geom = curve_geometry(inv)
-    return sigma_degree(BundleSpace(geom.variety, geom.normal_bundle), n)
+    return _degree(curve_geometry(inv).variety, _compiled_classes("curve", n)[n - 1], n)
 
 
 def salmon_reference_report(d: int) -> EnumerativeReport:

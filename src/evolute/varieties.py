@@ -3,7 +3,9 @@
 Each builder returns a variety descriptor together with the sheaves the
 enumerative pipelines consume, most importantly the Euclidean normal bundle
 E = (K1)^dual (+) O(1), where K1 is the kernel of the evaluation of the
-ambient linear system on first-order jets.
+ambient linear system on first-order jets.  The table and the sheaves of
+a curve or a surface depend only on the ambient dimension, so they are
+built once per dimension and a point adds only its integrals.
 
 Curve conventions.  Generators are K (canonical class), H (hyperplane
 class) and one degree-1 correction symbol B_i per stationary index, with
@@ -26,6 +28,7 @@ normal bundle O(d-1) (+) O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .chow import (
     SheafData,
@@ -97,25 +100,17 @@ class CurveGeometry:
         return self.osculating[m - 1]
 
 
-def curve_geometry(inv: CurveInvariants) -> CurveGeometry:
-    n, d, g = inv.ambient, inv.degree, inv.genus
+@cache
+def _curve_shape(n: int) -> tuple[GeneratorTable, SheafData, tuple[SheafData, ...], SheafData]:
+    """Table, cotangent sheaf, osculating images and normal bundle of a curve
+    in n-space.  None of them depends on the invariants, which enter only
+    through the integrals."""
     names = ("K", "H") + tuple(f"B{i}" for i in range(n - 1))
     table = GeneratorTable(names, (1,) * len(names), bound=1)
     K = generator(table, "K")
     H = generator(table, "H")
     B = [generator(table, f"B{i}") for i in range(n - 1)]
-
-    def point(name: str) -> tuple[int, ...]:
-        exps = [0] * len(names)
-        exps[table.index(name)] = 1
-        return tuple(exps)
-
-    integrals = {point("K"): 2 * g - 2, point("H"): d}
-    for i, k in enumerate(inv.stationary):
-        integrals[point(f"B{i}")] = k
-
     cotangent = SheafData(1, unit(table) + K)
-    variety = VarietyDescriptor(1, n, table, cotangent, integrals)
 
     osculating = []
     for m in range(1, n):
@@ -126,7 +121,19 @@ def curve_geometry(inv: CurveInvariants) -> CurveGeometry:
 
     jet_kernel = kernel_from_trivial(n + 1, osculating[0])
     normal = direct_sum(dual(jet_kernel), SheafData(1, unit(table) + H))
-    return CurveGeometry(inv, variety, tuple(osculating), normal)
+    return table, cotangent, tuple(osculating), normal
+
+
+def curve_geometry(inv: CurveInvariants) -> CurveGeometry:
+    n = inv.ambient
+    table, cotangent, osculating, normal = _curve_shape(n)
+    # the generators K, H, B0, B1, ... integrate to 2g-2, d, k_0, k_1, ...
+    values = (2 * inv.genus - 2, inv.degree) + inv.stationary
+    integrals = {
+        tuple(int(i == j) for j in range(len(values))): value for i, value in enumerate(values)
+    }
+    variety = VarietyDescriptor(1, n, table, cotangent, integrals)
+    return CurveGeometry(inv, variety, osculating, normal)
 
 
 @dataclass(frozen=True)
@@ -160,23 +167,28 @@ def surface_geometry(
     """
     if ambient < 3:
         raise ValueError("surfaces need ambient dimension at least 3")
-    table = GeneratorTable(("K", "H", "C2"), (1, 1, 2), bound=2)
-    K = generator(table, "K")
-    H = generator(table, "H")
-    C2 = generator(table, "C2")
+    table, cotangent, normal = _surface_shape(ambient)
     integrals = {
         (2, 0, 0): numbers.K2,
         (1, 1, 0): numbers.KH,
         (0, 2, 0): numbers.H2,
         (0, 0, 1): numbers.c2,
     }
-    cotangent = SheafData(2, unit(table) + K + C2)
-    variety = VarietyDescriptor(2, ambient, table, cotangent, integrals)
+    return VarietyDescriptor(2, ambient, table, cotangent, integrals), normal
 
+
+@cache
+def _surface_shape(ambient: int) -> tuple[GeneratorTable, SheafData, SheafData]:
+    """Table, cotangent sheaf and normal bundle of a surface in n-space; like
+    the curve shape, they do not depend on the four numbers."""
+    table = GeneratorTable(("K", "H", "C2"), (1, 1, 2), bound=2)
+    K = generator(table, "K")
+    H = generator(table, "H")
+    cotangent = SheafData(2, unit(table) + K + generator(table, "C2"))
     jet1 = SheafData(3, twist_by_line(cotangent, H).chern * (unit(table) + H))
     jet_kernel = kernel_from_trivial(ambient + 1, jet1)
     normal = direct_sum(dual(jet_kernel), SheafData(1, unit(table) + H))
-    return variety, normal
+    return table, cotangent, normal
 
 
 def hypersurface_geometry(ambient: int, degree: int) -> tuple[VarietyDescriptor, SheafData]:

@@ -1,10 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from evolute.cli import main, render_json, render_sweep_csv
+import evolute
+from evolute import oracle, pipelines
+from evolute.cli import build_parser, main, render_json, render_sweep_csv
 from evolute.pipelines import (
     EnumerativeReport,
     IdentityResult,
@@ -166,6 +173,49 @@ def test_config_with_list_range(tmp_path, capsys):
     code, out, _ = run(capsys, "--config", str(config))
     assert code == 0
     assert len(out.strip().splitlines()) == 4  # header + three degrees
+
+
+def test_parser_built_once(capsys):
+    assert build_parser() is build_parser()
+    # parsing leaves the shared parser as it was
+    assert run(capsys, "curve", "--d", "3", "--g", "1")[0] == 0
+    assert build_parser().parse_args(["curve", "--d", "3"]).g == 0
+
+
+def test_engine_subcommands_leave_sympy_unloaded():
+    # a fresh interpreter: this one has long imported the oracle
+    script = (
+        "import sys, evolute.cli as cli\n"
+        "cli.main(['curve', '--d', '3', '--format', 'csv'])\n"
+        "print('sympy' in sys.modules, cli.oracle.x)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(evolute.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.endswith("False x\nTrue\n")
+
+
+def test_non_integer_locus_degree_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(pipelines, "integrate", lambda variety, cls: Fraction(1, 2))
+    code, out, err = run(capsys, "curve", "--d", "3")
+    assert (code, out) == (3, "")
+    assert err == "internal error: non-integer locus degree 1/2 (order 1)\n"
+
+
+def test_inexact_interpolation_exits_three(capsys, monkeypatch):
+    # one grid sample off by one: the Newton divided differences turn fractional
+    exact, calls = oracle.dup_resultant, []
+
+    def perturbed(f, g, K):
+        calls.append(f)
+        return exact(f, g, K) + (len(calls) == 2)
+
+    monkeypatch.setattr(oracle, "dup_resultant", perturbed)
+    code, out, err = run(capsys, "oracle", "--poly", "x**2/4 + y**2 - 1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: interpolated samples are not an integer polynomial\n"
 
 
 def test_config_and_subcommand_conflict(capsys):

@@ -1,7 +1,8 @@
 """Replay fixed CLI invocations against their recorded stdout, stderr and exit code.
 
 `golden/cases.json` maps each case name to its argv, exit code and stderr;
-`golden/<name>.out` holds the exact stdout.
+`golden/<name>.out` holds the exact stdout.  Oracle cases eliminate through
+the session-wide `shared_oracle_check`, so the plane cubic is eliminated once.
 """
 
 import json
@@ -9,16 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from evolute.cli import main
+from evolute import cli, oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, capsys):
+def test_golden(name, capsys, monkeypatch, shared_oracle_check):
+    monkeypatch.setattr(oracle, "oracle_check", shared_oracle_check)
     case = CASES[name]
-    code = main(case["argv"])
+    code = cli.main(case["argv"])
     out, err = capsys.readouterr()
     assert out == (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
     assert (err, code) == (case["stderr"], case["exit"])

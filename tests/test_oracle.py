@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evolute.oracle import (
+    MAX_DEGREE,
     DegenerateCurveError,
     PlaneCurve,
     X,
@@ -17,6 +18,7 @@ from evolute.oracle import (
     canonical_text,
     center_of_curvature_system,
     oracle_check,
+    parse_polynomial,
     x,
     y,
 )
@@ -41,6 +43,59 @@ def test_plane_curve_validation():
     for text in ("1/x", "sqrt(x) + y", "exp(x) + y", "x**2 + y**2.5 - 1", "x**2 + y**2 - 1 == 0"):
         with pytest.raises(ValueError, match="^curve must be a polynomial in x and y$"):
             PlaneCurve.from_expr(text)
+
+
+def test_parser_evaluates_no_code(capsys):
+    for text in (
+        "print('evaluated') or x**2/4 + y**2 - 1",
+        "__import__('os').getcwd() and x",
+        "[x for x in ()] or y",
+        "x.__class__",
+        "lambda: x",
+    ):
+        with pytest.raises(ValueError, match="^curve must be a polynomial in x and y$"):
+            PlaneCurve.from_expr(text)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_parser_messages():
+    with pytest.raises(ValueError, match="^curve may involve only x and y, got I$"):
+        PlaneCurve.from_expr("x**2 + y**2 - 1 + I")
+    with pytest.raises(ValueError, match="^curve polynomial does not parse: invalid syntax$"):
+        PlaneCurve.from_expr("x**2 +")
+    for text in ("x**-1", "x**y", "x/(y - y)", "x/0", "True*x", "1j*x + y", "'x' + y"):
+        with pytest.raises(ValueError, match="^curve must be a polynomial in x and y$"):
+            parse_polynomial(text)
+
+
+def test_parser_caps_degree_size_and_depth():
+    assert parse_polynomial(f"x**{MAX_DEGREE} + y").total_degree() == MAX_DEGREE
+    for text in (
+        f"x**{MAX_DEGREE + 1}",
+        f"(x + y)**{MAX_DEGREE // 2} * (x - y)**{MAX_DEGREE // 2 + 1}",
+        "((x + 1)**5)**5",
+        "((2**24)**24)**24 * x",
+    ):
+        with pytest.raises(ValueError, match="^curve polynomial too large"):
+            parse_polynomial(text)
+    with pytest.raises(ValueError, match="^curve must be a polynomial"):
+        parse_polynomial("x**10**9")
+    # a long sum is folded in a loop; deep nesting is refused, not a crash
+    assert parse_polynomial(" + ".join(["x"] * 2000)) == sp.Poly(2000 * x, x, y)
+    with pytest.raises(ValueError, match="^curve polynomial nested too deeply$"):
+        parse_polynomial("-" * 5000 + "x")
+
+
+def test_parser_exact_coefficients_and_domain():
+    assert parse_polynomial("x**2 + y**2 - 1").domain == sp.ZZ
+    assert parse_polynomial("2.0*x**2 + 6/3*y - 1").domain == sp.ZZ
+    quarter = parse_polynomial("0.25*x**2 + y**2 - 1")
+    assert quarter.domain == sp.QQ
+    assert quarter == sp.Poly(x**2 / 4 + y**2 - 1, x, y)
+    assert parse_polynomial("0.1*x").coeffs() == [sp.Rational(1, 10)]
+    # ^ is read as ** before parsing, so it keeps the precedence of **
+    assert parse_polynomial("-x^2*3 + y^3") == parse_polynomial("-x**2*3 + y**3")
+    assert parse_polynomial("-x^2*3 + y^3") == sp.Poly(-3 * x**2 + y**3, x, y)
 
 
 def test_negative_invariants_rejected():

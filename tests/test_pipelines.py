@@ -8,6 +8,7 @@ from evolute.pipelines import (
     curve_closed_forms,
     curve_report,
     hypersurface_report,
+    locus_class,
     osculating_envelope_closed_form,
     osculating_report,
     salmon_characters,
@@ -35,6 +36,7 @@ from evolute.varieties import (
     CurveInvariants,
     SurfaceChernNumbers,
     curve_geometry,
+    surface_geometry,
 )
 
 
@@ -54,8 +56,6 @@ def test_twisted_cubic_sigma_degrees():
 
 
 def test_quadric_surface_sigma_degree():
-    from evolute.varieties import surface_geometry
-
     variety, normal = surface_geometry(3, SurfaceChernNumbers.from_degree(2))
     assert sigma_degree(BundleSpace(variety, normal), 1) == 12
 
@@ -99,23 +99,16 @@ def _abstract_space(r: int, n: int):
     return BundleSpace(base, SheafData(n - r + 1, sheaf_chern))
 
 
-def _pushed_locus_class(space, k):
-    from evolute.thom import thom_class
-
-    tp = thom_class(k, space.virtual_chern(k))
-    return space.pushforward(tp * space.zeta ** (space.dim - k))
-
-
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_curve_locus_classes_specialize(n):
     # r = 1 coefficient sets: (1, 2), 3*(1, 1) and 2*(3, 2) on (c1 cot, c1 F)
     space = _abstract_space(1, n)
     g = space.base.generator
     u1, v1 = g("u1"), g("v1")
-    assert _pushed_locus_class(space, 1) == u1 + 2 * v1
-    assert _pushed_locus_class(space, 2) == 3 * (u1 + v1)
+    assert locus_class(space, 1) == u1 + 2 * v1
+    assert locus_class(space, 2) == 3 * (u1 + v1)
     if n >= 3:
-        assert _pushed_locus_class(space, 3) == 2 * (3 * u1 + 2 * v1)
+        assert locus_class(space, 3) == 2 * (3 * u1 + 2 * v1)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5, 6))
@@ -125,14 +118,62 @@ def test_surface_locus_classes_specialize(n):
     space = _abstract_space(2, n)
     g = space.base.generator
     u1, v1, u2, v2 = g("u1"), g("v1"), g("u2"), g("v2")
-    assert _pushed_locus_class(space, 1) == u1 * v1 + 3 * v1**2 - 2 * v2
+    assert locus_class(space, 1) == u1 * v1 + 3 * v1**2 - 2 * v2
     assert (
-        _pushed_locus_class(space, 2)
+        locus_class(space, 2)
         == 2 * u1**2 - u2 + 9 * u1 * v1 + 12 * v1**2 - 6 * v2
     )
-    assert _pushed_locus_class(space, 3) == 2 * (
+    assert locus_class(space, 3) == 2 * (
         11 * u1**2 - 5 * u2 + 29 * u1 * v1 + 25 * v1**2 - 10 * v2
     )
+
+
+# -- compiled classes against the uncompiled engine ---------------------------
+
+
+def _fresh_degrees(variety, sheaf, top):
+    space = BundleSpace(variety, sheaf)
+    return tuple(sigma_degree(space, k) for k in range(1, top + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    d=st.integers(1, 40),
+    g=st.integers(0, 12),
+    ks=st.lists(st.integers(0, 4), max_size=4),
+)
+def test_curve_report_matches_uncompiled_engine(n, d, g, ks):
+    inv = CurveInvariants(n, d, g, tuple(ks[: n - 1]))
+    geom = curve_geometry(inv)
+    expected = _fresh_degrees(geom.variety, geom.normal_bundle, min(4, n))
+    assert _engine_degrees(curve_report(inv)) == expected
+    if n <= 4:
+        assert vertices_count(inv) == expected[n - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 6), numbers=st.lists(st.integers(-50, 200), min_size=4, max_size=4))
+def test_surface_report_matches_uncompiled_engine(n, numbers):
+    chern = SurfaceChernNumbers(*numbers)
+    variety, normal = surface_geometry(n, chern)
+    expected = _fresh_degrees(variety, normal, min(4, n))
+    assert _engine_degrees(surface_report(n, chern)) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    d=st.integers(1, 20),
+    g=st.integers(0, 6),
+    ks=st.lists(st.integers(0, 3), max_size=8),
+)
+def test_osculating_report_matches_uncompiled_engine(n, d, g, ks):
+    inv = CurveInvariants(n, d, g, tuple(ks[: n - 1]))
+    geom = curve_geometry(inv)
+    (envelope,) = _fresh_degrees(geom.variety, geom.osculating_sheaf(n - 1), 1)
+    rows = {r.locus: r.engine_degree for r in osculating_report(inv).results}
+    assert rows["envelope of osculating hyperplanes"] == envelope
 
 
 # -- closed forms -------------------------------------------------------------
