@@ -138,18 +138,19 @@ def integrate(X: VarietyDescriptor, a: GradedClass) -> Fraction:
     """Evaluate the degree-dim part of a class against the integration table.
 
     Lower-degree terms contribute zero; a top-degree monomial absent from
-    the table raises IncompleteDescriptorError.
+    the table raises IncompleteDescriptorError.  The sum stays an `int` for
+    integral classes and integrals and is returned as a Fraction.
     """
     if a.table != X.table:
         raise ValueError("class does not live on this variety's generators")
-    total = Fraction(0)
+    total: Fraction | int = 0
     for exps, coeff in a.terms.items():
         if X.table.degree(exps) != X.dim:
             continue
         try:
-            total += coeff * Fraction(X.integrals[exps])
+            total += coeff * X.integrals[exps]
         except KeyError:
             raise IncompleteDescriptorError(
                 f"integration table misses monomial {exps}"
             ) from None
-    return total
+    return Fraction(total)

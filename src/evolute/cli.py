@@ -8,8 +8,8 @@ parameter ranges; `selftest` reproduces the whole verification grid.
 Reports serialize to text tables, JSON (stable: sorted keys, two-space
 indent) or CSV.  Exit status: 0 when every engine value matches its closed
 form and every identity holds, 1 on any mismatch, 2 on input errors, 3 on
-an internal arithmetic fault (a locus degree that is not an integer, an
-inexact interpolation).
+an internal fault (a locus degree that is not an integer, an inexact
+interpolation, an inconclusive elimination).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .pipelines import (
     surface_report,
     surface_report_from_degree,
 )
-from .selftest import run_battery
 from .thom import UnsupportedCodimensionError
 from .varieties import CurveInvariants, SurfaceChernNumbers
 
@@ -338,7 +337,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_selftest(args: argparse.Namespace) -> int:
-    results = run_battery(include_oracle=not args.skip_oracle)
+    # imported here, like the oracle, so no other subcommand loads the battery
+    from . import selftest
+
+    results = selftest.run_battery(include_oracle=not args.skip_oracle)
     if args.format == "json":
         payload = {
             "checks": [
@@ -432,8 +434,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     # evaluated only for an exception that got this far, so the engine
     # subcommands never load the oracle
     except oracle.InconclusiveEliminationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,8 +20,13 @@ homogeneous ideal, hence truncating by it is a ring homomorphism: sums,
 products, powers, series inverses, sign alternation and homogeneous parts
 give exactly the truncation of what the total bound alone would give.
 
-Coefficients are `fractions.Fraction`, never floats; the zero class stores
-no terms.  Values are immutable after construction and safe to share.
+Coefficients are exact, never floats.  Every class the engine builds is
+integral (Chern and Segre classes, the corank-1 Thom polynomials and their
+pushforwards), and a coefficient stays a Python `int` while every input to
+an operation is an `int`; a `fractions.Fraction` appears only where a
+Fraction coefficient or scalar enters.  An `int` and the Fraction of the
+same value compare and print alike.  The zero class stores no terms.
+Values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 Exponents = tuple[int, ...]
+Coefficient = Fraction | int
 
 
 class TableMismatchError(ValueError):
@@ -147,22 +153,23 @@ class GeneratorTable:
 
 
 class GradedClass:
-    """Sparse polynomial over Fraction coefficients, graded and truncated.
+    """Sparse polynomial over int or Fraction coefficients, graded and truncated.
 
     Supports +, -, * and integer powers; scalars (int or Fraction) coerce to
-    multiples of the unit class.  No zero coefficients are stored, and no
+    multiples of the unit class.  Integral input keeps `int` coefficients
+    through every operation.  No zero coefficients are stored, and no
     monomial beyond either table bound survives any operation.
     """
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: GeneratorTable, terms: Mapping[Exponents, Fraction | int] | None = None):
-        cleaned: dict[Exponents, Fraction] = {}
+    def __init__(self, table: GeneratorTable, terms: Mapping[Exponents, Coefficient] | None = None):
+        cleaned: dict[Exponents, Coefficient] = {}
         for exps, value in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != len(table):
                 raise ValueError(f"exponent vector {exps} does not fit table of size {len(table)}")
-            coeff = Fraction(value)
+            coeff = int(value) if isinstance(value, int) else Fraction(value)
             if coeff == 0 or not table.admissible(exps):
                 continue
             cleaned[exps] = coeff
@@ -170,8 +177,8 @@ class GradedClass:
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
-    def _unchecked(cls, table: GeneratorTable, terms: dict[Exponents, Fraction]) -> "GradedClass":
-        # internal fast path: terms already pruned, admissible and Fraction-valued
+    def _unchecked(cls, table: GeneratorTable, terms: dict[Exponents, Coefficient]) -> "GradedClass":
+        # internal fast path: terms already pruned, admissible and int or Fraction
         obj = object.__new__(cls)
         object.__setattr__(obj, "table", table)
         object.__setattr__(obj, "terms", terms)
@@ -187,12 +194,12 @@ class GradedClass:
         return not self.terms
 
     @property
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Coefficient:
         zero = (0,) * len(self.table)
-        return self.terms.get(zero, Fraction(0))
+        return self.terms.get(zero, 0)
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Exponents) -> Coefficient:
+        return self.terms.get(tuple(exps), 0)
 
     def homogeneous_part(self, k: int) -> GradedClass:
         """Sum of the monomials of weighted degree exactly k."""
@@ -210,7 +217,7 @@ class GradedClass:
                 raise TableMismatchError("classes live over different generator tables")
             return other
         if isinstance(other, (int, Fraction)):
-            return GradedClass(self.table, {(0,) * len(self.table): Fraction(other)})
+            return GradedClass(self.table, {(0,) * len(self.table): other})
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: object) -> "GradedClass":
@@ -252,7 +259,7 @@ class GradedClass:
         bound, base_bound = table.bound, table.base_bound
         deg, base_deg = table.degree, table.base_degree
         bitems = [(eb, cb, deg(eb), base_deg(eb)) for eb, cb in other.terms.items()]
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for ea, ca in self.terms.items():
             da, ba = deg(ea), base_deg(ea)
             for eb, cb, db, bb in bitems:
@@ -296,7 +303,7 @@ class GradedClass:
                     continue
                 acc = acc + parts[i] * inverse[k - i]
             inverse.append(-acc)
-        total: dict[Exponents, Fraction] = {}
+        total: dict[Exponents, Coefficient] = {}
         for piece in inverse:
             total.update(piece.terms)
         return GradedClass._unchecked(table, total)
@@ -347,10 +354,10 @@ def zero(table: GeneratorTable) -> GradedClass:
 
 
 def unit(table: GeneratorTable) -> GradedClass:
-    return GradedClass(table, {(0,) * len(table): Fraction(1)})
+    return GradedClass(table, {(0,) * len(table): 1})
 
 
 def generator(table: GeneratorTable, name: str) -> GradedClass:
     exps = [0] * len(table)
     exps[table.index(name)] = 1
-    return GradedClass(table, {tuple(exps): Fraction(1)})
+    return GradedClass(table, {tuple(exps): 1})

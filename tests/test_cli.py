@@ -182,11 +182,23 @@ def test_parser_built_once(capsys):
     assert build_parser().parse_args(["curve", "--d", "3"]).g == 0
 
 
-def test_engine_subcommands_leave_sympy_unloaded():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--d", "3"],
+        ["surface", "--d", "2"],
+        ["hypersurface", "--n", "4", "--d", "2"],
+        ["osculating", "--n", "4", "--d", "4"],
+        ["salmon", "--d", "2"],
+        ["sweep", "hypersurface", "--d", "2..3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_engine_subcommands_leave_sympy_unloaded(argv):
     # a fresh interpreter: this one has long imported the oracle
     script = (
         "import sys, evolute.cli as cli\n"
-        "cli.main(['curve', '--d', '3', '--format', 'csv'])\n"
+        f"cli.main({argv + ['--format', 'csv']!r})\n"
         "print('sympy' in sys.modules, cli.oracle.x)\n"
         "print('sympy' in sys.modules)\n"
     )
@@ -216,6 +228,16 @@ def test_inexact_interpolation_exits_three(capsys, monkeypatch):
     code, out, err = run(capsys, "oracle", "--poly", "x**2/4 + y**2 - 1")
     assert (code, out) == (3, "")
     assert err == "internal error: interpolated samples are not an integer polynomial\n"
+
+
+def test_inconclusive_elimination_exits_three(capsys, monkeypatch):
+    def inconclusive(system):
+        raise oracle.InconclusiveEliminationError("every factor was extraneous")
+
+    monkeypatch.setattr(oracle, "eliminate", inconclusive)
+    code, out, err = run(capsys, "oracle", "--poly", "x**2/4 + y**2 - 1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: every factor was extraneous\n"
 
 
 def test_config_and_subcommand_conflict(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evolute.pipelines import _compiled_classes
 from evolute.ring import (
     GeneratorTable,
     GradedClass,
@@ -179,13 +180,12 @@ def bundle_tables(draw):
     return base.extended("zeta", 1, bound=r + draw(st.integers(1, 3)))
 
 
-def _draw_terms(data, table, constant=None):
+def _draw_terms(data, table, constant=None, coeffs=st.fractions(-5, 5, max_denominator=4)):
     # monomials up to the total bound only, so some break the base bound
     pool = [e for d in range(table.bound + 1) for e in table.monomials(d)]
-    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     terms = data.draw(st.dictionaries(st.sampled_from(pool), coeffs, max_size=5))
     if constant is not None:
-        terms[(0,) * len(table)] = Fraction(constant)
+        terms[(0,) * len(table)] = constant
     return terms
 
 
@@ -222,3 +222,48 @@ def test_base_truncation_commutes_with_series_inverse(table, data):
     a, fa = GradedClass(table, terms), GradedClass(free, terms)
     assert a.series_inverse() == _truncate(table, fa.series_inverse())
     assert a * a.series_inverse() == unit(table)
+
+
+# -- integer-native coefficients ----------------------------------------------
+
+
+@st.composite
+def plain_tables(draw):
+    degrees = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    names = tuple(f"c{i}" for i in range(len(degrees)))
+    return GeneratorTable(names, degrees, bound=draw(st.integers(max(degrees), 4)))
+
+
+def _holds_ints(a):
+    return all(type(c) is int for c in a.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=st.one_of(plain_tables(), bundle_tables()), data=st.data())
+def test_integral_input_keeps_int_coefficients(table, data):
+    ta = _draw_terms(data, table, coeffs=st.integers(-5, 5))
+    tb = _draw_terms(data, table, constant=1, coeffs=st.integers(-5, 5))
+    s, k = data.draw(st.integers(-3, 3)), data.draw(st.integers(0, 4))
+    j = data.draw(st.integers(0, table.bound))
+
+    def results(a, b, s):
+        return [
+            a + b, a - b, a * b, a + s, s - a, s * a, a**k,
+            b.series_inverse(), a.alternate_signs(), a.homogeneous_part(j),
+        ]
+
+    ints = results(GradedClass(table, ta), GradedClass(table, tb), s)
+    fractions = results(
+        GradedClass(table, {e: Fraction(c) for e, c in ta.items()}),
+        GradedClass(table, {e: Fraction(c) for e, c in tb.items()}),
+        Fraction(s),
+    )
+    for got, expected in zip(ints, fractions):
+        assert _holds_ints(got)
+        assert got == expected
+
+
+@pytest.mark.parametrize("kind, n", [("curve", n) for n in (2, 3, 5)] + [("surface", n) for n in (3, 5)])
+def test_compiled_classes_hold_ints(kind, n):
+    classes = _compiled_classes(kind, n)
+    assert all(not cls.is_zero and _holds_ints(cls) for cls in classes)
