@@ -14,10 +14,11 @@ resultants yields the evolute's defining polynomial in (X, Y).
 A single iterated-resultant order introduces extraneous components coming
 from pairs of distinct curve points that share one coordinate, so both
 elimination orders are computed and their gcd taken; the orders have
-disjoint extraneous loci, and every removal is logged.  The second-stage
-resultants are evaluated on an integer grid and interpolated exactly in
-integer arithmetic (Collins' evaluation-interpolation scheme), which keeps
-each step a univariate resultant over the integers.  Polynomials are
+disjoint extraneous loci, and every removal is logged.  The resultants of
+both stages are sampled on an integer grid and interpolated exactly in
+integer arithmetic (Collins' evaluation-interpolation scheme), so each
+sample is one univariate resultant over the integers, computed by a
+subresultant PRS on plain ints (`dup_resultant`).  Polynomials are
 `sp.Poly` from the parsed curve to the reported evolute; only the public
 `EvoluteResult.polynomial` is an expression.  The curve text is read by a
 whitelisting walk over its syntax tree (`parse_polynomial`) and is never
@@ -37,7 +38,6 @@ from functools import reduce
 
 import sympy as sp
 from sympy.polys.domains import QQ, ZZ
-from sympy.polys.euclidtools import dup_resultant
 
 x, y = sp.symbols("x y")
 X, Y = sp.symbols("X Y")
@@ -287,11 +287,52 @@ def center_of_curvature_system(curve: PlaneCurve) -> tuple[sp.Poly, sp.Poly, sp.
 # --------------------------------------------------------------------------
 
 
-def _integer_terms(poly: sp.Poly, main: sp.Symbol, par: sp.Symbol) -> dict[tuple[int, int], int]:
-    """Exponent map of the polynomial with denominators cleared (the global
-    rational scale is irrelevant downstream, where content is removed)."""
-    _, P = sp.Poly(poly, main, par).clear_denoms(convert=True)
-    return {m: int(c) for m, c in P.terms()}
+def dup_resultant(f: list[int], g: list[int]) -> int:
+    """Res(f, g) = lc(f)**deg(g) * prod(g(a) for the roots a of f) of two
+    descending integer coefficient lists with nonzero heads, by the
+    subresultant PRS (Collins, J. ACM 14, 1967; Cohen, Alg. 3.3.7).
+
+    Each pseudo-remainder and each division by lead * h**delta is exact, so
+    every intermediate value is a plain int."""
+    sign = 1
+    if len(f) < len(g):
+        f, g = g, f
+        sign = -1 if (len(f) - 1) * (len(g) - 1) % 2 else 1
+    if len(g) == 1:
+        return sign * g[0] ** (len(f) - 1)
+    lead = h = 1
+    while True:
+        da, db = len(f) - 1, len(g) - 1
+        delta = da - db
+        if da * db % 2:
+            sign = -sign
+        lg, tail = g[0], g[1:] + [0] * delta
+        r = f
+        for _ in range(delta + 1):  # r = lc(g)**(delta + 1) * f mod g
+            c = r[0]
+            r = [lg * a - c * b for a, b in zip(r[1:], tail)]
+        k = next((i for i, c in enumerate(r) if c), len(r))
+        if k == len(r):
+            return 0
+        scale = lead * h**delta
+        f, g = g, [c // scale for c in r[k:]]
+        lead = lg
+        if delta:
+            h = lead**delta // h ** (delta - 1)
+        if len(g) == 1:
+            da = len(f) - 1
+            return sign * (g[0] ** da // h ** (da - 1))
+
+
+def _integer_terms(poly: sp.Poly, *gens: sp.Symbol) -> dict[tuple[int, ...], int]:
+    """Exponent map in `gens` of the polynomial with denominators cleared
+    (the global rational scale is irrelevant downstream, where content is
+    removed)."""
+    _, P = poly.clear_denoms(convert=True)
+    where = [P.gens.index(g) if g in P.gens else None for g in gens]
+    return {
+        tuple(0 if i is None else m[i] for i in where): int(c) for m, c in P.terms()
+    }
 
 
 def _specialize(terms: dict[tuple[int, int], int], main_degree: int, value: int) -> list[int]:
@@ -328,16 +369,16 @@ def _interpolate(xs: list[int], ys: list[int]) -> list[int]:
     return coeffs
 
 
-def _grid(terms: dict[tuple[int, int], int], main_degree: int, count: int) -> list[int]:
-    """Integer sample points avoiding drops of the leading coefficient."""
+def _grid(leads: list[dict[int, int]], count: int) -> list[int]:
+    """The first `count` of the integers 0, 1, -1, 2, -2, ... at which none
+    of the univariate polynomials `leads` (exponent -> coefficient) vanishes."""
     points: list[int] = []
     v = 0
     while len(points) < count:
         for cand in ((v,) if v == 0 else (v, -v)):
-            if len(points) >= count:
-                break
-            lead = sum(c * cand**j for (i, j), c in terms.items() if i == main_degree)
-            if lead != 0:
+            if len(points) < count and all(
+                sum(c * cand**e for e, c in lead.items()) for lead in leads
+            ):
                 points.append(cand)
         v += 1
         if v > 10 * count + 10:
@@ -346,41 +387,53 @@ def _grid(terms: dict[tuple[int, int], int], main_degree: int, count: int) -> li
 
 
 def _resultant_by_interpolation(
-    A: sp.Poly, B: sp.Poly, elim: sp.Symbol, pa: sp.Symbol, pb: sp.Symbol
+    A: sp.Poly, B: sp.Poly, elim: sp.Symbol, u: sp.Symbol, v: sp.Symbol
 ) -> sp.Poly:
-    """Res_elim(A(elim, pa), B(elim, pb)) as an integer polynomial in
-    (pa, pb), up to a nonzero rational scale, from exact samples on an
-    integer grid.
+    """Res_elim(A(elim, u), B(elim, u, v)) as an integer polynomial in
+    (u, v), up to a nonzero rational scale, from exact samples on an integer
+    grid (Collins, J. ACM 18, 1971); zero when the resultant vanishes.
 
-    A carries only (elim, pa) and B only (elim, pb), so the resultant's
-    degree in pa is bounded by deg_pa(A) * deg_elim(B) and symmetrically in
-    pb; one univariate integer resultant per grid point, then Newton
-    interpolation in each variable."""
-    ta = _integer_terms(A, elim, pa)
-    tb = _integer_terms(B, elim, pb)
-    da = max(i for i, _ in ta)
-    db = max(i for i, _ in tb)
-    if da == 0 or db == 0:
-        raise InconclusiveEliminationError("nothing to eliminate")
-    deg_pa = max(j for _, j in ta) * db
-    deg_pb = max(j for _, j in tb) * da
-    xs = _grid(ta, da, deg_pa + 1)
-    ys = _grid(tb, db, deg_pb + 1)
-    b_cols = {y0: [ZZ(c) for c in reversed(_specialize(tb, db, y0))] for y0 in ys}
-    per_x = {}
-    for x0 in xs:
-        a_col = [ZZ(c) for c in reversed(_specialize(ta, da, x0))]
-        samples = [dup_resultant(a_col, b_cols[y0], ZZ) for y0 in ys]
-        per_x[x0] = _interpolate(ys, samples)
+    With p, q the degrees of A, B in elim and m, n their total degrees in
+    (elim, u), the Sylvester matrix bounds the degree in u by both
+    q m + p n - p q and q deg_u(A) + p deg_u(B), and the degree in v by
+    p deg_v(B).  Nodes avoid the zeros of both leading coefficients in elim,
+    so each sample is the specialized resultant: one `dup_resultant` per
+    node, then Newton interpolation in v for each u node and in u for each
+    power of v."""
+    ta = _integer_terms(A, elim, u)
+    tb = _integer_terms(B, elim, u, v)
+    p = max(i for i, _ in ta)
+    q = max(i for i, _, _ in tb)
+    deg_u = min(
+        q * max(i + j for i, j in ta) + p * max(i + j for i, j, _ in tb) - p * q,
+        q * max(j for _, j in ta) + p * max(j for _, j, _ in tb),
+    )
+    deg_v = p * max(k for _, _, k in tb)
+    # at the u nodes, B's leading coefficient stays a nonzero polynomial in v
+    top = max(k for i, _, k in tb if i == q)
+    us = _grid(
+        [
+            {j: c for (i, j), c in ta.items() if i == p},
+            {j: c for (i, j, k), c in tb.items() if i == q and k == top},
+        ],
+        deg_u + 1,
+    )
+    per_u: list[list[int]] = []
+    for u0 in us:
+        b_u: dict[tuple[int, int], int] = {}
+        for (i, j, k), c in tb.items():
+            b_u[(i, k)] = b_u.get((i, k), 0) + c * u0**j
+        vs = _grid([{k: c for (i, k), c in b_u.items() if i == q}], deg_v + 1)
+        b_cols = [_specialize(b_u, q, v0)[::-1] for v0 in vs]
+        a_col = _specialize(ta, p, u0)[::-1]
+        per_u.append(_interpolate(vs, [dup_resultant(a_col, b_col) for b_col in b_cols]))
     result: dict[tuple[int, int], int] = {}
-    for j in range(deg_pb + 1):
-        col = [per_x[x0][j] if j < len(per_x[x0]) else 0 for x0 in xs]
-        for i, c in enumerate(_interpolate(xs, col)):
+    for k in range(deg_v + 1):
+        col = [coeffs[k] if k < len(coeffs) else 0 for coeffs in per_u]
+        for i, c in enumerate(_interpolate(us, col)):
             if c:
-                result[(i, j)] = c
-    if not result:
-        raise InconclusiveEliminationError("interpolated resultant is identically zero")
-    return sp.Poly.from_dict(result, pa, pb, domain=ZZ)
+                result[(i, k)] = c
+    return sp.Poly.from_dict(result, u, v, domain=ZZ)
 
 
 # --------------------------------------------------------------------------
@@ -393,7 +446,7 @@ def _first_stage(F: sp.Poly, G: sp.Poly, elim: sp.Symbol, log: list[str]) -> sp.
     in target removed."""
     other = x if elim is y else y
     target = X if X in G.gens else Y
-    res = sp.resultant(*(P.reorder(elim, other, target) for P in F.unify(G)))
+    res = _resultant_by_interpolation(F, G, elim, other, target)
     if res.is_zero:
         raise InconclusiveEliminationError(f"resultant in {elim} vanished identically")
     # strip content in the surviving affine variable (extraneous for the image)
@@ -407,6 +460,17 @@ def _first_stage(F: sp.Poly, G: sp.Poly, elim: sp.Symbol, log: list[str]) -> sp.
     if content.degree(other) > 0:
         log.append(f"removed first-stage content of degree {content.degree(other)} in {other}")
         res = res.exquo(content)
+    return res
+
+
+def _second_stage(A: sp.Poly, B: sp.Poly, elim: sp.Symbol) -> sp.Poly:
+    """Res_elim(A(elim, X), B(elim, Y)) as an integer polynomial in (X, Y),
+    up to a nonzero rational scale."""
+    if A.degree(elim) == 0 or B.degree(elim) == 0:
+        raise InconclusiveEliminationError("nothing to eliminate")
+    res = _resultant_by_interpolation(A, B, elim, X, Y)
+    if res.is_zero:
+        raise InconclusiveEliminationError("interpolated resultant is identically zero")
     return res
 
 
@@ -425,8 +489,8 @@ def eliminate(system: tuple[sp.Poly, sp.Poly, sp.Poly]) -> tuple[sp.Poly, list[s
     A_x = _first_stage(F, G1, x, log)
     B_x = _first_stage(F, G2, x, log)
 
-    R1 = _resultant_by_interpolation(A_y, B_y, x, X, Y)
-    R2 = _resultant_by_interpolation(A_x, B_x, y, X, Y)
+    R1 = _second_stage(A_y, B_y, x)
+    R2 = _second_stage(A_x, B_x, y)
     d1, d2 = R1.total_degree(), R2.total_degree()
 
     G = sp.gcd(R1, R2)

@@ -220,9 +220,9 @@ def test_inexact_interpolation_exits_three(capsys, monkeypatch):
     # one grid sample off by one: the Newton divided differences turn fractional
     exact, calls = oracle.dup_resultant, []
 
-    def perturbed(f, g, K):
+    def perturbed(f, g):
         calls.append(f)
-        return exact(f, g, K) + (len(calls) == 2)
+        return exact(f, g) + (len(calls) == 2)
 
     monkeypatch.setattr(oracle, "dup_resultant", perturbed)
     code, out, err = run(capsys, "oracle", "--poly", "x**2/4 + y**2 - 1")

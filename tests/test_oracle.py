@@ -2,8 +2,9 @@ import os
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.euclidtools import dup_resultant as sympy_dup_resultant
 
 from evolute.oracle import (
     MAX_DEGREE,
@@ -17,12 +18,15 @@ from evolute.oracle import (
     _resultant_by_interpolation,
     canonical_text,
     center_of_curvature_system,
+    dup_resultant,
     oracle_check,
     parse_polynomial,
     x,
     y,
 )
+from evolute.pipelines import curve_report
 from evolute.selftest import check_oracle
+from evolute.varieties import CurveInvariants
 
 ELLIPSE = "x**2/4 + y**2 - 1"
 CUBIC = "x**3 + y**3 + x*y + x - 2*y + 1"
@@ -267,6 +271,82 @@ def test_grid_resultant_matches_direct_resultant(conic):
 
     assert grid.total_degree() > 0
     assert normal(grid) == normal(direct)
+
+
+def _sylvester_determinant(f, g):
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g + [0] * (m - 1 - i) for i in range(m)]
+    return sp.Matrix(rows).det(method="domain-ge")  # two constants: the empty matrix, det 1
+
+
+_DESCENDING = st.builds(
+    lambda head, tail: [head, *tail],
+    st.integers(-9, 9).filter(bool),
+    st.lists(st.integers(-9, 9), max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DESCENDING, _DESCENDING)
+def test_kernel_resultant_is_sylvester_determinant(f, g):
+    # sympy's dup_resultant is only a reference when deg f >= deg g: for
+    # deg f < deg g with deg f * deg g odd its sign is off, e.g.
+    # sp.resultant(-5*x - 5, -5*x**5 + 5*x**4 + 3*x**3 - 5*x**2 + x + 5) gives
+    # 18750, where lc(f)**deg(g) * prod(g(roots of f)) = (-5)**5 * 6 = -18750
+    for a, b in ((f, g), (g, f)):
+        res = dup_resultant(a, b)
+        assert type(res) is int
+        assert res == _sylvester_determinant(a, b)
+        if len(a) >= len(b):
+            assert res == sympy_dup_resultant(a, b, sp.ZZ)
+
+
+_CURVE_TERMS = st.integers(2, 3).flatmap(
+    lambda d: st.fixed_dictionaries(
+        {(i, j): st.integers(-2, 2) for i in range(d + 1) for j in range(d + 1 - i)}
+    )
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_CURVE_TERMS)
+def test_first_stage_samples_match_sympy_resultant(terms):
+    # zero coefficients let the leading coefficients in elim vary, down to
+    # constants and to degree drops at sample nodes
+    F = sp.Poly.from_dict(terms, x, y)
+    assume(F.total_degree() >= 2)
+    try:
+        F, G1, G2 = center_of_curvature_system(PlaneCurve(F, F.total_degree(), 0, 0))
+    except DegenerateCurveError:
+        assume(False)
+    for elim, other in ((y, x), (x, y)):
+        for G, target in ((G1, X), (G2, Y)):
+            sampled = _resultant_by_interpolation(F, G, elim, other, target)
+            reference = sp.Poly(sp.resultant(F.as_expr(), G.as_expr(), elim), other, target)
+            if reference.is_zero:
+                assert sampled.is_zero
+                continue
+            assert not sampled.is_zero
+            assert sampled * reference.LC() == reference * sampled.LC()
+
+
+_CONIC_COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_CONIC_COEFFICIENTS, min_size=6, max_size=6))
+def test_conic_oracle_agrees_with_engine(coeffs):
+    a, b, c, d, e, f = coeffs  # a x^2 + b x y + c y^2 + d x + e y + f
+    conic = sp.Matrix([[2 * a, b, d], [b, 2 * c, e], [d, e, 2 * f]])
+    assume(conic.det() != 0)  # smooth, hence irreducible
+    curve = PlaneCurve.from_expr(f"{a}*x**2 + {b}*x*y + {c}*y**2 + {d}*x + {e}*y + {f}")
+    assume(not curve.genericity_flags())
+    report = curve_report(CurveInvariants(2, 2, 0))
+    (evolute_row,) = [row for row in report.results if "[evolute]" in row.locus]
+    result = oracle_check(curve)
+    assert result.degree == evolute_row.engine_degree == 6
+    assert result.match is True
 
 
 def test_canonical_text_deterministic():
