@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import reduce
 
@@ -125,7 +126,7 @@ class PlaneCurve:
 # --------------------------------------------------------------------------
 
 MAX_DEGREE = 24  # largest exponent, and largest degree of any product
-MAX_POWER_BITS = 4096  # largest coefficient size a power may produce
+MAX_POWER_BITS = 4096  # largest coefficient size a power or a decimal literal may produce
 NOT_POLYNOMIAL = "curve must be a polynomial in x and y"
 TOO_LARGE = (
     f"curve polynomial too large: degree cap {MAX_DEGREE}, power size cap {MAX_POWER_BITS} bits"
@@ -147,7 +148,7 @@ def parse_polynomial(text: str) -> sp.Poly:
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
-        raise ValueError(f"curve polynomial does not parse: {exc.msg}") from None
+        raise ValueError(f"--poly does not parse: {exc.msg}") from None
     except RecursionError:
         raise ValueError(TOO_DEEP) from None
     nodes = list(ast.walk(tree.body))
@@ -157,12 +158,19 @@ def parse_polynomial(text: str) -> sp.Poly:
     if foreign:
         raise ValueError(f"curve may involve only x and y, got {', '.join(foreign)}")
     try:
-        return _build(tree.body, text).retract()
+        terms = _build(tree.body, text)
     except RecursionError:
         raise ValueError(TOO_DEEP) from None
+    return sp.Poly.from_dict(
+        {m: QQ(c.numerator, c.denominator) for m, c in terms.items()}, x, y, domain=QQ
+    ).retract()
 
 
-def _build(node: ast.expr, text: str) -> sp.Poly:
+# a polynomial in (x, y) while it is parsed: exponents -> nonzero coefficient
+_Terms = dict[tuple[int, int], Fraction]
+
+
+def _build(node: ast.expr, text: str) -> _Terms:
     # a sum or product of m terms nests m levels deep on the left; fold that
     # spine in a loop, so that only parentheses and powers recurse
     spine = []
@@ -175,38 +183,86 @@ def _build(node: ast.expr, text: str) -> sp.Poly:
     return value
 
 
-def _leaf(node: ast.expr, text: str) -> sp.Poly:
+def _leaf(node: ast.expr, text: str) -> _Terms:
     if isinstance(node, ast.Name):
-        return sp.Poly(x if node.id == "x" else y, x, y, domain=QQ)
+        return {(1, 0) if node.id == "x" else (0, 1): Fraction(1)}
     if isinstance(node, ast.Constant):
         if type(node.value) is int:
-            return sp.Poly(QQ(node.value), x, y, domain=QQ)
-        if type(node.value) is float:
-            value = Fraction(ast.get_source_segment(text, node))
-            return sp.Poly(QQ(value.numerator, value.denominator), x, y, domain=QQ)
-        raise ValueError(NOT_POLYNOMIAL)
+            value = Fraction(node.value)
+        elif type(node.value) is float:
+            value = _decimal(ast.get_source_segment(text, node))
+        else:
+            raise ValueError(NOT_POLYNOMIAL)
+        return {(0, 0): value} if value else {}
     if isinstance(node, ast.UnaryOp):
         operand = _build(node.operand, text)
-        return -operand if isinstance(node.op, ast.USub) else operand
+        return {m: -c for m, c in operand.items()} if isinstance(node.op, ast.USub) else operand
     base, e = _build(node.left, text), node.right  # a power
     if not (isinstance(e, ast.Constant) and type(e.value) is int):
         raise ValueError(NOT_POLYNOMIAL)
-    bits = max(max(abs(c.p).bit_length(), c.q.bit_length()) for c in base.coeffs())
-    if e.value * max(base.total_degree(), 1) > MAX_DEGREE or e.value * bits > MAX_POWER_BITS:
+    bits = max((_bits(c) for c in base.values()), default=1)
+    if e.value * max(_degree(base), 1) > MAX_DEGREE or e.value * bits > MAX_POWER_BITS:
         raise ValueError(TOO_LARGE)
-    return base**e.value
+    power = {(0, 0): Fraction(1)}
+    for _ in range(e.value):
+        power = _product(power, base)
+    return power
 
 
-def _combine(op: ast.operator, left: sp.Poly, right: sp.Poly) -> sp.Poly:
-    if isinstance(op, ast.Div):
-        if not right.is_ground or right.is_zero:
-            raise ValueError(NOT_POLYNOMIAL)
-        return left.quo_ground(right.LC())
-    if isinstance(op, ast.Mult):
-        if left.total_degree() + right.total_degree() > MAX_DEGREE:
+def _decimal(literal: str) -> Fraction:
+    """The exact value of a decimal literal, refused before it is built when
+    its numerator or denominator would exceed MAX_POWER_BITS (`1e9999999`
+    alone would be a 33-million-bit integer)."""
+    try:
+        value = Decimal(literal)
+    except InvalidOperation:  # an exponent of 10**18 or more in magnitude
+        if Decimal(literal.lower().partition("e")[0]):
+            raise ValueError(TOO_LARGE) from None
+        return Fraction(0)
+    if value:
+        # 10**k > 2**(3 k) bounds the numerator by the leading digit; the last
+        # nonzero digit at 10**-k leaves a denominator of at least 2**k
+        _, digits, exponent = value.as_tuple()
+        digits = "".join(map(str, digits))
+        last = exponent + len(digits) - len(digits.rstrip("0"))
+        if 3 * value.adjusted() >= MAX_POWER_BITS or -last > MAX_POWER_BITS:
             raise ValueError(TOO_LARGE)
-        return left * right
-    return left + right if isinstance(op, ast.Add) else left - right
+    exact = Fraction(value)
+    if _bits(exact) > MAX_POWER_BITS:
+        raise ValueError(TOO_LARGE)
+    return exact
+
+
+def _bits(c: Fraction) -> int:
+    return max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+
+
+def _degree(terms: _Terms) -> int:
+    return max((i + j for i, j in terms), default=0)
+
+
+def _product(left: _Terms, right: _Terms) -> _Terms:
+    out: _Terms = {}
+    for (i, j), a in left.items():
+        for (p, q), b in right.items():
+            out[i + p, j + q] = out.get((i + p, j + q), 0) + a * b
+    return {m: c for m, c in out.items() if c}
+
+
+def _combine(op: ast.operator, left: _Terms, right: _Terms) -> _Terms:
+    if isinstance(op, ast.Div):
+        if right.keys() != {(0, 0)}:  # zero or not a constant
+            raise ValueError(NOT_POLYNOMIAL)
+        return {m: c / right[0, 0] for m, c in left.items()}
+    if isinstance(op, ast.Mult):
+        if _degree(left) + _degree(right) > MAX_DEGREE:
+            raise ValueError(TOO_LARGE)
+        return _product(left, right)
+    sign = 1 if isinstance(op, ast.Add) else -1
+    out = dict(left)
+    for m, c in right.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
 
 
 def _leading_form(P: sp.Poly) -> sp.Poly:
@@ -293,7 +349,9 @@ def dup_resultant(f: list[int], g: list[int]) -> int:
     subresultant PRS (Collins, J. ACM 14, 1967; Cohen, Alg. 3.3.7).
 
     Each pseudo-remainder and each division by lead * h**delta is exact, so
-    every intermediate value is a plain int."""
+    every intermediate value is a plain int.  The degree gap delta is 0 or 1
+    at almost every step; those steps skip the zero-padded tail and the
+    powers of h."""
     sign = 1
     if len(f) < len(g):
         f, g = g, f
@@ -306,19 +364,33 @@ def dup_resultant(f: list[int], g: list[int]) -> int:
         delta = da - db
         if da * db % 2:
             sign = -sign
-        lg, tail = g[0], g[1:] + [0] * delta
-        r = f
-        for _ in range(delta + 1):  # r = lc(g)**(delta + 1) * f mod g
-            c = r[0]
-            r = [lg * a - c * b for a, b in zip(r[1:], tail)]
-        k = next((i for i, c in enumerate(r) if c), len(r))
-        if k == len(r):
+        # r = lc(g)**(delta + 1) * f mod g, one elimination step per power
+        lg, rest = g[0], g[1:]
+        if delta > 1:
+            r, tail = f, rest + [0] * delta
+            for _ in range(delta + 1):
+                c = r[0]
+                r = [lg * a - c * b for a, b in zip(r[1:], tail)]
+            scale = lead * h**delta
+        else:
+            c = f[0]
+            r = [lg * a - c * b for a, b in zip(f[1:], rest)]
+            scale = lead
+            if delta:
+                r.append(lg * f[-1])
+                c = r[0]
+                r = [lg * a - c * b for a, b in zip(r[1:], rest)]
+                scale *= h
+        while r and not r[0]:
+            del r[0]
+        if not r:
             return 0
-        scale = lead * h**delta
-        f, g = g, [c // scale for c in r[k:]]
+        f, g = g, r if scale == 1 else [c // scale for c in r]
         lead = lg
-        if delta:
-            h = lead**delta // h ** (delta - 1)
+        if delta == 1:
+            h = lg
+        elif delta:
+            h = lg**delta // h ** (delta - 1)
         if len(g) == 1:
             da = len(f) - 1
             return sign * (g[0] ** da // h ** (da - 1))
@@ -418,13 +490,19 @@ def _resultant_by_interpolation(
         ],
         deg_u + 1,
     )
-    per_u: list[list[int]] = []
-    for u0 in us:
+
+    def b_side(u0: int) -> tuple[list[int], list[list[int]]]:
         b_u: dict[tuple[int, int], int] = {}
         for (i, j, k), c in tb.items():
             b_u[(i, k)] = b_u.get((i, k), 0) + c * u0**j
         vs = _grid([{k: c for (i, k), c in b_u.items() if i == q}], deg_v + 1)
-        b_cols = [_specialize(b_u, q, v0)[::-1] for v0 in vs]
+        return vs, [_specialize(b_u, q, v0)[::-1] for v0 in vs]
+
+    # B free of u (every second-stage call) has one v grid and one set of columns
+    shared = None if any(j for _, j, _ in tb) else b_side(0)
+    per_u: list[list[int]] = []
+    for u0 in us:
+        vs, b_cols = shared or b_side(u0)
         a_col = _specialize(ta, p, u0)[::-1]
         per_u.append(_interpolate(vs, [dup_resultant(a_col, b_col) for b_col in b_cols]))
     result: dict[tuple[int, int], int] = {}
@@ -453,6 +531,14 @@ def _first_stage(F: sp.Poly, G: sp.Poly, elim: sp.Symbol, log: list[str]) -> sp.
     columns: dict[int, dict] = {}
     for (i, j), c in res.terms():
         columns.setdefault(j, {})[(i, 0)] = c
+    # the content is certified constant by a constant column or by two
+    # coprime columns (nonzero resultant); the gcd fold decides the rest
+    dense = sorted(
+        ([col.get((i, 0), 0) for i in range(max(col)[0], -1, -1)] for col in columns.values()),
+        key=len,
+    )
+    if len(dense[0]) == 1 or (len(dense) > 1 and dup_resultant(dense[0], dense[1])):
+        return res
     content = reduce(
         lambda a, b: a.gcd(b),
         (sp.Poly.from_dict(col, other, target, domain=res.domain) for col in columns.values()),

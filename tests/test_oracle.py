@@ -1,13 +1,19 @@
 import os
+import time
+from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.euclidtools import dup_resultant as sympy_dup_resultant
 
+from evolute import oracle
 from evolute.oracle import (
     MAX_DEGREE,
+    MAX_POWER_BITS,
+    TOO_LARGE,
     DegenerateCurveError,
     PlaneCurve,
     X,
@@ -65,7 +71,7 @@ def test_parser_evaluates_no_code(capsys):
 def test_parser_messages():
     with pytest.raises(ValueError, match="^curve may involve only x and y, got I$"):
         PlaneCurve.from_expr("x**2 + y**2 - 1 + I")
-    with pytest.raises(ValueError, match="^curve polynomial does not parse: invalid syntax$"):
+    with pytest.raises(ValueError, match="^--poly does not parse: invalid syntax$"):
         PlaneCurve.from_expr("x**2 +")
     for text in ("x**-1", "x**y", "x/(y - y)", "x/0", "True*x", "1j*x + y", "'x' + y"):
         with pytest.raises(ValueError, match="^curve must be a polynomial in x and y$"):
@@ -100,6 +106,74 @@ def test_parser_exact_coefficients_and_domain():
     # ^ is read as ** before parsing, so it keeps the precedence of **
     assert parse_polynomial("-x^2*3 + y^3") == parse_polynomial("-x**2*3 + y**3")
     assert parse_polynomial("-x^2*3 + y^3") == sp.Poly(-3 * x**2 + y**3, x, y)
+
+
+# a power applies to a leaf only, so no text reaches the degree or size caps
+_LEAF_TEXT = st.one_of(
+    st.sampled_from(["x", "y"]),
+    st.integers(0, 99).map(str),
+    st.builds("{}.{}".format, st.integers(0, 99), st.integers(0, 99)),
+    st.builds("{}e{}".format, st.integers(1, 9), st.integers(-3, 3)),
+).flatmap(lambda leaf: st.sampled_from([leaf, f"{leaf}**0", f"{leaf}**2", f"{leaf}**3"]))
+_POLY_TEXT = st.recursive(
+    _LEAF_TEXT,
+    lambda inner: st.one_of(
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("{}/{}".format, inner, st.integers(1, 9)),
+        st.builds("-{}".format, inner),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POLY_TEXT)
+def test_parser_matches_sympify(text):
+    assert parse_polynomial(text) == sp.Poly(sp.sympify(text, rational=True), x, y)
+
+
+def test_parser_cap_boundaries():
+    # each cap admits its boundary value and refuses the next one with one message
+    for admitted, refused in (
+        (f"x**{MAX_DEGREE}", f"x**{MAX_DEGREE + 1}"),
+        ("x**12 * y**12", "x**12 * y**13"),
+        (f"{2**255}**16 * x", f"{2**256}**16 * x"),  # 256 * 16 and 257 * 16 bits
+        ("1e1233*x", "1e1234*x"),  # 10**1233 has 4096 bits
+        ("1e-1233*x", "1e-1234*x"),
+        (f"{5**4095}e-4095*x", f"{5**4096}e-4096*x"),  # x / 2**4095 and x / 2**4096
+    ):
+        assert parse_polynomial(admitted) == sp.Poly(sp.sympify(admitted, rational=True), x, y)
+        with pytest.raises(ValueError, match=f"^{TOO_LARGE}$"):
+            parse_polynomial(refused)
+
+
+def test_decimal_literals_are_capped_before_they_are_built():
+    assert parse_polynomial("x + 1e400").coeffs() == [1, 10**400]  # 1 329 bits
+    assert parse_polynomial("0e99999999999999999999 + x") == sp.Poly(x, x, y)
+    started = time.monotonic()
+    # the last two exponents are beyond the range of decimal.Decimal
+    huge = ("1e99999999999999999999", "7.5e-99999999999999999999")
+    for literal in ("1e9999999", "1e-9999999", *huge):
+        with pytest.raises(ValueError, match=f"^{TOO_LARGE}$"):
+            parse_polynomial(f"x**2 + y**2 - {literal}")
+    assert time.monotonic() - started < 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10**30),
+    st.text("0123456789", max_size=30),
+    st.one_of(st.integers(-1300, -1180), st.integers(1180, 1300), st.integers(-4200, -4000)),
+)
+def test_decimal_cap_is_exact(whole, fraction, exponent):
+    literal = f"{whole}.{fraction}e{exponent}"
+    exact = Fraction(literal)  # exponents this small are cheap to build
+    if max(abs(exact.numerator).bit_length(), exact.denominator.bit_length()) > MAX_POWER_BITS:
+        with pytest.raises(ValueError, match=f"^{TOO_LARGE}$"):
+            parse_polynomial(f"{literal}*x")
+    else:
+        value = sp.Rational(exact.numerator, exact.denominator)
+        assert parse_polynomial(f"{literal}*x") == sp.Poly(value * x, x, y)
 
 
 def test_negative_invariants_rejected():
@@ -302,6 +376,46 @@ def test_kernel_resultant_is_sylvester_determinant(f, g):
             assert res == sympy_dup_resultant(a, b, sp.ZZ)
 
 
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _plus(f, g):
+    width = max(len(f), len(g))
+    return [a + b for a, b in zip([0] * (width - len(f)) + f, [0] * (width - len(g)) + g)]
+
+
+_HEAD = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(f, g) whose first pseudo-division has degree gap 0, 1 or >= 2, or whose
+    first remainder drops degree: f = q g + r with deg r <= deg g - 2 (r = 0
+    included, a common factor)."""
+    db = draw(st.integers(1, 6))
+    g = [draw(_HEAD)] + draw(st.lists(st.integers(-9, 9), min_size=db, max_size=db))
+    shape = draw(st.sampled_from(["gap 0", "gap 1", "gap 2+", "degree drop"]))
+    if shape == "degree drop":
+        q = [draw(_HEAD)] + draw(st.lists(st.integers(-9, 9), max_size=2))
+        return _plus(_times(q, g), draw(st.lists(st.integers(-9, 9), max_size=db - 1))), g
+    delta = {"gap 0": 0, "gap 1": 1}.get(shape) or draw(st.integers(2, 4))
+    tail = st.lists(st.integers(-9, 9), min_size=db + delta, max_size=db + delta)
+    return [draw(_HEAD)] + draw(tail), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_inputs())
+def test_kernel_fast_paths_are_sylvester_determinant(inputs):
+    f, g = inputs
+    for a, b in ((f, g), (g, f)):
+        assert dup_resultant(a, b) == _sylvester_determinant(a, b)
+
+
 _CURVE_TERMS = st.integers(2, 3).flatmap(
     lambda d: st.fixed_dictionaries(
         {(i, j): st.integers(-2, 2) for i in range(d + 1) for j in range(d + 1 - i)}
@@ -329,6 +443,68 @@ def test_first_stage_samples_match_sympy_resultant(terms):
                 continue
             assert not sampled.is_zero
             assert sampled * reference.LC() == reference * sampled.LC()
+
+
+_ELIM_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-3, 3), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ELIM_TERMS, _ELIM_TERMS)
+def test_interpolation_with_b_free_of_u_matches_sympy_resultant(a_terms, b_terms):
+    # the shape of every second-stage call: A(x, X) and B(x, Y)
+    A, B = sp.Poly.from_dict(a_terms, x, X), sp.Poly.from_dict(b_terms, x, Y)
+    assume(A.degree(x) > 0 and B.degree(x) > 0)
+    sampled = _resultant_by_interpolation(A, B, x, X, Y)
+    reference = sp.Poly(sp.resultant(A.as_expr(), B.as_expr(), x), X, Y)
+    assert sampled * reference.LC() == reference * sampled.LC()
+    assert sampled.is_zero == reference.is_zero
+
+
+def _first_stage_by_gcd_fold(F, G, elim):
+    """`_first_stage` as it was before the content certificate: the gcd of
+    every target-power column, removed when it involves `other`."""
+    other = x if elim is y else y
+    target = X if X in G.gens else Y
+    res = _resultant_by_interpolation(F, G, elim, other, target)
+    columns = {}
+    for (i, j), c in res.terms():
+        columns.setdefault(j, {})[(i, 0)] = c
+    content = reduce(
+        lambda a, b: a.gcd(b),
+        (sp.Poly.from_dict(col, other, target, domain=res.domain) for col in columns.values()),
+    )
+    if content.degree(other) > 0:
+        return res.exquo(content), [
+            f"removed first-stage content of degree {content.degree(other)} in {other}"
+        ]
+    return res, []
+
+
+# both have first-stage content of degree 6 in every order (their golden logs)
+_FOLIUM = {(3, 0): 1, (0, 3): 1, (1, 1): -3}
+_NODAL = {(0, 2): 1, (3, 0): -1, (2, 0): -1}  # y**2 - x**2 (x + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_CURVE_TERMS)
+@example(_FOLIUM)
+@example(_NODAL)
+def test_first_stage_content_certificate_matches_gcd_fold(terms):
+    F = sp.Poly.from_dict(terms, x, y)
+    assume(F.total_degree() >= 2)
+    try:
+        F, G1, G2 = center_of_curvature_system(PlaneCurve(F, F.total_degree(), 0, 0))
+    except DegenerateCurveError:
+        assume(False)
+    for elim in (y, x):
+        for G in (G1, G2):
+            expected, expected_log = _first_stage_by_gcd_fold(F, G, elim)
+            assume(not expected.is_zero)
+            log = []
+            assert _first_stage(F, G, elim, log) == expected
+            assert log == expected_log
 
 
 _CONIC_COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
@@ -366,6 +542,34 @@ def test_canonical_text_round_trip(terms):
     # the empty dictionary is the zero polynomial
     poly = sp.Poly.from_dict({m: c for m, c in terms.items() if sum(m) <= 8} or {(0, 0): 0}, X, Y)
     assert sp.Poly(sp.sympify(canonical_text(poly)), X, Y) == poly
+
+
+@pytest.mark.parametrize(
+    "text, genus, kernel_calls",
+    [
+        # 4 first-stage grids of 21 samples and 2 second-stage grids of 169; a
+        # constant column certifies each first-stage content
+        (ELLIPSE, None, 4 * 21 + 2 * 169),
+        # 3 042 grid samples and one content certificate per first stage
+        ("x**3 + y**3 - 3*x*y", 0, 3042 + 4),
+    ],
+)
+def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls):
+    # the kernel and the cross-order gcd are reached by name, through the
+    # module globals that instrumentation wraps
+    counts = {"dup_resultant": 0, "gcd": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "dup_resultant", counting("dup_resultant", oracle.dup_resultant))
+    monkeypatch.setattr(oracle.sp, "gcd", counting("gcd", oracle.sp.gcd))
+    oracle_check(PlaneCurve.from_expr(text, genus=genus))
+    assert counts == {"dup_resultant": kernel_calls, "gcd": 1}
 
 
 @pytest.mark.skipif(
