@@ -18,7 +18,13 @@ disjoint extraneous loci, and every removal is logged.  The resultants of
 both stages are sampled on an integer grid and interpolated exactly in
 integer arithmetic (Collins' evaluation-interpolation scheme), so each
 sample is one univariate resultant over the integers, computed by a
-subresultant PRS on plain ints (`dup_resultant`).  Polynomials are
+subresultant PRS on plain ints (`dup_resultant`).  Three bounds size the
+grid: the degree in each of the two surviving variables (from the
+Sylvester matrix) and the total degree (from how the roots of the two
+inputs grow, read off their Newton polygons).  Only the lower set of the
+tensor grid cut out by the total degree is sampled, which still fixes the
+resultant (Dyn and Floater, J. Approx. Theory 177, 2014), and one grid in
+the second variable serves every node of the first.  Polynomials are
 `sp.Poly` from the parsed curve to the reported evolute; only the public
 `EvoluteResult.polynomial` is an expression.  The curve text is read by a
 whitelisting walk over its syntax tree (`parse_polynomial`) and is never
@@ -126,7 +132,7 @@ class PlaneCurve:
 # --------------------------------------------------------------------------
 
 MAX_DEGREE = 24  # largest exponent, and largest degree of any product
-MAX_POWER_BITS = 4096  # largest coefficient size a power or a decimal literal may produce
+MAX_POWER_BITS = 4096  # largest coefficient size a power or a literal may produce
 NOT_POLYNOMIAL = "curve must be a polynomial in x and y"
 TOO_LARGE = (
     f"curve polynomial too large: degree cap {MAX_DEGREE}, power size cap {MAX_POWER_BITS} bits"
@@ -188,6 +194,8 @@ def _leaf(node: ast.expr, text: str) -> _Terms:
         return {(1, 0) if node.id == "x" else (0, 1): Fraction(1)}
     if isinstance(node, ast.Constant):
         if type(node.value) is int:
+            if node.value.bit_length() > MAX_POWER_BITS:
+                raise ValueError(TOO_LARGE)
             value = Fraction(node.value)
         elif type(node.value) is float:
             value = _decimal(ast.get_source_segment(text, node))
@@ -414,28 +422,42 @@ def _specialize(terms: dict[tuple[int, int], int], main_degree: int, value: int)
     return coeffs
 
 
-def _interpolate(xs: list[int], ys: list[int]) -> list[int]:
-    """Exact Newton interpolation of samples of an integer polynomial at
-    integer nodes; returns its ascending monomial coefficients.
+def _divided_differences(nodes: list[int], values: list[int]) -> list[int]:
+    """Newton coefficients [t0], [t0, t1], ... of the polynomial of degree
+    < len(values) that takes `values` at the first len(values) `nodes`.
 
     Every divided difference of an integer polynomial at integer nodes is an
     integer, so each division is exact; a remainder means the samples are
-    not those of an integer polynomial of degree < len(xs)."""
-    n = len(xs)
-    dd = [int(v) for v in ys]
+    not those of an integer polynomial of degree < len(values)."""
+    n = len(values)
+    dd = list(values)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - j])
+            q, r = divmod(dd[i] - dd[i - 1], nodes[i] - nodes[i - j])
             if r:
                 raise ArithmeticError("interpolated samples are not an integer polynomial")
             dd[i] = q
-    # Horner form: dd[0] + (t - xs[0]) (dd[1] + (t - xs[1]) (dd[2] + ...))
+    return dd
+
+
+def _monomials(nodes: list[int], dd: list[int]) -> list[int]:
+    """Ascending monomial coefficients of the Newton form with coefficients
+    `dd` at `nodes`, by Horner's rule:
+    dd[0] + (t - nodes[0]) (dd[1] + (t - nodes[1]) (dd[2] + ...))."""
     coeffs = [dd[-1]]
-    for j in range(n - 2, -1, -1):
+    for j in range(len(dd) - 2, -1, -1):
         shifted = [dd[j]] + coeffs
         for k, c in enumerate(coeffs):
-            shifted[k] -= xs[j] * c
+            shifted[k] -= nodes[j] * c
         coeffs = shifted
+    return coeffs
+
+
+def _interpolate(xs: list[int], ys: list[int]) -> list[int]:
+    """Exact Newton interpolation of samples of an integer polynomial at
+    integer nodes; returns its ascending monomial coefficients, without
+    trailing zeros."""
+    coeffs = _monomials(xs, _divided_differences(xs, ys))
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return coeffs
@@ -458,6 +480,50 @@ def _grid(leads: list[dict[int, int]], count: int) -> list[int]:
     return points
 
 
+def _root_growths(profile: dict[int, int]) -> tuple[int, list[tuple[int, int]]]:
+    """How the roots in elim of a polynomial grow when its other variables
+    are scaled by t -> oo, from its profile i -> degree of the coefficient of
+    elim**i: the number of roots at elim = 0, and one (width, drop) per edge
+    of the upper hull of the points (i, profile[i]), whose `width` roots grow
+    like t**(drop / width)."""
+    hull: list[tuple[int, int]] = []
+    for i, d in sorted(profile.items()):
+        # drop the last point while it lies on or below the chord to (i, d)
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (d - hull[-2][1])
+            >= (hull[-1][1] - hull[-2][1]) * (i - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((i, d))
+    edges = [(i1 - i0, d0 - d1) for (i0, d0), (i1, d1) in zip(hull, hull[1:])]
+    return hull[0][0], edges
+
+
+def _total_degree_bound(a_profile: dict[int, int], b_profile: dict[int, int]) -> int:
+    """A bound, at least 0, on the total degree of Res_elim(A, B) in the
+    variables that A and B keep, from their profiles (see `_root_growths`).
+
+    Res = lc(A)**q lc(B)**p prod(alpha - beta) over the roots alpha of A and
+    beta of B in elim, with p, q their degrees in elim.  Scale the kept
+    variables by t: lc(A) grows like t**a(p), lc(B) like t**b(q), and each
+    factor at most like the faster of its two roots, so the resultant grows
+    at most like t**D with D = q a(p) + p b(q) + sum of max(s_alpha, s_beta).
+    A root at elim = 0 stays there, and one of A and one of B make the
+    resultant zero.  D is reached unless leading terms cancel: it is exact
+    for a conic's second stage (12) and above the cubic's (81 against 72)."""
+    p, q = max(a_profile), max(b_profile)
+    a_zeros, a_edges = _root_growths(a_profile)
+    b_zeros, b_edges = _root_growths(b_profile)
+    if a_zeros and b_zeros:
+        return 0
+    bound = q * a_profile[p] + p * b_profile[q]
+    bound += a_zeros * sum(drop for _, drop in b_edges)
+    bound += b_zeros * sum(drop for _, drop in a_edges)
+    # a pair of edges adds wa wb max(da / wa, db / wb), an integer
+    bound += sum(max(da * wb, db * wa) for wa, da in a_edges for wb, db in b_edges)
+    return max(bound, 0)
+
+
 def _resultant_by_interpolation(
     A: sp.Poly, B: sp.Poly, elim: sp.Symbol, u: sp.Symbol, v: sp.Symbol
 ) -> sp.Poly:
@@ -465,13 +531,19 @@ def _resultant_by_interpolation(
     (u, v), up to a nonzero rational scale, from exact samples on an integer
     grid (Collins, J. ACM 18, 1971); zero when the resultant vanishes.
 
-    With p, q the degrees of A, B in elim and m, n their total degrees in
-    (elim, u), the Sylvester matrix bounds the degree in u by both
-    q m + p n - p q and q deg_u(A) + p deg_u(B), and the degree in v by
-    p deg_v(B).  Nodes avoid the zeros of both leading coefficients in elim,
-    so each sample is the specialized resultant: one `dup_resultant` per
-    node, then Newton interpolation in v for each u node and in u for each
-    power of v."""
+    Three bounds fix which samples are taken.  With p, q the degrees of A, B
+    in elim and m, n their total degrees in (elim, u), the Sylvester matrix
+    bounds the degree in u by both q m + p n - p q and q deg_u(A) +
+    p deg_u(B), and the degree in v by p deg_v(B).  The roots of A and B in
+    elim bound the total degree by D (`_total_degree_bound`).  A polynomial
+    of total degree at most D is fixed by its values on the lower set
+    {(a, b): a <= deg_u, b <= deg_v, a + b <= D} of a tensor grid
+    (Dyn and Floater, J. Approx. Theory 177, 2014), and only those nodes are
+    sampled.  One v grid serves every u node; the nodes avoid the zeros of
+    both leading coefficients in elim, so each sample is the specialized
+    resultant, one `dup_resultant` per node.  The tensor divided
+    differences, in u along each column and then in v along each row, are
+    the Newton coefficients, and Horner's rule turns them into monomials."""
     ta = _integer_terms(A, elim, u)
     tb = _integer_terms(B, elim, u, v)
     p = max(i for i, _ in ta)
@@ -481,6 +553,13 @@ def _resultant_by_interpolation(
         q * max(j for _, j in ta) + p * max(j for _, j, _ in tb),
     )
     deg_v = p * max(k for _, _, k in tb)
+    a_profile: dict[int, int] = {}
+    for i, j in ta:
+        a_profile[i] = max(a_profile.get(i, 0), j)
+    b_profile: dict[int, int] = {}
+    for i, j, k in tb:
+        b_profile[i] = max(b_profile.get(i, 0), j + k)
+    D = min(_total_degree_bound(a_profile, b_profile), deg_u + deg_v)
     # at the u nodes, B's leading coefficient stays a nonzero polynomial in v
     top = max(k for i, _, k in tb if i == q)
     us = _grid(
@@ -488,27 +567,39 @@ def _resultant_by_interpolation(
             {j: c for (i, j), c in ta.items() if i == p},
             {j: c for (i, j, k), c in tb.items() if i == q and k == top},
         ],
-        deg_u + 1,
+        min(deg_u, D) + 1,
     )
-
-    def b_side(u0: int) -> tuple[list[int], list[list[int]]]:
+    # B specialized at each u node, once when B is free of u (every
+    # second-stage call); its leading coefficients fix the one v grid
+    free = not any(j for _, j, _ in tb)
+    b_at: list[dict[tuple[int, int], int]] = []
+    for u0 in us[:1] if free else us:
         b_u: dict[tuple[int, int], int] = {}
         for (i, j, k), c in tb.items():
             b_u[(i, k)] = b_u.get((i, k), 0) + c * u0**j
-        vs = _grid([{k: c for (i, k), c in b_u.items() if i == q}], deg_v + 1)
-        return vs, [_specialize(b_u, q, v0)[::-1] for v0 in vs]
-
-    # B free of u (every second-stage call) has one v grid and one set of columns
-    shared = None if any(j for _, j, _ in tb) else b_side(0)
-    per_u: list[list[int]] = []
-    for u0 in us:
-        vs, b_cols = shared or b_side(u0)
+        b_at.append(b_u)
+    vs = _grid([{k: c for (i, k), c in b_u.items() if i == q} for b_u in b_at], min(deg_v, D) + 1)
+    shared = [_specialize(b_at[0], q, v0)[::-1] for v0 in vs] if free else None
+    # row a holds the samples at us[a] and the first min(deg_v, D - a) + 1 v nodes
+    rows: list[list[int]] = []
+    for a, u0 in enumerate(us):
+        width = min(deg_v, D - a) + 1
+        b_cols = shared or [_specialize(b_at[a], q, v0)[::-1] for v0 in vs[:width]]
         a_col = _specialize(ta, p, u0)[::-1]
-        per_u.append(_interpolate(vs, [dup_resultant(a_col, b_col) for b_col in b_cols]))
+        rows.append([dup_resultant(a_col, b_col) for b_col in b_cols[:width]])
+    # divided differences in u down each column, over the rows that reach it
+    columns = [
+        _divided_differences(us, [row[b] for row in rows if b < len(row)])
+        for b in range(len(vs))
+    ]
+    # then in v along each row, to monomials in v of Newton polynomials in u
+    in_v = [
+        _interpolate(vs, [col[a] for col in columns if a < len(col)]) for a in range(len(us))
+    ]
     result: dict[tuple[int, int], int] = {}
-    for k in range(deg_v + 1):
-        col = [coeffs[k] if k < len(coeffs) else 0 for coeffs in per_u]
-        for i, c in enumerate(_interpolate(us, col)):
+    for k in range(len(vs)):
+        dd = [coeffs[k] if k < len(coeffs) else 0 for coeffs in in_v[: len(columns[k])]]
+        for i, c in enumerate(_monomials(us, dd)):
             if c:
                 result[(i, k)] = c
     return sp.Poly.from_dict(result, u, v, domain=ZZ)

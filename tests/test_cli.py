@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,6 +120,16 @@ def test_oracle_cli_degenerate_input(capsys):
     code, _, err = run(capsys, "oracle", "--poly", "x")
     assert code == 2
     assert "curvature" in err
+
+
+def test_oversized_integer_literal_exits_two_at_once(capsys):
+    # 10**1300 written out as 1 301 digits is refused before any elimination,
+    # as 1e1300 is; the oracle ran past 120 s on it when it was read
+    started = time.monotonic()
+    code, out, err = run(capsys, "oracle", "--poly", f"x**2 + 2*y**2 - {10**1300}")
+    assert time.monotonic() - started < 10
+    assert (code, out) == (2, "")
+    assert err == f"error: {oracle.TOO_LARGE}\n"
 
 
 def test_invalid_parameters_exit_two(capsys):

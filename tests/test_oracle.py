@@ -22,6 +22,7 @@ from evolute.oracle import (
     _interpolate,
     _is_isotropic_factor,
     _resultant_by_interpolation,
+    _total_degree_bound,
     canonical_text,
     center_of_curvature_system,
     dup_resultant,
@@ -174,6 +175,16 @@ def test_decimal_cap_is_exact(whole, fraction, exponent):
     else:
         value = sp.Rational(exact.numerator, exact.denominator)
         assert parse_polynomial(f"{literal}*x") == sp.Poly(value * x, x, y)
+
+
+def test_integer_literals_are_capped():
+    # 2**4096 - 1 is the largest integer of at most MAX_POWER_BITS bits
+    admitted = 2**MAX_POWER_BITS - 1
+    assert parse_polynomial(f"{admitted}*x + y").coeffs() == [admitted, 1]
+    # 10**1300 written out (1 301 digits, 4 319 bits) is refused like 1e1300
+    for literal in (2**MAX_POWER_BITS, 10**1300):
+        with pytest.raises(ValueError, match=f"^{TOO_LARGE}$"):
+            parse_polynomial(f"x**2 + 2*y**2 - {literal}")
 
 
 def test_negative_invariants_rejected():
@@ -462,6 +473,65 @@ def test_interpolation_with_b_free_of_u_matches_sympy_resultant(a_terms, b_terms
     assert sampled.is_zero == reference.is_zero
 
 
+def _profile(poly, elim):
+    """i -> total degree in the other generators of the coefficient of elim**i."""
+    k = poly.gens.index(elim)
+    profile = {}
+    for m in poly.monoms():
+        profile[m[k]] = max(profile.get(m[k], 0), sum(m) - m[k])
+    return profile
+
+
+@pytest.mark.parametrize(
+    "curve, bound",
+    [
+        # six roots of A(x, X) and six of B(x, Y), all growing like t**(1/3):
+        # 36 / 3, the true degree of the ellipse's second-stage resultants
+        (ELLIPSE, 12),
+        # nine roots of each that stay bounded and nine that grow like
+        # t**(1/3): the three pairings with a growing root add 9 * 9 / 3
+        # each; the true degree is 72
+        (CUBIC, 81),
+    ],
+)
+def test_total_degree_bound_of_second_stage(curve, bound):
+    F, G1, G2 = center_of_curvature_system(PlaneCurve.from_expr(curve))
+    A, B = _first_stage(F, G1, y, []), _first_stage(F, G2, y, [])
+    assert _total_degree_bound(_profile(A, x), _profile(B, x)) == bound
+
+
+_A_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-3, 3), min_size=1, max_size=6
+)
+_B_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_A_TERMS, _B_TERMS, st.booleans())
+# A = x + X, B = x Y: a root at x = 0, which stays put as X, Y grow
+@example({(1, 0): 1, (0, 1): 1}, {(1, 0, 1): 1}, True)
+# A = x**2 X, B = 1 + x**2 Y**2: roots of B that shrink, D = 2 below deg_v = 4
+@example({(2, 1): 1}, {(0, 0, 0): 1, (2, 0, 2): 1}, True)
+def test_total_degree_bound_holds(a_terms, b_terms, free_of_u):
+    # the first-stage shape A(x, X), B(x, X, Y), or the second-stage one with
+    # B free of X
+    if free_of_u:
+        b_terms = {(i, 0, k): c for (i, _, k), c in b_terms.items()}
+    A, B = sp.Poly.from_dict(a_terms, x, X), sp.Poly.from_dict(b_terms, x, X, Y)
+    assume(not A.is_zero and not B.is_zero and A.degree(x) + B.degree(x) > 0)
+    reference = sp.Poly(sp.resultant(A.as_expr(), B.as_expr(), x), X, Y)
+    bound = _total_degree_bound(_profile(A, x), _profile(B, x))
+    assert reference.is_zero or reference.total_degree() <= bound
+    sampled = _resultant_by_interpolation(A, B, x, X, Y)
+    assert sampled * reference.LC() == reference * sampled.LC()
+    assert sampled.is_zero == reference.is_zero
+
+
 def _first_stage_by_gcd_fold(F, G, elim):
     """`_first_stage` as it was before the content certificate: the gcd of
     every target-power column, removed when it involves `other`."""
@@ -547,11 +617,12 @@ def test_canonical_text_round_trip(terms):
 @pytest.mark.parametrize(
     "text, genus, kernel_calls",
     [
-        # 4 first-stage grids of 21 samples and 2 second-stage grids of 169; a
-        # constant column certifies each first-stage content
-        (ELLIPSE, None, 4 * 21 + 2 * 169),
-        # 3 042 grid samples and one content certificate per first stage
-        ("x**3 + y**3 - 3*x*y", 0, 3042 + 4),
+        # 4 first-stage lower sets of 18 samples (total degree 6 on a 7-by-3
+        # grid) and 2 second-stage lower sets of 91 (total degree 12 on a
+        # 13-by-13 grid); a constant column certifies each first-stage content
+        (ELLIPSE, None, 4 * 18 + 2 * 91),
+        # 1 686 grid samples and one content certificate per first stage
+        ("x**3 + y**3 - 3*x*y", 0, 1686 + 4),
     ],
 )
 def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls):
