@@ -1,34 +1,36 @@
-"""Independent evolute oracle for plane curves, by resultant elimination.
+"""Independent evolute oracle for plane curves, as the ED discriminant.
 
-Given an implicit plane curve F(x, y) = 0 with exact rational coefficients,
-the locus of its centers of curvature is carved out by
+The evolute of a plane curve F(x, y) = 0 is the envelope of its normal
+lines: the centres (X, Y) whose squared-distance function to the curve has a
+degenerate critical point, i.e. its ED discriminant (Draisma, Horobet,
+Ottaviani, Sturmfels and Thomas, Found. Comput. Math. 16, 2016, section 7).
+The point (X, Y) lies on the normal at (x, y) when
 
-    F = 0,
-    G1 = D (X - x) + S Fx = 0,
-    G2 = D (Y - y) + S Fy = 0,
+    H = Fy (X - x) - Fx (Y - y) = 0,
 
-where S = Fx^2 + Fy^2 and D = Fy^2 Fxx - 2 Fx Fy Fxy + Fx^2 Fyy, so that
-(X, Y) = (x, y) - (S / D) grad F.  Eliminating (x, y) by iterated univariate
-resultants yields the evolute's defining polynomial in (X, Y).
+so R(x; X, Y) = Res_y(F, H) vanishes at the x-coordinates of the critical
+points of the distance from (X, Y).  Its content in x (the singular
+points, a root at every centre) is removed, and D = disc_x(R) vanishes
+where two critical points meet (the evolute) and where two distinct ones
+share their x (the x-coincidence locus).  The second kind comes in pairs,
+so D is the evolute times the square of that locus, and the evolute is the
+multiplicity-one part of D.  One elimination order suffices: the gcd with
+the other order's discriminant can keep a common factor of both
+coincidence loci that is not on the evolute.  Univariate and isotropic
+factors are then stripped, and every removal is logged.
 
-A single iterated-resultant order introduces extraneous components coming
-from pairs of distinct curve points that share one coordinate, so both
-elimination orders are computed and their gcd taken; the orders have
-disjoint extraneous loci, and every removal is logged.  The resultants of
-both stages are sampled on an integer grid and interpolated exactly in
-integer arithmetic (Collins' evaluation-interpolation scheme), so each
-sample is one univariate resultant over the integers, computed by a
-subresultant PRS on plain ints (`dup_resultant`).  Three bounds size the
-grid: the degree in each of the two surviving variables (from the
-Sylvester matrix) and the total degree (from how the roots of the two
-inputs grow, read off their Newton polygons).  Only the lower set of the
-tensor grid cut out by the total degree is sampled, which still fixes the
-resultant (Dyn and Floater, J. Approx. Theory 177, 2014), and one grid in
-the second variable serves every node of the first.  Polynomials are
-`sp.Poly` from the parsed curve to the reported evolute; only the public
-`EvoluteResult.polynomial` is an expression.  The curve text is read by a
-whitelisting walk over its syntax tree (`parse_polynomial`) and is never
-evaluated.
+Both R and D are sampled on integer grids and interpolated exactly in
+integer arithmetic (Collins' evaluation-interpolation scheme): each sample
+is one univariate resultant over the integers, computed by a subresultant
+PRS on plain ints (`dup_resultant`), and the samples of a polynomial in
+(X, Y) of total degree T are taken on the lower set of total degree T of a
+tensor grid, which fixes it (Dyn and Floater, J. Approx. Theory 177,
+2014).  The work is predicted from the degree and the coefficient size
+before the curve is factored, and a curve above `MAX_WORK` is refused.
+Polynomials are `sp.Poly` from the parsed curve to the reported evolute;
+only the public `EvoluteResult.polynomial` is an expression.  The curve
+text is read by a whitelisting walk over its syntax tree
+(`parse_polynomial`) and is never evaluated.
 
 This module shares no code with the intersection-theoretic engine; the two
 paths cross-check each other through the closed-form target
@@ -38,6 +40,7 @@ paths cross-check each other through the closed-form target
 from __future__ import annotations
 
 import ast
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -86,6 +89,14 @@ class PlaneCurve:
         poly = parse_polynomial(str(expr))
         if poly.is_ground:
             raise ValueError("constant input is not a curve")
+        # before the factorization, which for large coefficients costs as
+        # much as the elimination
+        work, samples, bits = predicted_work(poly)
+        if work > MAX_WORK:
+            raise ValueError(
+                f"curve too costly to eliminate: predicted {samples} discriminant samples "
+                f"of ~{bits} bits, work {work:.1e} > budget {MAX_WORK:.0e}"
+            )
         if not _is_squarefree(poly):
             raise ValueError("curve polynomial must be squarefree")
         if len(sp.factor_list(poly)[1]) > 1:
@@ -138,6 +149,7 @@ TOO_LARGE = (
     f"curve polynomial too large: degree cap {MAX_DEGREE}, power size cap {MAX_POWER_BITS} bits"
 )
 TOO_DEEP = "curve polynomial nested too deeply"
+ZERO_CURVATURE = "zero curvature along the curve (line components)"
 _SYNTAX = (
     ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Load,
     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub,
@@ -273,6 +285,29 @@ def _combine(op: ast.operator, left: _Terms, right: _Terms) -> _Terms:
     return {m: c for m, c in out.items() if c}
 
 
+# largest `predicted_work` the oracle accepts: a quartic with 6-bit
+# coefficients (1.7e10; the generic quartic is 1.9e9, ~15 s); a conic with
+# 512-bit coefficients (2.5e10) or a sextic (6.6e10) is refused
+MAX_WORK = 2 * 10**10
+
+
+def predicted_work(poly: sp.Poly) -> tuple[int, int, int]:
+    """(work, samples, bits) of eliminating the curve, predicted from its
+    degree d and the size B in bits of its largest integer coefficient.
+
+    R = Res_y(F, H) has degree at most m = d**2 in x and d in (X, Y), so the
+    discriminant in x is sampled on at most the lower set of total degree
+    T = (2m - 1) d.  A sample has degree 2m - 1 in the coefficients of R,
+    which have about 2 d B bits, so about 2 T B bits.  The work is the
+    sample count times the squared sample size: one schoolbook product of
+    two samples per sample."""
+    d = poly.total_degree()
+    B = max(abs(int(c)).bit_length() for c in poly.clear_denoms(convert=True)[1].coeffs())
+    T = (2 * d * d - 1) * d
+    samples, bits = (T + 1) * (T + 2) // 2, 2 * T * B
+    return samples * bits * bits, samples, bits
+
+
 def _leading_form(P: sp.Poly) -> sp.Poly:
     d = P.total_degree()
     return sp.Poly.from_dict({m: c for m, c in P.terms() if sum(m) == d}, *P.gens, domain=P.domain)
@@ -328,26 +363,19 @@ def canonical_text(poly: sp.Poly) -> str:
     return " ".join([head] + pieces[1:])
 
 
-def center_of_curvature_system(curve: PlaneCurve) -> tuple[sp.Poly, sp.Poly, sp.Poly]:
-    """F in (x, y), G1 in (x, y, X) and G2 in (x, y, Y), whose common zeros
-    project to the evolute; raises DegenerateCurveError when the curvature
-    numerator vanishes on the whole curve (zero-curvature input)."""
+def center_of_curvature_system(curve: PlaneCurve) -> tuple[sp.Poly, sp.Poly]:
+    """F in (x, y) and the normal condition H = Fy (X - x) - Fx (Y - y) in
+    (x, y, X, Y), which says that (X, Y) lies on the normal to the curve at
+    (x, y); a line has no evolute and raises DegenerateCurveError."""
     F = curve.poly
-    Fx, Fy = F.diff(x), F.diff(y)
-    if Fx.is_zero and Fy.is_zero:
-        raise DegenerateCurveError("curve has identically vanishing gradient")
-    Fxx, Fxy, Fyy = Fx.diff(x), Fx.diff(y), Fy.diff(y)
-    D = Fy**2 * Fxx - 2 * Fx * Fy * Fxy + Fx**2 * Fyy
-    if D.is_zero or D.rem(F).is_zero:
-        raise DegenerateCurveError("zero curvature along the curve (line components)")
-    S = Fx**2 + Fy**2
-    G1 = D * sp.Poly(X - x, x, y, X) + S * Fx
-    G2 = D * sp.Poly(Y - y, x, y, Y) + S * Fy
-    return F, G1, G2
+    if F.total_degree() < 2:
+        raise DegenerateCurveError(ZERO_CURVATURE)
+    H = F.diff(y) * sp.Poly(X - x, x, y, X, Y) - F.diff(x) * sp.Poly(Y - y, x, y, X, Y)
+    return F, H
 
 
 # --------------------------------------------------------------------------
-# exact interpolated resultants
+# exact sampled elimination
 # --------------------------------------------------------------------------
 
 
@@ -415,13 +443,6 @@ def _integer_terms(poly: sp.Poly, *gens: sp.Symbol) -> dict[tuple[int, ...], int
     }
 
 
-def _specialize(terms: dict[tuple[int, int], int], main_degree: int, value: int) -> list[int]:
-    coeffs = [0] * (main_degree + 1)
-    for (i, j), c in terms.items():
-        coeffs[i] += c * value**j
-    return coeffs
-
-
 def _divided_differences(nodes: list[int], values: list[int]) -> list[int]:
     """Newton coefficients [t0], [t0, t1], ... of the polynomial of degree
     < len(values) that takes `values` at the first len(values) `nodes`.
@@ -480,129 +501,184 @@ def _grid(leads: list[dict[int, int]], count: int) -> list[int]:
     return points
 
 
-def _root_growths(profile: dict[int, int]) -> tuple[int, list[tuple[int, int]]]:
-    """How the roots in elim of a polynomial grow when its other variables
-    are scaled by t -> oo, from its profile i -> degree of the coefficient of
-    elim**i: the number of roots at elim = 0, and one (width, drop) per edge
-    of the upper hull of the points (i, profile[i]), whose `width` roots grow
-    like t**(drop / width)."""
-    hull: list[tuple[int, int]] = []
-    for i, d in sorted(profile.items()):
-        # drop the last point while it lies on or below the chord to (i, d)
-        while len(hull) > 1 and (
-            (hull[-1][0] - hull[-2][0]) * (d - hull[-2][1])
-            >= (hull[-1][1] - hull[-2][1]) * (i - hull[-2][0])
-        ):
-            hull.pop()
-        hull.append((i, d))
-    edges = [(i1 - i0, d0 - d1) for (i0, d0), (i1, d1) in zip(hull, hull[1:])]
-    return hull[0][0], edges
-
-
-def _total_degree_bound(a_profile: dict[int, int], b_profile: dict[int, int]) -> int:
-    """A bound, at least 0, on the total degree of Res_elim(A, B) in the
-    variables that A and B keep, from their profiles (see `_root_growths`).
-
-    Res = lc(A)**q lc(B)**p prod(alpha - beta) over the roots alpha of A and
-    beta of B in elim, with p, q their degrees in elim.  Scale the kept
-    variables by t: lc(A) grows like t**a(p), lc(B) like t**b(q), and each
-    factor at most like the faster of its two roots, so the resultant grows
-    at most like t**D with D = q a(p) + p b(q) + sum of max(s_alpha, s_beta).
-    A root at elim = 0 stays there, and one of A and one of B make the
-    resultant zero.  D is reached unless leading terms cancel: it is exact
-    for a conic's second stage (12) and above the cubic's (81 against 72)."""
-    p, q = max(a_profile), max(b_profile)
-    a_zeros, a_edges = _root_growths(a_profile)
-    b_zeros, b_edges = _root_growths(b_profile)
-    if a_zeros and b_zeros:
-        return 0
-    bound = q * a_profile[p] + p * b_profile[q]
-    bound += a_zeros * sum(drop for _, drop in b_edges)
-    bound += b_zeros * sum(drop for _, drop in a_edges)
-    # a pair of edges adds wa wb max(da / wa, db / wb), an integer
-    bound += sum(max(da * wb, db * wa) for wa, da in a_edges for wb, db in b_edges)
-    return max(bound, 0)
-
-
-def _resultant_by_interpolation(
-    A: sp.Poly, B: sp.Poly, elim: sp.Symbol, u: sp.Symbol, v: sp.Symbol
-) -> sp.Poly:
-    """Res_elim(A(elim, u), B(elim, u, v)) as an integer polynomial in
-    (u, v), up to a nonzero rational scale, from exact samples on an integer
-    grid (Collins, J. ACM 18, 1971); zero when the resultant vanishes.
-
-    Three bounds fix which samples are taken.  With p, q the degrees of A, B
-    in elim and m, n their total degrees in (elim, u), the Sylvester matrix
-    bounds the degree in u by both q m + p n - p q and q deg_u(A) +
-    p deg_u(B), and the degree in v by p deg_v(B).  The roots of A and B in
-    elim bound the total degree by D (`_total_degree_bound`).  A polynomial
-    of total degree at most D is fixed by its values on the lower set
-    {(a, b): a <= deg_u, b <= deg_v, a + b <= D} of a tensor grid
-    (Dyn and Floater, J. Approx. Theory 177, 2014), and only those nodes are
-    sampled.  One v grid serves every u node; the nodes avoid the zeros of
-    both leading coefficients in elim, so each sample is the specialized
-    resultant, one `dup_resultant` per node.  The tensor divided
-    differences, in u along each column and then in v along each row, are
-    the Newton coefficients, and Horner's rule turns them into monomials."""
-    ta = _integer_terms(A, elim, u)
-    tb = _integer_terms(B, elim, u, v)
-    p = max(i for i, _ in ta)
-    q = max(i for i, _, _ in tb)
-    deg_u = min(
-        q * max(i + j for i, j in ta) + p * max(i + j for i, j, _ in tb) - p * q,
-        q * max(j for _, j in ta) + p * max(j for _, j, _ in tb),
-    )
-    deg_v = p * max(k for _, _, k in tb)
-    a_profile: dict[int, int] = {}
-    for i, j in ta:
-        a_profile[i] = max(a_profile.get(i, 0), j)
-    b_profile: dict[int, int] = {}
-    for i, j, k in tb:
-        b_profile[i] = max(b_profile.get(i, 0), j + k)
-    D = min(_total_degree_bound(a_profile, b_profile), deg_u + deg_v)
-    # at the u nodes, B's leading coefficient stays a nonzero polynomial in v
-    top = max(k for i, _, k in tb if i == q)
-    us = _grid(
-        [
-            {j: c for (i, j), c in ta.items() if i == p},
-            {j: c for (i, j, k), c in tb.items() if i == q and k == top},
-        ],
-        min(deg_u, D) + 1,
-    )
-    # B specialized at each u node, once when B is free of u (every
-    # second-stage call); its leading coefficients fix the one v grid
-    free = not any(j for _, j, _ in tb)
-    b_at: list[dict[tuple[int, int], int]] = []
-    for u0 in us[:1] if free else us:
-        b_u: dict[tuple[int, int], int] = {}
-        for (i, j, k), c in tb.items():
-            b_u[(i, k)] = b_u.get((i, k), 0) + c * u0**j
-        b_at.append(b_u)
-    vs = _grid([{k: c for (i, k), c in b_u.items() if i == q} for b_u in b_at], min(deg_v, D) + 1)
-    shared = [_specialize(b_at[0], q, v0)[::-1] for v0 in vs] if free else None
-    # row a holds the samples at us[a] and the first min(deg_v, D - a) + 1 v nodes
-    rows: list[list[int]] = []
-    for a, u0 in enumerate(us):
-        width = min(deg_v, D - a) + 1
-        b_cols = shared or [_specialize(b_at[a], q, v0)[::-1] for v0 in vs[:width]]
-        a_col = _specialize(ta, p, u0)[::-1]
-        rows.append([dup_resultant(a_col, b_col) for b_col in b_cols[:width]])
-    # divided differences in u down each column, over the rows that reach it
-    columns = [
-        _divided_differences(us, [row[b] for row in rows if b < len(row)])
-        for b in range(len(vs))
-    ]
-    # then in v along each row, to monomials in v of Newton polynomials in u
-    in_v = [
-        _interpolate(vs, [col[a] for col in columns if a < len(col)]) for a in range(len(us))
-    ]
+def _lower_set(
+    row: Callable[[int, list[int]], list[int]], us: list[int], vs: list[int]
+) -> dict[tuple[int, int], int]:
+    """The integer polynomial P(u, v) of total degree < n = len(us) =
+    len(vs), as exponents -> nonzero coefficient, from its values on the
+    lower set {(us[a], vs[b]): a + b < n} of the tensor grid, which fix it
+    (Dyn and Floater, J. Approx. Theory 177, 2014); `row(u0, vs[:k])` gives
+    the samples P(u0, v0) at one u node.  The divided differences in u down
+    each column, then in v along each row, are the Newton coefficients, and
+    Horner's rule turns them into monomials."""
+    n = len(us)
+    rows = [row(u0, vs[: n - a]) for a, u0 in enumerate(us)]
+    columns = [_divided_differences(us, [r[b] for r in rows[: n - b]]) for b in range(n)]
+    in_v = [_interpolate(vs, [col[a] for col in columns[: n - a]]) for a in range(n)]
     result: dict[tuple[int, int], int] = {}
-    for k in range(len(vs)):
-        dd = [coeffs[k] if k < len(coeffs) else 0 for coeffs in in_v[: len(columns[k])]]
+    for k in range(n):
+        dd = [coeffs[k] if k < len(coeffs) else 0 for coeffs in in_v[: n - k]]
         for i, c in enumerate(_monomials(us, dd)):
             if c:
                 result[(i, k)] = c
-    return sp.Poly.from_dict(result, u, v, domain=ZZ)
+    return result
+
+
+# R(x; X, Y) while it is eliminated: exponents (i, a, b) of x**i X**a Y**b
+# -> nonzero coefficient
+_Resultant = dict[tuple[int, int, int], int]
+
+
+def _normal_resultant(F: sp.Poly, H: sp.Poly) -> _Resultant:
+    """R(x; X, Y) = Res_y(F, H) up to a nonzero rational scale, from exact
+    samples (Collins, J. ACM 18, 1971).
+
+    With p and n the degrees of F and H in y, R is homogeneous of degree p
+    in the coefficients of H, which are linear in (X, Y), so p bounds its
+    total degree in (X, Y); Bezout bounds its degree in x by d**2.  It is
+    sampled at d**2 + 1 x nodes that avoid the zeros of lc_y(F), times the
+    (X, Y) lower set of total degree p, one `dup_resultant` per node.
+    Where the head of H in y vanishes at a node, H0 falls delta degrees
+    short of n and the sample is lc(F0)**delta Res(F0, H0), the resultant
+    at the formal degree n."""
+    f = _integer_terms(F, x, y)
+    h = _integer_terms(H, x, y, X, Y)
+    d = F.total_degree()
+    p = max(j for _, j in f)
+    n = max(j for _, j, _, _ in h)
+    xs = _grid([{i: c for (i, j), c in f.items() if j == p}], d * d + 1)
+    uv = _grid([], p + 1)
+    at_x: list[dict[tuple[int, int], int]] = []
+    for x0 in xs:
+        f0 = [0] * (p + 1)
+        for (i, j), c in f.items():
+            f0[p - j] += c * x0**i
+        # H at x0 is the sum of X**a Y**b parts[a, b], each descending in y
+        parts: dict[tuple[int, int], list[int]] = {}
+        for (i, j, a, b), c in h.items():
+            parts.setdefault((a, b), [0] * (n + 1))[n - j] += c * x0**i
+
+        # called at once by `_lower_set`, so it sees this x0's f0 and parts
+        def row(u0: int, vs: list[int]) -> list[int]:
+            samples = []
+            for v0 in vs:
+                h0 = [0] * (n + 1)
+                for (a, b), part in parts.items():
+                    w = u0**a * v0**b
+                    h0 = [s + w * c for s, c in zip(h0, part)]
+                delta = next((k for k, c in enumerate(h0) if c), None)
+                if delta is None:  # Res(F0, 0) = 0, or lc(F0)**n when F0 is a constant
+                    samples.append(0 if p else f0[0] ** n)
+                else:
+                    samples.append(dup_resultant(f0, h0[delta:]) * f0[0] ** delta)
+            return samples
+
+        at_x.append(_lower_set(row, uv, uv))
+    R: _Resultant = {}
+    for a, b in sorted(set().union(*at_x)):
+        for i, c in enumerate(_interpolate(xs, [s.get((a, b), 0) for s in at_x])):
+            if c:
+                R[(i, a, b)] = c
+    if not R:
+        raise InconclusiveEliminationError("resultant in y vanished identically")
+    return R
+
+
+def _strip_content(R: _Resultant, log: list[str]) -> _Resultant:
+    """R without its content in x: the x-coordinates of the singular points,
+    which are roots of R at every centre (X, Y).
+
+    A constant column (the coefficient of one X**a Y**b) or two coprime ones
+    (a nonzero resultant) certify that the content is constant; the gcd
+    fold of every column decides the rest.  Vertical lines leave no x."""
+    m = max(i for i, _, _ in R)
+    columns: dict[tuple[int, int], list[int]] = {}
+    for (i, a, b), c in R.items():
+        columns.setdefault((a, b), [0] * (m + 1))[m - i] = c
+    dense = sorted(
+        (col[next(k for k, c in enumerate(col) if c):] for col in columns.values()), key=len
+    )
+    if len(dense[0]) > 1 and not (len(dense) > 1 and dup_resultant(dense[0], dense[1])):
+        content = reduce(lambda g, col: g.gcd(sp.Poly(col, x)), dense[1:], sp.Poly(dense[0], x))
+        if content.degree() > 0:
+            log.append(f"removed content of degree {content.degree()} in x (singular points)")
+            m -= content.degree()
+            R = {}
+            for (a, b), col in columns.items():
+                quotient = sp.Poly(col, x).exquo(content).all_coeffs()[::-1]
+                R.update({(i, a, b): int(c) for i, c in enumerate(quotient) if c})
+    if m == 0:
+        raise DegenerateCurveError(ZERO_CURVATURE)
+    return R
+
+
+def _discriminant(R: _Resultant) -> sp.Poly:
+    """disc_x(R) = Res_x(R, dR/dx) / lc_x(R) in (X, Y), up to sign.
+
+    With m = deg_x R and e its total degree in (X, Y), the Sylvester matrix
+    of R and dR/dx has 2m - 1 rows of coefficients of degree at most e, so
+    the quotient has total degree at most T = (2m - 1) e - deg lc_x(R).  It
+    is sampled on the lower set of total degree T of a grid that avoids the
+    zeros of lc_x(R), one `dup_resultant(R0, R0')` per node, each divided
+    exactly by lc(R0)."""
+    m = max(i for i, _, _ in R)
+    e = max(a + b for _, a, b in R)
+    lead = {(a, b): c for (i, a, b), c in R.items() if i == m}
+    count = (2 * m - 1) * e - max(a + b for a, b in lead) + 1
+    # at the X nodes, lc_x(R) stays a nonzero polynomial in Y
+    top = max(b for _, b in lead)
+    us = _grid([{a: c for (a, b), c in lead.items() if b == top}], count)
+    leads = []
+    for u0 in us:
+        lead_u: dict[int, int] = {}
+        for (a, b), c in lead.items():
+            lead_u[b] = lead_u.get(b, 0) + c * u0**a
+        leads.append(lead_u)
+    vs = _grid(leads, count)
+
+    def row(u0: int, vs: list[int]) -> list[int]:
+        # R at X = u0: one ascending polynomial in Y per power of x, descending
+        in_y = [[0] * (e + 1) for _ in range(m + 1)]
+        for (i, a, b), c in R.items():
+            in_y[m - i][b] += c * u0**a
+        samples = []
+        for v0 in vs:
+            r0 = []
+            for coeffs in in_y:
+                value = 0
+                for c in reversed(coeffs):
+                    value = value * v0 + c
+                r0.append(value)
+            dr0 = [(m - k) * c for k, c in enumerate(r0[:-1])]
+            q, rem = divmod(dup_resultant(r0, dr0), r0[0])
+            if rem:
+                raise ArithmeticError("discriminant sample not divisible by lc(R0)")
+            samples.append(q)
+        return samples
+
+    D = _lower_set(row, us, vs)
+    if not D:
+        # two roots of R share x at every centre only when each normal
+        # meets the curve twice at one x: a pair of horizontal lines
+        raise DegenerateCurveError(ZERO_CURVATURE)
+    return sp.Poly.from_dict(D, X, Y, domain=ZZ)
+
+
+def _simple_part(D: sp.Poly, log: list[str]) -> sp.Poly:
+    """The product of the factors of multiplicity one of D (sympy's
+    `sqf_list`).  D is the evolute times the square of the x-coincidence
+    locus, the centres on the normals of two curve points with one x; a
+    curve of lines has no multiplicity-one factor."""
+    _, parts = sp.sqf_list(D)
+    simple = [fac for fac, mult in parts if mult == 1]
+    if not simple:
+        raise DegenerateCurveError(ZERO_CURVATURE)
+    P = sp.prod(simple)
+    if P.total_degree() < D.total_degree():
+        log.append(
+            f"removed x-coincidence extraneity: degree {D.total_degree()} -> {P.total_degree()}"
+        )
+    return P
 
 
 # --------------------------------------------------------------------------
@@ -610,81 +686,17 @@ def _resultant_by_interpolation(
 # --------------------------------------------------------------------------
 
 
-def _first_stage(F: sp.Poly, G: sp.Poly, elim: sp.Symbol, log: list[str]) -> sp.Poly:
-    """Res_elim(F, G) as a polynomial in (other, target), with its content
-    in target removed."""
-    other = x if elim is y else y
-    target = X if X in G.gens else Y
-    res = _resultant_by_interpolation(F, G, elim, other, target)
-    if res.is_zero:
-        raise InconclusiveEliminationError(f"resultant in {elim} vanished identically")
-    # strip content in the surviving affine variable (extraneous for the image)
-    columns: dict[int, dict] = {}
-    for (i, j), c in res.terms():
-        columns.setdefault(j, {})[(i, 0)] = c
-    # the content is certified constant by a constant column or by two
-    # coprime columns (nonzero resultant); the gcd fold decides the rest
-    dense = sorted(
-        ([col.get((i, 0), 0) for i in range(max(col)[0], -1, -1)] for col in columns.values()),
-        key=len,
-    )
-    if len(dense[0]) == 1 or (len(dense) > 1 and dup_resultant(dense[0], dense[1])):
-        return res
-    content = reduce(
-        lambda a, b: a.gcd(b),
-        (sp.Poly.from_dict(col, other, target, domain=res.domain) for col in columns.values()),
-    )
-    if content.degree(other) > 0:
-        log.append(f"removed first-stage content of degree {content.degree(other)} in {other}")
-        res = res.exquo(content)
-    return res
-
-
-def _second_stage(A: sp.Poly, B: sp.Poly, elim: sp.Symbol) -> sp.Poly:
-    """Res_elim(A(elim, X), B(elim, Y)) as an integer polynomial in (X, Y),
-    up to a nonzero rational scale."""
-    if A.degree(elim) == 0 or B.degree(elim) == 0:
-        raise InconclusiveEliminationError("nothing to eliminate")
-    res = _resultant_by_interpolation(A, B, elim, X, Y)
-    if res.is_zero:
-        raise InconclusiveEliminationError("interpolated resultant is identically zero")
-    return res
-
-
-def eliminate(system: tuple[sp.Poly, sp.Poly, sp.Poly]) -> tuple[sp.Poly, list[str]]:
-    """Project the curvature system to (X, Y): both iterated-resultant
-    orders, cross-order gcd, content and squarefree reduction, and the
-    extraneous-factor policy.  Returns the evolute polynomial in (X, Y) and
-    the log."""
-    F, G1, G2 = system
+def eliminate(system: tuple[sp.Poly, sp.Poly]) -> tuple[sp.Poly, list[str]]:
+    """Project the normal system (F, H) to the ED discriminant in (X, Y):
+    R = Res_y(F, H) without its content in x, D = disc_x(R), the
+    multiplicity-one part of D, and the extraneous-factor policy.  Returns
+    the evolute polynomial in (X, Y) and the log."""
     log: list[str] = []
-
-    A_y = _first_stage(F, G1, y, log)
-    B_y = _first_stage(F, G2, y, log)
-    if A_y.degree(x) == 0 or B_y.degree(x) == 0:
-        return _zero_dimensional_image(A_y, B_y, log), log
-    A_x = _first_stage(F, G1, x, log)
-    B_x = _first_stage(F, G2, x, log)
-
-    R1 = _second_stage(A_y, B_y, x)
-    R2 = _second_stage(A_x, B_x, y)
-    d1, d2 = R1.total_degree(), R2.total_degree()
-
-    G = sp.gcd(R1, R2)
-    dg = G.total_degree()
-    if dg == 0:
-        raise InconclusiveEliminationError("elimination left no hypersurface part")
-    if dg < max(d1, d2):
-        log.append(
-            f"removed cross-order resultant extraneity: degrees {d1}/{d2} -> {dg}"
-        )
-
-    sqf = G.sqf_part()
-    if sqf.total_degree() < dg:
-        log.append(f"took squarefree part: degree {dg} -> {sqf.total_degree()}")
+    R = _strip_content(_normal_resultant(*system), log)
+    evolute = _simple_part(_discriminant(R), log)
 
     # sp.factor_list sorts the factors, which fixes the order of the log
-    _, factors = sp.factor_list(sqf)
+    _, factors = sp.factor_list(evolute)
     kept: list[sp.Poly] = []
     isotropic: list[sp.Poly] = []
     for fac, mult in factors:
@@ -707,27 +719,6 @@ def eliminate(system: tuple[sp.Poly, sp.Poly, sp.Poly]) -> tuple[sp.Poly, list[s
         raise InconclusiveEliminationError("every factor was extraneous")
 
     return _normalize_sign(sp.prod(kept)), log
-
-
-def _zero_dimensional_image(A: sp.Poly, B: sp.Poly, log: list[str]) -> sp.Poly:
-    """Constant center map (circles): the image is a single point (a, b),
-    reported through its isotropic representative (X-a)^2 + (Y-b)^2."""
-    if A.degree(x) > 0 or B.degree(x) > 0:
-        raise InconclusiveEliminationError(
-            "mixed zero-dimensional elimination; cannot separate image points"
-        )
-    px = sp.Poly(A, X).sqf_part()
-    py = sp.Poly(B, Y).sqf_part()
-    if px.degree() != 1 or py.degree() != 1:
-        raise InconclusiveEliminationError(
-            "zero-dimensional image with several points; not representable as one locus"
-        )
-    a = sp.Rational(-px.nth(0), px.nth(1))
-    b = sp.Rational(-py.nth(0), py.nth(1))
-    log.append(
-        f"image is the single point ({a}, {b}); reporting its isotropic representative"
-    )
-    return _normalize_sign(sp.Poly((X - a) ** 2 + (Y - b) ** 2, X, Y))
 
 
 def _is_isotropic_factor(fac: sp.Poly) -> bool:

@@ -132,6 +132,32 @@ def test_oversized_integer_literal_exits_two_at_once(capsys):
     assert err == f"error: {oracle.TOO_LARGE}\n"
 
 
+@pytest.mark.parametrize(
+    "poly, prediction",
+    [
+        # a conic with a 4 001-bit coefficient, under the literal cap: 120
+        # discriminant samples of ~112 000 bits; it ran for over 6 minutes
+        # when it was not refused
+        (
+            f"x**2 + {2**4000 + 12345}*y**2 + x*y - 3*x + 2*y - 7",
+            "120 discriminant samples of ~112028 bits, work 1.5e+12",
+        ),
+        # degree 24, at the degree cap: T = 1151 * 24
+        ("x**24 + y**24 + x*y - 1", "381584125 discriminant samples of ~55248 bits, work 1.2e+18"),
+    ],
+    ids=["conic_4000_bits", "degree_24"],
+)
+def test_costly_curve_exits_two_at_once(capsys, poly, prediction):
+    started = time.monotonic()
+    code, out, err = run(capsys, "oracle", "--poly", poly)
+    assert time.monotonic() - started < 10
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: curve too costly to eliminate: predicted {prediction} > budget "
+        f"{oracle.MAX_WORK:.0e}\n"
+    )
+
+
 def test_invalid_parameters_exit_two(capsys):
     code, _, err = run(capsys, "curve", "--n", "3", "--d", "0")
     assert code == 2

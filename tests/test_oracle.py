@@ -1,4 +1,3 @@
-import os
 import time
 from fractions import Fraction
 from functools import reduce
@@ -15,14 +14,16 @@ from evolute.oracle import (
     MAX_POWER_BITS,
     TOO_LARGE,
     DegenerateCurveError,
+    InconclusiveEliminationError,
     PlaneCurve,
     X,
     Y,
-    _first_stage,
+    _discriminant,
     _interpolate,
     _is_isotropic_factor,
-    _resultant_by_interpolation,
-    _total_degree_bound,
+    _normal_resultant,
+    _simple_part,
+    _strip_content,
     canonical_text,
     center_of_curvature_system,
     dup_resultant,
@@ -206,22 +207,26 @@ def test_circular_point_detection():
 
 
 def test_system_circle_forces_center():
-    F, G1, G2 = center_of_curvature_system(PlaneCurve.from_expr("x**2 + y**2 - 1"))
-    # on the circle the system reduces to X = 0, Y = 0
-    assert (F.gens, G1.gens, G2.gens) == ((x, y), (x, y, X), (x, y, Y))
+    F, H = center_of_curvature_system(PlaneCurve.from_expr("x**2 + y**2 - 1"))
+    assert (F.gens, H.gens) == ((x, y), (x, y, X, Y))
+    # the normal at (3/5, 4/5) is the line 4 X = 3 Y through the centre
     on_curve = {x: sp.Rational(3, 5), y: sp.Rational(4, 5)}
-    g1 = sp.expand(G1.as_expr().subs(on_curve))
-    g2 = sp.expand(G2.as_expr().subs(on_curve))
-    assert sp.solve(g1, X) == [0]
-    assert sp.solve(g2, Y) == [0]
+    assert sp.expand(H.as_expr().subs(on_curve) * 5 / 2) == 4 * X - 3 * Y
+
+
+def _as_poly(R):
+    """A sampled R(x; X, Y), exponents (i, a, b) -> coefficient, as a Poly."""
+    return sp.Poly.from_dict(R, x, X, Y)
 
 
 def test_system_ellipse_vertex_center():
-    # center of curvature at the vertex (2, 0) of the 2-by-1 ellipse is (3/2, 0)
-    F, G1, G2 = center_of_curvature_system(PlaneCurve.from_expr(ELLIPSE))
-    at_vertex = {x: 2, y: 0}
-    assert sp.solve(G1.as_expr().subs(at_vertex), X) == [sp.Rational(3, 2)]
-    assert sp.solve(G2.as_expr().subs(at_vertex), Y) == [0]
+    F, H = center_of_curvature_system(PlaneCurve.from_expr(ELLIPSE))
+    # the normal at the vertex (2, 0) of the 2-by-1 ellipse is the X axis
+    assert sp.factor_list(H.as_expr().subs({x: 2, y: 0}))[1] == [(Y, 1)]
+    # at its centre of curvature (3/2, 0) two critical points of the distance
+    # merge: R(x; 3/2, 0) has the double root x = 2
+    R = _as_poly(_normal_resultant(F, H)).as_expr().subs({X: sp.Rational(3, 2), Y: 0})
+    assert sp.Poly(R, x).rem(sp.Poly((x - 2) ** 2, x)).is_zero
 
 
 def test_line_is_degenerate():
@@ -343,19 +348,19 @@ def test_is_isotropic_factor(factor, isotropic):
     assert _is_isotropic_factor(sp.Poly(factor, X, Y)) is isotropic
 
 
+def _proportional(P, Q):
+    return P.is_zero == Q.is_zero and (P * Q.LC() - Q * P.LC()).is_zero
+
+
 @pytest.mark.parametrize("conic", [ELLIPSE, "2*x**2 - 3*x*y + 4*y**2 + x - 2*y - 3"])
 def test_grid_resultant_matches_direct_resultant(conic):
-    F, G1, G2 = center_of_curvature_system(PlaneCurve.from_expr(conic))
-    A, B = _first_stage(F, G1, y, []), _first_stage(F, G2, y, [])
-    grid = _resultant_by_interpolation(A, B, x, X, Y)
-    direct = sp.Poly(sp.resultant(A.as_expr(), B.as_expr(), x), X, Y)
-
-    def normal(P):
-        prim = P.clear_denoms(convert=True)[1].primitive()[1]
-        return -prim if prim.LC() < 0 else prim
-
-    assert grid.total_degree() > 0
-    assert normal(grid) == normal(direct)
+    F, H = center_of_curvature_system(PlaneCurve.from_expr(conic))
+    R = _normal_resultant(F, H)
+    direct = sp.resultant(F.as_expr(), H.as_expr(), y)
+    assert _proportional(_as_poly(R), sp.Poly(direct, x, X, Y))
+    disc = sp.Poly(sp.discriminant(direct, x), X, Y)
+    assert disc.total_degree() > 0
+    assert _proportional(_discriminant(_strip_content(R, [])), disc)
 
 
 def _sylvester_determinant(f, g):
@@ -434,125 +439,77 @@ _CURVE_TERMS = st.integers(2, 3).flatmap(
 )
 
 
-@settings(max_examples=25, deadline=None)
-@given(_CURVE_TERMS)
-def test_first_stage_samples_match_sympy_resultant(terms):
-    # zero coefficients let the leading coefficients in elim vary, down to
-    # constants and to degree drops at sample nodes
+def _normal_system(terms):
     F = sp.Poly.from_dict(terms, x, y)
     assume(F.total_degree() >= 2)
-    try:
-        F, G1, G2 = center_of_curvature_system(PlaneCurve(F, F.total_degree(), 0, 0))
-    except DegenerateCurveError:
-        assume(False)
-    for elim, other in ((y, x), (x, y)):
-        for G, target in ((G1, X), (G2, Y)):
-            sampled = _resultant_by_interpolation(F, G, elim, other, target)
-            reference = sp.Poly(sp.resultant(F.as_expr(), G.as_expr(), elim), other, target)
-            if reference.is_zero:
-                assert sampled.is_zero
-                continue
-            assert not sampled.is_zero
-            assert sampled * reference.LC() == reference * sampled.LC()
+    return center_of_curvature_system(PlaneCurve(F, F.total_degree(), 0, 0))
 
 
-_ELIM_TERMS = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-3, 3), min_size=1, max_size=8
+# x**2 y + 2 y**2 + x - 1: H's head in y is 2 x, which vanishes at the node
+# x = 0 while H does not, so the samples there need the formal-degree
+# factor lc(F0)**delta = 2
+_HEAD_DROPS = {(2, 1): 1, (0, 2): 2, (1, 0): 1, (0, 0): -1}
+
+
+@settings(max_examples=25, deadline=None)
+@given(_CURVE_TERMS)
+@example(_HEAD_DROPS)
+def test_normal_resultant_matches_sympy_resultant(terms):
+    # zero coefficients let the heads of F and H in y vary, down to
+    # constants and to degree drops at sample nodes
+    F, H = _normal_system(terms)
+    reference = sp.Poly(sp.resultant(F.as_expr(), H.as_expr(), y), x, X, Y)
+    if reference.is_zero:
+        with pytest.raises(InconclusiveEliminationError):
+            _normal_resultant(F, H)
+    else:
+        assert _proportional(_as_poly(_normal_resultant(F, H)), reference)
+
+
+_R_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3).filter(bool),
+    min_size=2,
+    max_size=10,
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(_ELIM_TERMS, _ELIM_TERMS)
-def test_interpolation_with_b_free_of_u_matches_sympy_resultant(a_terms, b_terms):
-    # the shape of every second-stage call: A(x, X) and B(x, Y)
-    A, B = sp.Poly.from_dict(a_terms, x, X), sp.Poly.from_dict(b_terms, x, Y)
-    assume(A.degree(x) > 0 and B.degree(x) > 0)
-    sampled = _resultant_by_interpolation(A, B, x, X, Y)
-    reference = sp.Poly(sp.resultant(A.as_expr(), B.as_expr(), x), X, Y)
-    assert sampled * reference.LC() == reference * sampled.LC()
-    assert sampled.is_zero == reference.is_zero
+@settings(max_examples=60, deadline=None)
+@given(_R_TERMS)
+# lc_x(R) = X - Y vanishes on the diagonal, so the Y nodes avoid every X node
+@example({(2, 1, 0): 1, (2, 0, 1): -1, (1, 0, 0): 1, (0, 0, 1): 1})
+# a linear R: the discriminant is the constant 1
+@example({(1, 1, 0): 2, (0, 0, 1): 1})
+def test_total_degree_bound_holds(terms):
+    # the lower set of total degree (2m - 1) e - deg lc_x(R) fixes the
+    # discriminant, which the samples reproduce
+    R = _as_poly(terms)
+    m = R.degree(x)
+    assume(m > 0)
+    e = max(a + b for _, a, b in R.monoms())
+    lead = max(a + b for i, a, b in R.monoms() if i == m)
+    reference = sp.Poly(sp.discriminant(R.as_expr(), x), X, Y)
+    if reference.is_zero:
+        with pytest.raises(DegenerateCurveError):
+            _discriminant(terms)
+        return
+    assert reference.total_degree() <= (2 * m - 1) * e - lead
+    assert _proportional(_discriminant(terms), reference)
 
 
-def _profile(poly, elim):
-    """i -> total degree in the other generators of the coefficient of elim**i."""
-    k = poly.gens.index(elim)
-    profile = {}
-    for m in poly.monoms():
-        profile[m[k]] = max(profile.get(m[k], 0), sum(m) - m[k])
-    return profile
-
-
-@pytest.mark.parametrize(
-    "curve, bound",
-    [
-        # six roots of A(x, X) and six of B(x, Y), all growing like t**(1/3):
-        # 36 / 3, the true degree of the ellipse's second-stage resultants
-        (ELLIPSE, 12),
-        # nine roots of each that stay bounded and nine that grow like
-        # t**(1/3): the three pairings with a growing root add 9 * 9 / 3
-        # each; the true degree is 72
-        (CUBIC, 81),
-    ],
-)
-def test_total_degree_bound_of_second_stage(curve, bound):
-    F, G1, G2 = center_of_curvature_system(PlaneCurve.from_expr(curve))
-    A, B = _first_stage(F, G1, y, []), _first_stage(F, G2, y, [])
-    assert _total_degree_bound(_profile(A, x), _profile(B, x)) == bound
-
-
-_A_TERMS = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-3, 3), min_size=1, max_size=6
-)
-_B_TERMS = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
-    st.integers(-3, 3),
-    min_size=1,
-    max_size=8,
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(_A_TERMS, _B_TERMS, st.booleans())
-# A = x + X, B = x Y: a root at x = 0, which stays put as X, Y grow
-@example({(1, 0): 1, (0, 1): 1}, {(1, 0, 1): 1}, True)
-# A = x**2 X, B = 1 + x**2 Y**2: roots of B that shrink, D = 2 below deg_v = 4
-@example({(2, 1): 1}, {(0, 0, 0): 1, (2, 0, 2): 1}, True)
-def test_total_degree_bound_holds(a_terms, b_terms, free_of_u):
-    # the first-stage shape A(x, X), B(x, X, Y), or the second-stage one with
-    # B free of X
-    if free_of_u:
-        b_terms = {(i, 0, k): c for (i, _, k), c in b_terms.items()}
-    A, B = sp.Poly.from_dict(a_terms, x, X), sp.Poly.from_dict(b_terms, x, X, Y)
-    assume(not A.is_zero and not B.is_zero and A.degree(x) + B.degree(x) > 0)
-    reference = sp.Poly(sp.resultant(A.as_expr(), B.as_expr(), x), X, Y)
-    bound = _total_degree_bound(_profile(A, x), _profile(B, x))
-    assert reference.is_zero or reference.total_degree() <= bound
-    sampled = _resultant_by_interpolation(A, B, x, X, Y)
-    assert sampled * reference.LC() == reference * sampled.LC()
-    assert sampled.is_zero == reference.is_zero
-
-
-def _first_stage_by_gcd_fold(F, G, elim):
-    """`_first_stage` as it was before the content certificate: the gcd of
-    every target-power column, removed when it involves `other`."""
-    other = x if elim is y else y
-    target = X if X in G.gens else Y
-    res = _resultant_by_interpolation(F, G, elim, other, target)
+def _content_by_gcd_fold(R):
+    """R divided by the gcd of its X**a Y**b columns, with the log line."""
     columns = {}
-    for (i, j), c in res.terms():
-        columns.setdefault(j, {})[(i, 0)] = c
-    content = reduce(
-        lambda a, b: a.gcd(b),
-        (sp.Poly.from_dict(col, other, target, domain=res.domain) for col in columns.values()),
-    )
-    if content.degree(other) > 0:
-        return res.exquo(content), [
-            f"removed first-stage content of degree {content.degree(other)} in {other}"
-        ]
-    return res, []
+    for (i, a, b), c in R.items():
+        columns.setdefault((a, b), {})[(i,)] = c
+    content = reduce(lambda f, g: f.gcd(g), (sp.Poly.from_dict(c, x) for c in columns.values()))
+    if content.degree() <= 0:
+        return _as_poly(R), []
+    log = [f"removed content of degree {content.degree()} in x (singular points)"]
+    return _as_poly(R).exquo(sp.Poly(content.as_expr(), x, X, Y)), log
 
 
-# both have first-stage content of degree 6 in every order (their golden logs)
+# both have a node, so R has content of degree 2 in x (their golden logs)
 _FOLIUM = {(3, 0): 1, (0, 3): 1, (1, 1): -3}
 _NODAL = {(0, 2): 1, (3, 0): -1, (2, 0): -1}  # y**2 - x**2 (x + 1)
 
@@ -561,20 +518,56 @@ _NODAL = {(0, 2): 1, (3, 0): -1, (2, 0): -1}  # y**2 - x**2 (x + 1)
 @given(_CURVE_TERMS)
 @example(_FOLIUM)
 @example(_NODAL)
-def test_first_stage_content_certificate_matches_gcd_fold(terms):
-    F = sp.Poly.from_dict(terms, x, y)
-    assume(F.total_degree() >= 2)
+def test_content_certificate_matches_gcd_fold(terms):
     try:
-        F, G1, G2 = center_of_curvature_system(PlaneCurve(F, F.total_degree(), 0, 0))
-    except DegenerateCurveError:
+        R = _normal_resultant(*_normal_system(terms))
+    except InconclusiveEliminationError:
         assume(False)
-    for elim in (y, x):
-        for G in (G1, G2):
-            expected, expected_log = _first_stage_by_gcd_fold(F, G, elim)
-            assume(not expected.is_zero)
-            log = []
-            assert _first_stage(F, G, elim, log) == expected
-            assert log == expected_log
+    expected, expected_log = _content_by_gcd_fold(R)
+    log = []
+    if expected.degree(x) == 0:
+        with pytest.raises(DegenerateCurveError):
+            _strip_content(R, log)
+        return
+    assert _as_poly(_strip_content(R, log)) == expected
+    assert log == expected_log
+
+
+def _split(F):
+    """The multiplicity-one part of disc_x(Res_y(F, H)) of the curve F."""
+    system = center_of_curvature_system(PlaneCurve(F, F.total_degree(), 0, 0))
+    return _simple_part(_discriminant(_strip_content(_normal_resultant(*system), [])), [])
+
+
+def _smooth(F):
+    return sp.groebner([F, F.diff(x), F.diff(y)], x, y).exprs == [1]
+
+
+# the rectangular hyperbola -3 x**2 + 4 x y - 2 x + 3 y**2 + y + 2, on which
+# gcd(D_x, D_y) keeps the common factor 108 X**2 + 90 X Y + 63 X - 108 Y**2
+# + 36 Y - 233 of the two coincidence loci
+_HYPERBOLA = {(2, 0): -3, (1, 1): 4, (1, 0): -2, (0, 2): 3, (0, 1): 1, (0, 0): 2}
+
+
+@settings(max_examples=10, deadline=None)
+@given(_CURVE_TERMS)
+@example(_HYPERBOLA)
+@example({(0, 0): 1, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 0, (2, 0): 1})
+def test_single_order_split_matches_other_order(terms):
+    # D_y is D_x of the curve mirrored in the diagonal, mirrored back
+    F = sp.Poly.from_dict(terms, x, y)
+    assume(F.total_degree() >= 2 and _smooth(F) and len(sp.factor_list(F)[1]) == 1)
+    # irreducible over Q may still split into conjugate lines (x**2 + 1):
+    # then both orders must refuse the curve alike
+    mirrored = sp.Poly.from_dict({(j, i): c for (i, j), c in F.terms()}, x, y)
+    try:
+        by_x = _split(F)
+    except DegenerateCurveError:
+        with pytest.raises(DegenerateCurveError):
+            _split(mirrored)
+        return
+    by_y = sp.Poly.from_dict({(b, a): c for (a, b), c in _split(mirrored).terms()}, X, Y)
+    assert _proportional(by_x, by_y)
 
 
 _CONIC_COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
@@ -592,6 +585,27 @@ def test_conic_oracle_agrees_with_engine(coeffs):
     (evolute_row,) = [row for row in report.results if "[evolute]" in row.locus]
     result = oracle_check(curve)
     assert result.degree == evolute_row.engine_degree == 6
+    assert result.match is True
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.fixed_dictionaries({(i, j): st.integers(-3, 3) for i in range(4) for j in range(4 - i)})
+)
+def test_generic_cubic_oracle_agrees_with_engine(terms):
+    F = sp.Poly.from_dict(terms, x, y)
+    assume(F.total_degree() == 3 and _smooth(F))
+    try:
+        curve = PlaneCurve.from_expr(str(F.as_expr()))
+    except DegenerateCurveError:  # reducible
+        assume(False)
+    # smooth in the affine plane and transverse to the line at infinity:
+    # a smooth plane cubic, genus 1
+    assume(not curve.genericity_flags())
+    report = curve_report(CurveInvariants(2, 3, 1))
+    (evolute_row,) = [row for row in report.results if "[evolute]" in row.locus]
+    result = oracle_check(curve)
+    assert result.degree == evolute_row.engine_degree == 18
     assert result.match is True
 
 
@@ -617,17 +631,20 @@ def test_canonical_text_round_trip(terms):
 @pytest.mark.parametrize(
     "text, genus, kernel_calls",
     [
-        # 4 first-stage lower sets of 18 samples (total degree 6 on a 7-by-3
-        # grid) and 2 second-stage lower sets of 91 (total degree 12 on a
-        # 13-by-13 grid); a constant column certifies each first-stage content
-        (ELLIPSE, None, 4 * 18 + 2 * 91),
-        # 1 686 grid samples and one content certificate per first stage
-        ("x**3 + y**3 - 3*x*y", 0, 1686 + 4),
+        # R: 5 x nodes times the lower set of total degree 2 in (X, Y), 30
+        # nodes, 3 of them where H vanishes at x = 0 and need no call; one
+        # coprime-column certificate; the discriminant: m = 4, e = 2 and a
+        # constant lc_x(R), so the lower set of total degree 14, 120 samples
+        (ELLIPSE, None, 27 + 1 + 120),
+        # R: 10 x nodes times 10, 1 without a call; the certificate fails
+        # (content of degree 2, the node), the gcd fold strips it; then
+        # m = 7, e = 3: the lower set of total degree 39, 820 samples
+        ("x**3 + y**3 - 3*x*y", 0, 99 + 1 + 820),
     ],
 )
 def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls):
-    # the kernel and the cross-order gcd are reached by name, through the
-    # module globals that instrumentation wraps
+    # the kernel and sympy's gcd are reached by name, through the module
+    # globals that instrumentation wraps; no gcd of two Polys is left
     counts = {"dup_resultant": 0, "gcd": 0}
 
     def counting(name, fn):
@@ -640,13 +657,9 @@ def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls):
     monkeypatch.setattr(oracle, "dup_resultant", counting("dup_resultant", oracle.dup_resultant))
     monkeypatch.setattr(oracle.sp, "gcd", counting("gcd", oracle.sp.gcd))
     oracle_check(PlaneCurve.from_expr(text, genus=genus))
-    assert counts == {"dup_resultant": kernel_calls, "gcd": 1}
+    assert counts == {"dup_resultant": kernel_calls, "gcd": 0}
 
 
-@pytest.mark.skipif(
-    not os.environ.get("EVOLUTE_RUN_QUARTIC"),
-    reason="ten-minute budget case; set EVOLUTE_RUN_QUARTIC=1 to run",
-)
 def test_quartic_evolute_degree():
     result = oracle_check(PlaneCurve.from_expr("x**4 + y**4 + x*y + x - 2*y + 1"))
     assert result.degree == 36
