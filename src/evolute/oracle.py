@@ -19,6 +19,17 @@ the other order's discriminant can keep a common factor of both
 coincidence loci that is not on the evolute.  Univariate and isotropic
 factors are then stripped, and every removal is logged.
 
+Exact integer certificates decide the common case before any bivariate
+factorization.  The input is certified irreducible when its content in x
+is constant and one specialization F(x, y0) is irreducible; the evolute is
+split from D by univariate splits at sample nodes, interpolated and
+accepted only on an exact identity D = mu E C**2; and nothing needs
+stripping when both of its contents are constant and X**2 + Y**2 does not
+divide its leading form.  The genericity flags are exact tests on the
+leading form.  sympy's `factor_list` and `sqf_list` run only on what a
+certificate leaves undecided: reducible or non-squarefree input, circles
+and other isotropic evolutes, and a D whose split is not a square.
+
 Both R and D are sampled on integer grids and interpolated exactly in
 integer arithmetic (Collins' evaluation-interpolation scheme): each sample
 is one univariate resultant over the integers, computed by a subresultant
@@ -26,7 +37,7 @@ PRS on plain ints (`dup_resultant`), and the samples of a polynomial in
 (X, Y) of total degree T are taken on the lower set of total degree T of a
 tensor grid, which fixes it (Dyn and Floater, J. Approx. Theory 177,
 2014).  The work is predicted from the degree and the coefficient size
-before the curve is factored, and a curve above `MAX_WORK` is refused.
+before the curve is checked, and a curve above `MAX_WORK` is refused.
 Polynomials are `sp.Poly` from the parsed curve to the reported evolute;
 only the public `EvoluteResult.polynomial` is an expression.  The curve
 text is read by a whitelisting walk over its syntax tree
@@ -40,14 +51,19 @@ paths cross-check each other through the closed-form target
 from __future__ import annotations
 
 import ast
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import reduce
 
 import sympy as sp
+from sympy.polys.densearith import dup_div, dup_mul, dup_pow, dup_sqr
+from sympy.polys.densebasic import dmp_to_dict, dup_strip
 from sympy.polys.domains import QQ, ZZ
+from sympy.polys.euclidtools import dmp_primitive
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.sqfreetools import dup_sqf_list
 
 x, y = sp.symbols("x y")
 X, Y = sp.symbols("X Y")
@@ -89,18 +105,20 @@ class PlaneCurve:
         poly = parse_polynomial(str(expr))
         if poly.is_ground:
             raise ValueError("constant input is not a curve")
-        # before the factorization, which for large coefficients costs as
-        # much as the elimination
+        # before the irreducibility check, whose sympy fallback can cost
+        # more than the elimination for large coefficients
         work, samples, bits = predicted_work(poly)
         if work > MAX_WORK:
             raise ValueError(
                 f"curve too costly to eliminate: predicted {samples} discriminant samples "
                 f"of ~{bits} bits, work {work:.1e} > budget {MAX_WORK:.0e}"
             )
-        if not _is_squarefree(poly):
-            raise ValueError("curve polynomial must be squarefree")
-        if len(sp.factor_list(poly)[1]) > 1:
-            raise DegenerateCurveError("curve polynomial must be irreducible over Q")
+        if not _certified_irreducible(poly):
+            _, factors = sp.factor_list(poly)
+            if any(mult > 1 for _, mult in factors):
+                raise ValueError("curve polynomial must be squarefree")
+            if len(factors) > 1:
+                raise DegenerateCurveError("curve polynomial must be irreducible over Q")
         d = poly.total_degree()
         if genus is None:
             genus = (d - 1) * (d - 2) // 2
@@ -115,13 +133,18 @@ class PlaneCurve:
         infinity (1 : +-i : 0), i.e. the leading form shares a factor with
         x^2 + y^2.  Such curves violate the genericity the degree formulas
         assume."""
-        return _leading_form(self.poly).gcd(sp.Poly(x**2 + y**2, x, y)).total_degree() > 0
+        return _isotropic(_infinity_form(self.poly))
 
     def meets_infinity_transversally(self) -> bool:
         """Whether the curve meets the line at infinity in d distinct points,
-        i.e. the leading form is squarefree.  Tangency at infinity also
-        violates the general-position assumption."""
-        return _is_squarefree(_leading_form(self.poly))
+        i.e. the leading form LF is squarefree: x^2 does not divide it and
+        f(t) = LF(1, t) has no repeated root, Res(f, f') != 0.  Tangency at
+        infinity also violates the general-position assumption."""
+        form = _infinity_form(self.poly)
+        f = form[next(k for k, c in enumerate(form) if c) :]
+        if len(form) - len(f) > 1:
+            return False
+        return len(f) == 1 or dup_resultant(f, _derivative(f)) != 0
 
     def genericity_flags(self) -> list[str]:
         flags = []
@@ -286,8 +309,10 @@ def _combine(op: ast.operator, left: _Terms, right: _Terms) -> _Terms:
 
 
 # largest `predicted_work` the oracle accepts: a quartic with 6-bit
-# coefficients (1.7e10; the generic quartic is 1.9e9, ~15 s); a conic with
-# 512-bit coefficients (2.5e10) or a sextic (6.6e10) is refused
+# coefficients (1.7e10; the generic quartic is 1.9e9); a conic with 512-bit
+# coefficients (2.5e10) or a sextic (6.6e10) is refused.  The budget bounds
+# the sampling; sympy's factoring, which grows faster in the coefficient
+# size, runs only on inputs that fail the integer certificates
 MAX_WORK = 2 * 10**10
 
 
@@ -300,7 +325,9 @@ def predicted_work(poly: sp.Poly) -> tuple[int, int, int]:
     T = (2m - 1) d.  A sample has degree 2m - 1 in the coefficients of R,
     which have about 2 d B bits, so about 2 T B bits.  The work is the
     sample count times the squared sample size: one schoolbook product of
-    two samples per sample."""
+    two samples per sample.  The model covers the sampling only: sympy's
+    bivariate factoring is not modelled, and runs only on inputs that fail
+    the integer certificates."""
     d = poly.total_degree()
     B = max(abs(int(c)).bit_length() for c in poly.clear_denoms(convert=True)[1].coeffs())
     T = (2 * d * d - 1) * d
@@ -313,9 +340,52 @@ def _leading_form(P: sp.Poly) -> sp.Poly:
     return sp.Poly.from_dict({m: c for m, c in P.terms() if sum(m) == d}, *P.gens, domain=P.domain)
 
 
-def _is_squarefree(P: sp.Poly) -> bool:
-    """Whether gcd(P, dP/dx, dP/dy) is constant, i.e. P has no repeated factor."""
-    return P.gcd(P.diff(x)).gcd(P.diff(y)).total_degree() == 0
+def _infinity_form(P: sp.Poly) -> list[int]:
+    """f(t) = LF(1, t) for the leading form LF of P in its two generators
+    (u, v), denominators cleared, as a descending list of d + 1 integers:
+    entry k is the coefficient of u**k v**(d - k), so k leading zeros mean
+    that u**k divides LF."""
+    d = P.total_degree()
+    form = [0] * (d + 1)
+    for (i, j), c in _integer_terms(P, *P.gens).items():
+        if i + j == d:
+            form[i] = c
+    return form
+
+
+def _isotropic(form: list[int]) -> bool:
+    """Whether u**2 + v**2 divides the real leading form, i.e. LF(1, i) = 0,
+    in exact Gaussian-integer arithmetic on `_infinity_form`'s list."""
+    up = form[::-1]  # up[j] is the coefficient of t**j, and i**j cycles 1, i, -1, -i
+    return sum(up[0::4]) == sum(up[2::4]) and sum(up[1::4]) == sum(up[3::4])
+
+
+def _derivative(f: list[int]) -> list[int]:
+    """f' of a descending integer coefficient list of degree >= 1."""
+    m = len(f) - 1
+    return [(m - k) * c for k, c in enumerate(f[:-1])]
+
+
+def _certified_irreducible(F: sp.Poly) -> bool:
+    """Whether F is certified irreducible over Q, hence squarefree: its
+    content in x over Z[y] is constant (`_constant_content`) and F(x, y0)
+    keeps degree deg_x F and is irreducible in Z[x] for some y0 in
+    0, +-1, +-2.  A factorization F = G H would survive at y0: a factor free
+    of x would divide the content, and two factors of positive degree in x
+    keep it where lc_x(F) does not vanish.  False leaves it undecided."""
+    f = _integer_terms(F, x, y)
+    n = max(i for i, _ in f)
+    if not n or not _constant_content(_columns(f, 1).values()):
+        return False
+    for y0 in (0, 1, -1, 2, -2):
+        f0 = [0] * (n + 1)
+        for (i, j), c in f.items():
+            f0[n - i] += c * y0**j
+        if f0[0]:
+            _, factors = dup_factor_list(f0, ZZ)
+            if len(factors) == 1 and factors[0][1] == 1:
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -454,11 +524,17 @@ def _divided_differences(nodes: list[int], values: list[int]) -> list[int]:
     dd = list(values)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            q, r = divmod(dd[i] - dd[i - 1], nodes[i] - nodes[i - j])
-            if r:
-                raise ArithmeticError("interpolated samples are not an integer polynomial")
-            dd[i] = q
+            dd[i] = _exact(dd[i] - dd[i - 1], nodes[i] - nodes[i - j])
     return dd
+
+
+def _exact(a: int, b: int) -> int:
+    """a / b, which must be an integer: samples of an integer polynomial at
+    integer nodes have integer divided differences."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("interpolated samples are not an integer polynomial")
+    return q
 
 
 def _monomials(nodes: list[int], dd: list[int]) -> list[int]:
@@ -584,21 +660,38 @@ def _normal_resultant(F: sp.Poly, H: sp.Poly) -> _Resultant:
     return R
 
 
+def _columns(terms: dict[tuple[int, ...], int], var: int) -> dict[tuple[int, ...], list[int]]:
+    """The polynomial `terms` (exponents -> nonzero coefficient) as
+    polynomials in the variable at position `var`, one per monomial in the
+    others: descending coefficient lists with a nonzero head."""
+    grouped: dict[tuple[int, ...], dict[int, int]] = {}
+    for m, c in terms.items():
+        grouped.setdefault(m[:var] + m[var + 1 :], {})[m[var]] = c
+    return {
+        rest: [col.get(k, 0) for k in range(max(col), -1, -1)] for rest, col in grouped.items()
+    }
+
+
+def _constant_content(columns: Iterable[list[int]]) -> bool:
+    """Whether the gcd of these integer polynomials (descending lists with a
+    nonzero head) is certified constant: one of them is a nonzero constant,
+    or the two shortest have a nonzero resultant.  False leaves it
+    undecided."""
+    dense = sorted(columns, key=len)
+    return len(dense[0]) == 1 or (len(dense) > 1 and dup_resultant(dense[0], dense[1]) != 0)
+
+
 def _strip_content(R: _Resultant, log: list[str]) -> _Resultant:
     """R without its content in x: the x-coordinates of the singular points,
     which are roots of R at every centre (X, Y).
 
-    A constant column (the coefficient of one X**a Y**b) or two coprime ones
-    (a nonzero resultant) certify that the content is constant; the gcd
-    fold of every column decides the rest.  Vertical lines leave no x."""
+    `_constant_content` certifies most contents constant; the gcd fold of
+    every column (the coefficient of one X**a Y**b) decides the rest.
+    Vertical lines leave no x."""
     m = max(i for i, _, _ in R)
-    columns: dict[tuple[int, int], list[int]] = {}
-    for (i, a, b), c in R.items():
-        columns.setdefault((a, b), [0] * (m + 1))[m - i] = c
-    dense = sorted(
-        (col[next(k for k, c in enumerate(col) if c):] for col in columns.values()), key=len
-    )
-    if len(dense[0]) > 1 and not (len(dense) > 1 and dup_resultant(dense[0], dense[1])):
+    columns = _columns(R, 0)
+    if not _constant_content(columns.values()):
+        dense = sorted(columns.values(), key=len)
         content = reduce(lambda g, col: g.gcd(sp.Poly(col, x)), dense[1:], sp.Poly(dense[0], x))
         if content.degree() > 0:
             log.append(f"removed content of degree {content.degree()} in x (singular points)")
@@ -649,8 +742,7 @@ def _discriminant(R: _Resultant) -> sp.Poly:
                 for c in reversed(coeffs):
                     value = value * v0 + c
                 r0.append(value)
-            dr0 = [(m - k) * c for k, c in enumerate(r0[:-1])]
-            q, rem = divmod(dup_resultant(r0, dr0), r0[0])
+            q, rem = divmod(dup_resultant(r0, _derivative(r0)), r0[0])
             if rem:
                 raise ArithmeticError("discriminant sample not divisible by lc(R0)")
             samples.append(q)
@@ -665,20 +757,122 @@ def _discriminant(R: _Resultant) -> sp.Poly:
 
 
 def _simple_part(D: sp.Poly, log: list[str]) -> sp.Poly:
-    """The product of the factors of multiplicity one of D (sympy's
-    `sqf_list`).  D is the evolute times the square of the x-coincidence
-    locus, the centres on the normals of two curve points with one x; a
-    curve of lines has no multiplicity-one factor."""
-    _, parts = sp.sqf_list(D)
-    simple = [fac for fac, mult in parts if mult == 1]
-    if not simple:
+    """The product of the factors of multiplicity one of D, up to a
+    constant: `_square_split`, or sympy's `sqf_list` where that certifies
+    nothing.  D is the evolute times the square of the x-coincidence locus,
+    the centres on the normals of two curve points with one x; a curve of
+    lines has no multiplicity-one factor."""
+    P = _square_split(D)
+    if P is None:
+        _, parts = sp.sqf_list(D)
+        P = sp.prod([fac for fac, mult in parts if mult == 1], start=sp.Poly(1, X, Y))
+    if P.total_degree() == 0:
         raise DegenerateCurveError(ZERO_CURVATURE)
-    P = sp.prod(simple)
     if P.total_degree() < D.total_degree():
         log.append(
             f"removed x-coincidence extraneity: degree {D.total_degree()} -> {P.total_degree()}"
         )
     return P
+
+
+def _square_split(D: sp.Poly) -> sp.Poly | None:
+    """E primitive in X with D = mu(Y) E C**2, E squarefree and coprime to
+    C, and every factor of mu of multiplicity at least 2: then E is D's
+    multiplicity-one part.  None when the samples below certify no such E.
+
+    At a node v0 where lc_X(D) does not vanish, `_square_parts` splits
+    D0 = D(X, v0) into its simple roots and a square; a node with fewer
+    simple roots than another lies on a collision of E and C and is
+    dropped.  The images, scaled to the head lc_X(D)(v0), are those of
+    polynomials of degree at most deg_Y D in Y; Newton interpolation (Brown,
+    J. ACM 18, 1971) adds nodes until two in a row add nothing.  E and C
+    are the primitive parts in X, mu = lc_X(D) / (lc_X(E) lc_X(C)**2), and the
+    result stands only on the exact identity D = mu E C**2.  Given it, the
+    deg_X E simple roots of D0 at a kept node are roots of E(X, v0) not
+    shared with C(X, v0), so E(X, v0) is squarefree and coprime to C(X, v0);
+    a repeated or common factor would stay one at v0, since lc_X(D)(v0) != 0
+    and E has no factor free of X."""
+    rows = D.rep.to_list()  # descending in X, each row descending in Y
+    top = max(len(row) for row in rows) - 1  # deg_Y D
+    lead = {b: c for b, c in enumerate(rows[0][::-1]) if c}
+    nodes: list[int] = []
+    # per coefficient of the two images: the last diagonal of its divided
+    # difference table and its Newton coefficients
+    tables: list[tuple[list[int], list[int]]] = []
+    simple = quiet = -1
+    try:
+        for v0 in _grid([lead], 2 * top + 2):
+            d0 = [reduce(lambda acc, c: acc * v0 + c, row, 0) for row in rows]
+            parts = _square_parts(d0)
+            if parts is None or len(parts[0]) < simple:
+                continue
+            e0, g = parts
+            scaled = [divmod(d0[0] * c, f[0]) for f in (e0, g) for c in f]
+            if any(r for _, r in scaled):  # not the images of E and C
+                continue
+            if len(e0) > simple:  # every earlier node lay on a collision
+                simple, nodes, tables = len(e0), [], [([], []) for _ in scaled]
+            nodes.append(v0)
+            settled = True
+            for (diagonal, newton), (value, _) in zip(tables, scaled):
+                row = [value]
+                for j, previous in enumerate(diagonal, 1):
+                    row.append(_exact(row[-1] - previous, v0 - nodes[-1 - j]))
+                diagonal[:] = row
+                newton.append(row[-1])
+                settled = settled and not row[-1]
+            # a set of nodes symmetric about a centre of symmetry of the
+            # images also adds nothing, but never two sets in a row
+            quiet = quiet + 1 if settled else 0
+            if quiet == 2 or len(nodes) > top:
+                break
+        else:
+            return None
+    except ArithmeticError:  # the kept images are not those of integer polynomials
+        return None
+    dense = [dup_strip(_monomials(nodes, newton)[::-1]) for _, newton in tables]
+    E = dmp_primitive(dense[:simple], 1, ZZ)[1]
+    C = dmp_primitive(dense[simple:], 1, ZZ)[1]
+    mu, rem = dup_div(
+        [lead.get(b, 0) for b in range(max(lead), -1, -1)],
+        dup_mul(E[0], dup_sqr(C[0], ZZ), ZZ),
+        ZZ,
+    )
+    if rem or any(mult == 1 for _, mult in dup_sqf_list(mu, ZZ)[1]):
+        return None
+    # both sides at Y = 2**k (Kronecker): every coefficient of either side
+    # is below 2**(k - 1) in size, so equal values mean equal polynomials
+    size = max(
+        sum(map(abs, mu)) * _norm(E) * _norm(C) ** 2, max(abs(c) for row in rows for c in row)
+    )
+    k = size.bit_length() + 1
+
+    def at(row: list[int]) -> int:
+        return reduce(lambda acc, c: (acc << k) + c, row, 0)
+
+    product = dup_mul([at(row) for row in E], dup_sqr([at(row) for row in C], ZZ), ZZ)
+    if dup_mul([at(mu)], product, ZZ) != [at(row) for row in rows]:
+        return None
+    return sp.Poly.from_dict(dmp_to_dict(E, 1, ZZ), X, Y, domain=ZZ)
+
+
+def _square_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
+    """(e, c) with f = lc * e * c**2 and e the product of the simple roots
+    of f, up to constants, by Yun's squarefree decomposition (sympy's
+    `dup_sqf_list`); None when a root has odd multiplicity above 1."""
+    e, c = [1], [1]
+    for part, mult in dup_sqf_list(f, ZZ)[1]:
+        if mult == 1:
+            e = part
+        elif mult % 2:
+            return None
+        else:
+            c = dup_mul(c, dup_pow(part, mult // 2, ZZ), ZZ)
+    return e, c
+
+
+def _norm(rows: list[list[int]]) -> int:
+    return sum(abs(c) for row in rows for c in row)
 
 
 # --------------------------------------------------------------------------
@@ -694,6 +888,8 @@ def eliminate(system: tuple[sp.Poly, sp.Poly]) -> tuple[sp.Poly, list[str]]:
     log: list[str] = []
     R = _strip_content(_normal_resultant(*system), log)
     evolute = _simple_part(_discriminant(R), log)
+    if _nothing_to_strip(evolute):
+        return _normalize_sign(evolute), log
 
     # sp.factor_list sorts the factors, which fixes the order of the log
     _, factors = sp.factor_list(evolute)
@@ -719,6 +915,19 @@ def eliminate(system: tuple[sp.Poly, sp.Poly]) -> tuple[sp.Poly, list[str]]:
         raise InconclusiveEliminationError("every factor was extraneous")
 
     return _normalize_sign(sp.prod(kept)), log
+
+
+def _nothing_to_strip(P: sp.Poly) -> bool:
+    """Whether P certifiably has no univariate and no isotropic factor: its
+    contents in X and in Y are constant (`_constant_content`), and
+    X**2 + Y**2 does not divide its leading form, which every isotropic
+    factor's leading form would bring.  False leaves it undecided."""
+    terms = _integer_terms(P, X, Y)
+    return (
+        _constant_content(_columns(terms, 1).values())
+        and _constant_content(_columns(terms, 0).values())
+        and not _isotropic(_infinity_form(P))
+    )
 
 
 def _is_isotropic_factor(fac: sp.Poly) -> bool:

@@ -18,11 +18,15 @@ from evolute.oracle import (
     PlaneCurve,
     X,
     Y,
+    _certified_irreducible,
     _discriminant,
     _interpolate,
     _is_isotropic_factor,
+    _leading_form,
     _normal_resultant,
+    _nothing_to_strip,
     _simple_part,
+    _square_split,
     _strip_content,
     canonical_text,
     center_of_curvature_system,
@@ -38,6 +42,9 @@ from evolute.varieties import CurveInvariants
 
 ELLIPSE = "x**2/4 + y**2 - 1"
 CUBIC = "x**3 + y**3 + x*y + x - 2*y + 1"
+# 2**256 + 12345 written out: sympy's factor_list of this conic's evolute
+# took over a minute; the certificates decide it without sympy
+WIDE_CONIC = f"x**2 + {2**256 + 12345}*y**2 + x*y - 3*x + 2*y - 7"
 
 
 def test_plane_curve_validation():
@@ -570,6 +577,118 @@ def test_single_order_split_matches_other_order(terms):
     assert _proportional(by_x, by_y)
 
 
+@settings(max_examples=10, deadline=None)
+@given(_CURVE_TERMS)
+@example(_HYPERBOLA)
+@example({(2, 0): 1, (0, 2): 4, (0, 0): -4})  # the ellipse: D = E (X Y)**2
+@example({(0, 2): 1, (3, 0): -1, (2, 0): -1})  # nodal: D = E (3 X + 2)**2 Y**4
+# D = E (4 X + 2 Y - 5)**4: a double root of gcd(D0, D0') at every node
+@example({(2, 0): -3, (1, 1): 2, (1, 0): 2, (0, 2): -2, (0, 1): 3, (0, 0): -2})
+def test_square_split_matches_sqf_list(terms):
+    try:
+        D = _discriminant(_strip_content(_normal_resultant(*_normal_system(terms)), []))
+    except (DegenerateCurveError, InconclusiveEliminationError):
+        assume(False)
+    simple = sp.prod([f for f, mult in sp.sqf_list(D)[1] if mult == 1], start=sp.Poly(1, X, Y))
+    split = _square_split(D)
+    assert split is None or _proportional(split, simple)
+
+
+_FACTORS = st.sampled_from([
+    X - 2, Y + 1, Y**2 + 1, X**2 + Y**2 + X, (X**2 + Y**2) ** 2 + Y**3, X * Y - 1,
+    X**2 - 3 * Y, X**3 + Y**2 + 1, 2 * X - Y + 3, X**2 + 2 * Y**2 - 1,
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_FACTORS, st.integers(1, 4)), min_size=1, max_size=4),
+    st.integers(1, 6),
+)
+def test_square_split_on_products(factors, scale):
+    # D = scale * prod(f**k): the multiplicity-one part is the product of
+    # the distinct factors whose exponents add up to 1
+    exponents = {}
+    for f, k in factors:
+        exponents[f] = exponents.get(f, 0) + k
+    D = sp.Poly(scale * sp.prod([f**k for f, k in exponents.items()]), X, Y)
+    simple = sp.Poly(sp.prod([f for f, k in exponents.items() if k == 1]), X, Y)
+    split = _square_split(D)
+    assert split is None or _proportional(split, simple)
+    if all(k <= 2 and f.has(X) for f, k in exponents.items()):
+        assert split is not None  # a generic square split is certified
+
+
+def test_square_split_refuses_what_the_nodes_miss():
+    # D = X + Y**3 - Y is X at the first nodes 0, 1, -1, so the interpolation
+    # settles on X; the exact identity refuses it
+    D = sp.Poly(X + Y**3 - Y, X, Y)
+    split = _square_split(D)
+    assert split is None or _proportional(split, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_FACTORS, min_size=1, max_size=4))
+def test_nothing_to_strip_certificate(factors):
+    P = sp.Poly(sp.prod(factors), X, Y)
+    if _nothing_to_strip(P):
+        for fac, _ in sp.factor_list(P)[1]:
+            assert fac.degree(X) > 0 and fac.degree(Y) > 0
+            assert not _is_isotropic_factor(fac)
+
+
+_FORM_COEFFICIENTS = st.integers(-2, 2)
+
+
+@st.composite
+def _curves_at_infinity(draw):
+    """Integer curves whose leading form is special * g, with special one of
+    1, x, x**2, x**2 + y**2, (x - 2 y)**2, y and g a random form."""
+    special = draw(st.sampled_from([1, x, x**2, x**2 + y**2, (x - 2 * y) ** 2, y]))
+    k = draw(st.integers(0, 2))
+    g = sum(draw(_FORM_COEFFICIENTS) * x**i * y ** (k - i) for i in range(k + 1))
+    assume(g != 0)
+    lead = sp.expand(special * g)
+    d = sp.Poly(lead, x, y).total_degree()
+    lower = sum(
+        draw(_FORM_COEFFICIENTS) * x**i * y**j for i in range(d) for j in range(d - i)
+    )
+    F = sp.Poly(lead + lower, x, y)
+    assume(F.total_degree() >= 1)
+    return PlaneCurve(F, F.total_degree(), 0, 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_curves_at_infinity())
+@example(PlaneCurve(sp.Poly(x, x, y), 1, 0, 0))
+def test_flags_match_gcd_definitions(curve):
+    LF = _leading_form(curve.poly)
+    assert curve.through_circular_points() is (
+        LF.gcd(sp.Poly(x**2 + y**2, x, y)).total_degree() > 0
+    )
+    assert curve.meets_infinity_transversally() is (
+        LF.gcd(LF.diff(x)).gcd(LF.diff(y)).total_degree() == 0
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CURVE_TERMS, st.sampled_from([1, x - 1, y + 2, x + y, x**2 + y - 1]))
+@example({(2, 0): 1, (0, 2): 4, (0, 0): -4}, 1)
+def test_irreducibility_certificate_implies_one_factor(terms, cofactor):
+    F = sp.Poly(sp.Poly.from_dict(terms, x, y).as_expr() * cofactor, x, y)
+    assume(not F.is_ground)
+    if _certified_irreducible(F):
+        _, factors = sp.factor_list(F)
+        assert len(factors) == 1 and factors[0][1] == 1
+
+
+def test_irreducibility_certificate_decides_common_inputs():
+    for text in (ELLIPSE, CUBIC, "x**2 + y**2 - 1", "x**3 + y**3 - 3*x*y", WIDE_CONIC):
+        assert _certified_irreducible(parse_polynomial(text))
+    for text in ("(x**2+y**2-1)*(x-3)", "x**2", "y**2 - 1"):
+        assert not _certified_irreducible(parse_polynomial(text))
+
+
 _CONIC_COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
 
 
@@ -629,23 +748,50 @@ def test_canonical_text_round_trip(terms):
 
 
 @pytest.mark.parametrize(
-    "text, genus, kernel_calls",
+    "text, genus, kernel_calls, factor_calls",
     [
         # R: 5 x nodes times the lower set of total degree 2 in (X, Y), 30
         # nodes, 3 of them where H vanishes at x = 0 and need no call; one
         # coprime-column certificate; the discriminant: m = 4, e = 2 and a
-        # constant lc_x(R), so the lower set of total degree 14, 120 samples
-        (ELLIPSE, None, 27 + 1 + 120),
+        # constant lc_x(R), so the lower set of total degree 14, 120 samples;
+        # one Res(f, f') of f(t) = LF(1, t) for the transversality flag
+        (ELLIPSE, None, 27 + 1 + 120 + 1, 0),
         # R: 10 x nodes times 10, 1 without a call; the certificate fails
         # (content of degree 2, the node), the gcd fold strips it; then
-        # m = 7, e = 3: the lower set of total degree 39, 820 samples
-        ("x**3 + y**3 - 3*x*y", 0, 99 + 1 + 820),
+        # m = 7, e = 3: the lower set of total degree 39, 820 samples; one
+        # transversality resultant
+        ("x**3 + y**3 - 3*x*y", 0, 99 + 1 + 820 + 1, 0),
+        # R: 100 nodes; one certificate; 1 378 discriminant samples; one
+        # transversality resultant
+        (CUBIC, None, 100 + 1 + 1378 + 1, 0),
+        # R: 30 nodes, 7 where H vanishes; one certificate; 15 discriminant
+        # samples; one transversality resultant.  The evolute X**2 + Y**2
+        # fails the isotropy certificate, so sympy lists its factors once
+        ("x**2 + y**2 - 1", None, 23 + 1 + 15 + 1, 1),
     ],
 )
-def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls):
-    # the kernel and sympy's gcd are reached by name, through the module
-    # globals that instrumentation wraps; no gcd of two Polys is left
-    counts = {"dup_resultant": 0, "gcd": 0}
+def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls, factor_calls):
+    # the kernel and sympy's routines are reached by name, through the module
+    # globals that instrumentation wraps; no gcd of two Polys is left, and
+    # sympy factors only what the integer certificates leave undecided
+    counts = _count_calls(monkeypatch)
+    oracle_check(PlaneCurve.from_expr(text, genus=genus))
+    assert counts == {
+        "dup_resultant": kernel_calls, "gcd": 0, "factor_list": factor_calls, "sqf_list": 0
+    }
+
+
+def test_reducible_input_reaches_sympy_factoring(monkeypatch):
+    # every F(x, y0) of (x**2 + y**2 - 1)(x - 3) splits, so the certificate
+    # fails and one factor_list decides
+    counts = _count_calls(monkeypatch)
+    with pytest.raises(DegenerateCurveError, match="irreducible over Q"):
+        PlaneCurve.from_expr("(x**2+y**2-1)*(x-3)")
+    assert counts == {"dup_resultant": 0, "gcd": 0, "factor_list": 1, "sqf_list": 0}
+
+
+def _count_calls(monkeypatch):
+    counts = {"dup_resultant": 0, "gcd": 0, "factor_list": 0, "sqf_list": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -655,12 +801,28 @@ def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls):
         return counted
 
     monkeypatch.setattr(oracle, "dup_resultant", counting("dup_resultant", oracle.dup_resultant))
-    monkeypatch.setattr(oracle.sp, "gcd", counting("gcd", oracle.sp.gcd))
-    oracle_check(PlaneCurve.from_expr(text, genus=genus))
-    assert counts == {"dup_resultant": kernel_calls, "gcd": 0}
+    for name in ("gcd", "factor_list", "sqf_list"):
+        monkeypatch.setattr(oracle.sp, name, counting(name, getattr(oracle.sp, name)))
+    return counts
 
 
-def test_quartic_evolute_degree():
+def _forbid_sympy_factoring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy factoring reached")
+
+    monkeypatch.setattr(oracle.sp, "factor_list", refuse)
+    monkeypatch.setattr(oracle.sp, "sqf_list", refuse)
+
+
+def test_wide_coefficient_conic_needs_no_sympy_factoring(monkeypatch):
+    _forbid_sympy_factoring(monkeypatch)
+    result = oracle_check(PlaneCurve.from_expr(WIDE_CONIC))
+    assert result.degree == 6
+    assert result.match is True
+
+
+def test_quartic_evolute_degree(monkeypatch):
+    _forbid_sympy_factoring(monkeypatch)
     result = oracle_check(PlaneCurve.from_expr("x**4 + y**4 + x*y + x - 2*y + 1"))
     assert result.degree == 36
     assert result.match is True
