@@ -431,11 +431,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    # evaluated only for an exception that got this far, so the engine
-    # subcommands never load the oracle
-    except oracle.InconclusiveEliminationError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -38,10 +38,13 @@ PRS on plain ints (`dup_resultant`), and the samples of a polynomial in
 tensor grid, which fixes it (Dyn and Floater, J. Approx. Theory 177,
 2014).  The work is predicted from the degree and the coefficient size
 before the curve is checked, and a curve above `MAX_WORK` is refused.
-Polynomials are `sp.Poly` from the parsed curve to the reported evolute;
-only the public `EvoluteResult.polynomial` is an expression.  The curve
-text is read by a whitelisting walk over its syntax tree
-(`parse_polynomial`) and is never evaluated.
+Every polynomial from the curve to the evolute is an integer term map,
+exponents -> nonzero coefficient, with the curve's denominators cleared
+once.  sympy's `Poly` is built only by the parser, by the three sympy
+fallbacks (the curve's `factor_list`, D's `sqf_list` and the evolute's
+`factor_list`, which `_integer_terms` converts back) and by the public
+`EvoluteResult.polynomial`.  The curve text is read by a whitelisting walk
+over its syntax tree (`parse_polynomial`) and is never evaluated.
 
 This module shares no code with the intersection-theoretic engine; the two
 paths cross-check each other through the closed-form target
@@ -52,16 +55,17 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import reduce
+from math import comb, gcd
 
 import sympy as sp
-from sympy.polys.densearith import dup_div, dup_mul, dup_pow, dup_sqr
+from sympy.polys.densearith import dup_div, dup_exquo, dup_mul, dup_pow, dup_sqr
 from sympy.polys.densebasic import dmp_to_dict, dup_strip
 from sympy.polys.domains import QQ, ZZ
-from sympy.polys.euclidtools import dmp_primitive
+from sympy.polys.euclidtools import dmp_primitive, dup_gcd
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.sqfreetools import dup_sqf_list
 
@@ -69,60 +73,62 @@ x, y = sp.symbols("x y")
 X, Y = sp.symbols("X Y")
 
 
+# exponents -> nonzero integer coefficient: F in (x, y), H in (x, y, X, Y),
+# R in (x, X, Y), D and the evolute in (X, Y)
+_IntTerms = dict[tuple[int, ...], int]
+
+
 class DegenerateCurveError(ValueError):
     """Input whose curvature system degenerates identically (lines, etc.)."""
 
 
-class InconclusiveEliminationError(RuntimeError):
+class InconclusiveEliminationError(ArithmeticError):
     """Elimination collapsed (zero resultant or empty hypersurface part)."""
 
 
 @dataclass(frozen=True)
 class PlaneCurve:
-    """An implicit plane curve, a `Poly` in (x, y) over ZZ or QQ, with its
-    declared numerical invariants.
+    """An implicit plane curve F(x, y) = 0, as integer terms (exponents
+    (i, j) of x**i y**j -> nonzero coefficient, denominators cleared), with
+    its declared numerical invariants.
 
     The genus defaults to the smooth plane-curve value (d-1)(d-2)/2 and the
     weighted cusp count k0 to 0; both only feed the expected-degree target.
     """
 
-    poly: sp.Poly
+    terms: _IntTerms = field(hash=False)  # a dict: curves hash by their invariants
     degree: int
     genus: int
     cusps: int
 
     @classmethod
-    def from_expr(
-        cls,
-        expr: sp.Expr | str,
-        genus: int | None = None,
-        cusps: int = 0,
-    ) -> "PlaneCurve":
+    def from_expr(cls, text: str, genus: int | None = None, cusps: int = 0) -> "PlaneCurve":
         if genus is not None and genus < 0:
             raise ValueError("genus must be nonnegative")
         if cusps < 0:
             raise ValueError("cusp count must be nonnegative")
-        poly = parse_polynomial(str(expr))
-        if poly.is_ground:
+        poly = parse_polynomial(text)
+        F = _integer_terms(poly)
+        d = _degree(F)
+        if not d:
             raise ValueError("constant input is not a curve")
         # before the irreducibility check, whose sympy fallback can cost
         # more than the elimination for large coefficients
-        work, samples, bits = predicted_work(poly)
+        work, samples, bits = predicted_work(F)
         if work > MAX_WORK:
             raise ValueError(
                 f"curve too costly to eliminate: predicted {samples} discriminant samples "
                 f"of ~{bits} bits, work {work:.1e} > budget {MAX_WORK:.0e}"
             )
-        if not _certified_irreducible(poly):
+        if not _certified_irreducible(F):
             _, factors = sp.factor_list(poly)
             if any(mult > 1 for _, mult in factors):
                 raise ValueError("curve polynomial must be squarefree")
             if len(factors) > 1:
                 raise DegenerateCurveError("curve polynomial must be irreducible over Q")
-        d = poly.total_degree()
         if genus is None:
             genus = (d - 1) * (d - 2) // 2
-        return cls(poly, d, int(genus), cusps)
+        return cls(F, d, int(genus), cusps)
 
     @property
     def expected_evolute_degree(self) -> int:
@@ -133,14 +139,14 @@ class PlaneCurve:
         infinity (1 : +-i : 0), i.e. the leading form shares a factor with
         x^2 + y^2.  Such curves violate the genericity the degree formulas
         assume."""
-        return _isotropic(_infinity_form(self.poly))
+        return _isotropic(_infinity_form(self.terms))
 
     def meets_infinity_transversally(self) -> bool:
         """Whether the curve meets the line at infinity in d distinct points,
         i.e. the leading form LF is squarefree: x^2 does not divide it and
         f(t) = LF(1, t) has no repeated root, Res(f, f') != 0.  Tangency at
         infinity also violates the general-position assumption."""
-        form = _infinity_form(self.poly)
+        form = _infinity_form(self.terms)
         f = form[next(k for k, c in enumerate(form) if c) :]
         if len(form) - len(f) > 1:
             return False
@@ -280,8 +286,8 @@ def _bits(c: Fraction) -> int:
     return max(abs(c.numerator).bit_length(), c.denominator.bit_length())
 
 
-def _degree(terms: _Terms) -> int:
-    return max((i + j for i, j in terms), default=0)
+def _degree(terms: _Terms | _IntTerms) -> int:
+    return max((sum(m) for m in terms), default=0)
 
 
 def _product(left: _Terms, right: _Terms) -> _Terms:
@@ -316,7 +322,7 @@ def _combine(op: ast.operator, left: _Terms, right: _Terms) -> _Terms:
 MAX_WORK = 2 * 10**10
 
 
-def predicted_work(poly: sp.Poly) -> tuple[int, int, int]:
+def predicted_work(F: _IntTerms) -> tuple[int, int, int]:
     """(work, samples, bits) of eliminating the curve, predicted from its
     degree d and the size B in bits of its largest integer coefficient.
 
@@ -328,26 +334,21 @@ def predicted_work(poly: sp.Poly) -> tuple[int, int, int]:
     two samples per sample.  The model covers the sampling only: sympy's
     bivariate factoring is not modelled, and runs only on inputs that fail
     the integer certificates."""
-    d = poly.total_degree()
-    B = max(abs(int(c)).bit_length() for c in poly.clear_denoms(convert=True)[1].coeffs())
+    d = _degree(F)
+    B = max(abs(c).bit_length() for c in F.values())
     T = (2 * d * d - 1) * d
     samples, bits = (T + 1) * (T + 2) // 2, 2 * T * B
     return samples * bits * bits, samples, bits
 
 
-def _leading_form(P: sp.Poly) -> sp.Poly:
-    d = P.total_degree()
-    return sp.Poly.from_dict({m: c for m, c in P.terms() if sum(m) == d}, *P.gens, domain=P.domain)
-
-
-def _infinity_form(P: sp.Poly) -> list[int]:
+def _infinity_form(P: _IntTerms) -> list[int]:
     """f(t) = LF(1, t) for the leading form LF of P in its two generators
-    (u, v), denominators cleared, as a descending list of d + 1 integers:
-    entry k is the coefficient of u**k v**(d - k), so k leading zeros mean
-    that u**k divides LF."""
-    d = P.total_degree()
+    (u, v), as a descending list of d + 1 integers: entry k is the
+    coefficient of u**k v**(d - k), so k leading zeros mean that u**k
+    divides LF."""
+    d = _degree(P)
     form = [0] * (d + 1)
-    for (i, j), c in _integer_terms(P, *P.gens).items():
+    for (i, j), c in P.items():
         if i + j == d:
             form[i] = c
     return form
@@ -366,16 +367,15 @@ def _derivative(f: list[int]) -> list[int]:
     return [(m - k) * c for k, c in enumerate(f[:-1])]
 
 
-def _certified_irreducible(F: sp.Poly) -> bool:
+def _certified_irreducible(f: _IntTerms) -> bool:
     """Whether F is certified irreducible over Q, hence squarefree: its
-    content in x over Z[y] is constant (`_constant_content`) and F(x, y0)
+    content in x over Z[y] is constant (`_content`) and F(x, y0)
     keeps degree deg_x F and is irreducible in Z[x] for some y0 in
     0, +-1, +-2.  A factorization F = G H would survive at y0: a factor free
     of x would divide the content, and two factors of positive degree in x
     keep it where lc_x(F) does not vanish.  False leaves it undecided."""
-    f = _integer_terms(F, x, y)
     n = max(i for i, _ in f)
-    if not n or not _constant_content(_columns(f, 1).values()):
+    if not n or len(_content(_columns(f, 1).values())) > 1:
         return False
     for y0 in (0, 1, -1, 2, -2):
         f0 = [0] * (n + 1)
@@ -390,10 +390,11 @@ def _certified_irreducible(F: sp.Poly) -> bool:
 
 @dataclass(frozen=True)
 class EvoluteResult:
-    """Squarefree, content-free defining polynomial of the evolute in (X, Y),
-    the closed-form target, and the elimination log."""
+    """Squarefree, content-free defining polynomial of the evolute, as
+    integer terms in (X, Y), the closed-form target, and the elimination
+    log."""
 
-    poly: sp.Poly
+    terms: _IntTerms
     expected_degree: int
     match: bool | None
     flags: tuple[str, ...]
@@ -401,15 +402,15 @@ class EvoluteResult:
 
     @property
     def polynomial(self) -> sp.Expr:
-        return self.poly.as_expr()
+        return sp.Poly.from_dict(self.terms, X, Y).as_expr()
 
     @property
     def degree(self) -> int:
-        return self.poly.total_degree()
+        return _degree(self.terms)
 
     @property
     def text(self) -> str:
-        return canonical_text(self.poly)
+        return canonical_text(self.terms)
 
     def to_dict(self) -> dict:
         return {
@@ -422,26 +423,31 @@ class EvoluteResult:
         }
 
 
-def canonical_text(poly: sp.Poly) -> str:
-    """Deterministic plain-text form: graded lexicographic, descending."""
+def canonical_text(terms: _IntTerms) -> str:
+    """Deterministic plain-text form of integer terms in (X, Y): graded
+    lexicographic, descending; no terms print as 0."""
     pieces = []
-    for monom, c in poly.terms(order="grlex"):
-        mono = "*".join(f"{v}**{e}" if e > 1 else str(v) for v, e in zip(poly.gens, monom) if e)
+    for (a, b), c in sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        mono = "*".join(f"{v}**{e}" if e > 1 else v for v, e in (("X", a), ("Y", b)) if e)
         body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else (mono or f"{abs(c)}")
         pieces.append(("- " if c < 0 else "+ ") + body)
-    head = pieces[0].replace("+ ", "", 1).replace("- ", "-", 1)
-    return " ".join([head] + pieces[1:])
+    text = " ".join(pieces) or "+ 0"
+    return ("-" if text[0] == "-" else "") + text[2:]
 
 
-def center_of_curvature_system(curve: PlaneCurve) -> tuple[sp.Poly, sp.Poly]:
+def center_of_curvature_system(curve: PlaneCurve) -> tuple[_IntTerms, _IntTerms]:
     """F in (x, y) and the normal condition H = Fy (X - x) - Fx (Y - y) in
     (x, y, X, Y), which says that (X, Y) lies on the normal to the curve at
     (x, y); a line has no evolute and raises DegenerateCurveError."""
-    F = curve.poly
-    if F.total_degree() < 2:
+    F = curve.terms
+    if curve.degree < 2:
         raise DegenerateCurveError(ZERO_CURVATURE)
-    H = F.diff(y) * sp.Poly(X - x, x, y, X, Y) - F.diff(x) * sp.Poly(Y - y, x, y, X, Y)
-    return F, H
+    H: _IntTerms = {}
+    for (i, j), c in F.items():  # the term's parts of Fy X, -x Fy, -Fx Y and y Fx
+        for m, v in (((i, j - 1, 1, 0), j * c), ((i + 1, j - 1, 0, 0), -j * c),
+                     ((i - 1, j, 0, 1), -i * c), ((i - 1, j + 1, 0, 0), i * c)):
+            H[m] = H.get(m, 0) + v
+    return F, {m: c for m, c in H.items() if c}
 
 
 # --------------------------------------------------------------------------
@@ -502,15 +508,11 @@ def dup_resultant(f: list[int], g: list[int]) -> int:
             return sign * (g[0] ** da // h ** (da - 1))
 
 
-def _integer_terms(poly: sp.Poly, *gens: sp.Symbol) -> dict[tuple[int, ...], int]:
-    """Exponent map in `gens` of the polynomial with denominators cleared
-    (the global rational scale is irrelevant downstream, where content is
-    removed)."""
-    _, P = poly.clear_denoms(convert=True)
-    where = [P.gens.index(g) if g in P.gens else None for g in gens]
-    return {
-        tuple(0 if i is None else m[i] for i in where): int(c) for m, c in P.terms()
-    }
+def _integer_terms(poly: sp.Poly) -> _IntTerms:
+    """The integer terms of a sympy `Poly` with its denominators cleared
+    (the rational scale is irrelevant downstream, where content is
+    removed): the way back from the parser and the sympy fallbacks."""
+    return {m: int(c) for m, c in poly.clear_denoms(convert=True)[1].rep.to_dict().items()}
 
 
 def _divided_differences(nodes: list[int], values: list[int]) -> list[int]:
@@ -600,12 +602,7 @@ def _lower_set(
     return result
 
 
-# R(x; X, Y) while it is eliminated: exponents (i, a, b) of x**i X**a Y**b
-# -> nonzero coefficient
-_Resultant = dict[tuple[int, int, int], int]
-
-
-def _normal_resultant(F: sp.Poly, H: sp.Poly) -> _Resultant:
+def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
     """R(x; X, Y) = Res_y(F, H) up to a nonzero rational scale, from exact
     samples (Collins, J. ACM 18, 1971).
 
@@ -617,9 +614,7 @@ def _normal_resultant(F: sp.Poly, H: sp.Poly) -> _Resultant:
     Where the head of H in y vanishes at a node, H0 falls delta degrees
     short of n and the sample is lc(F0)**delta Res(F0, H0), the resultant
     at the formal degree n."""
-    f = _integer_terms(F, x, y)
-    h = _integer_terms(H, x, y, X, Y)
-    d = F.total_degree()
+    d = _degree(f)
     p = max(j for _, j in f)
     n = max(j for _, j, _, _ in h)
     xs = _grid([{i: c for (i, j), c in f.items() if j == p}], d * d + 1)
@@ -650,7 +645,7 @@ def _normal_resultant(F: sp.Poly, H: sp.Poly) -> _Resultant:
             return samples
 
         at_x.append(_lower_set(row, uv, uv))
-    R: _Resultant = {}
+    R: _IntTerms = {}
     for a, b in sorted(set().union(*at_x)):
         for i, c in enumerate(_interpolate(xs, [s.get((a, b), 0) for s in at_x])):
             if c:
@@ -660,7 +655,7 @@ def _normal_resultant(F: sp.Poly, H: sp.Poly) -> _Resultant:
     return R
 
 
-def _columns(terms: dict[tuple[int, ...], int], var: int) -> dict[tuple[int, ...], list[int]]:
+def _columns(terms: _IntTerms, var: int) -> dict[tuple[int, ...], list[int]]:
     """The polynomial `terms` (exponents -> nonzero coefficient) as
     polynomials in the variable at position `var`, one per monomial in the
     others: descending coefficient lists with a nonzero head."""
@@ -672,40 +667,38 @@ def _columns(terms: dict[tuple[int, ...], int], var: int) -> dict[tuple[int, ...
     }
 
 
-def _constant_content(columns: Iterable[list[int]]) -> bool:
-    """Whether the gcd of these integer polynomials (descending lists with a
-    nonzero head) is certified constant: one of them is a nonzero constant,
-    or the two shortest have a nonzero resultant.  False leaves it
-    undecided."""
-    dense = sorted(columns, key=len)
-    return len(dense[0]) == 1 or (len(dense) > 1 and dup_resultant(dense[0], dense[1]) != 0)
+def _content(columns: Iterable[list[int]]) -> list[int]:
+    """The gcd of these integer polynomials (descending lists with a nonzero
+    head), folded from the shortest.  The fold stops once the gcd is a
+    constant, so a constant content is known only up to an integer factor."""
+    content, *rest = sorted(columns, key=len)
+    for col in rest:
+        if len(content) == 1:
+            break
+        content = dup_gcd(content, col, ZZ)
+    return content
 
 
-def _strip_content(R: _Resultant, log: list[str]) -> _Resultant:
-    """R without its content in x: the x-coordinates of the singular points,
-    which are roots of R at every centre (X, Y).
-
-    `_constant_content` certifies most contents constant; the gcd fold of
-    every column (the coefficient of one X**a Y**b) decides the rest.
-    Vertical lines leave no x."""
+def _strip_content(R: _IntTerms, log: list[str]) -> _IntTerms:
+    """R without its content in x, the gcd of its columns (the coefficients
+    of each X**a Y**b): the x-coordinates of the singular points, which are
+    roots of R at every centre (X, Y).  Vertical lines leave no x."""
     m = max(i for i, _, _ in R)
     columns = _columns(R, 0)
-    if not _constant_content(columns.values()):
-        dense = sorted(columns.values(), key=len)
-        content = reduce(lambda g, col: g.gcd(sp.Poly(col, x)), dense[1:], sp.Poly(dense[0], x))
-        if content.degree() > 0:
-            log.append(f"removed content of degree {content.degree()} in x (singular points)")
-            m -= content.degree()
-            R = {}
-            for (a, b), col in columns.items():
-                quotient = sp.Poly(col, x).exquo(content).all_coeffs()[::-1]
-                R.update({(i, a, b): int(c) for i, c in enumerate(quotient) if c})
+    content = _content(columns.values())
+    if len(content) > 1:
+        log.append(f"removed content of degree {len(content) - 1} in x (singular points)")
+        m -= len(content) - 1
+        R = {}
+        for (a, b), col in columns.items():
+            quotient = dup_exquo(col, content, ZZ)[::-1]
+            R.update({(i, a, b): c for i, c in enumerate(quotient) if c})
     if m == 0:
         raise DegenerateCurveError(ZERO_CURVATURE)
     return R
 
 
-def _discriminant(R: _Resultant) -> sp.Poly:
+def _discriminant(R: _IntTerms) -> _IntTerms:
     """disc_x(R) = Res_x(R, dR/dx) / lc_x(R) in (X, Y), up to sign.
 
     With m = deg_x R and e its total degree in (X, Y), the Sylvester matrix
@@ -753,10 +746,10 @@ def _discriminant(R: _Resultant) -> sp.Poly:
         # two roots of R share x at every centre only when each normal
         # meets the curve twice at one x: a pair of horizontal lines
         raise DegenerateCurveError(ZERO_CURVATURE)
-    return sp.Poly.from_dict(D, X, Y, domain=ZZ)
+    return D
 
 
-def _simple_part(D: sp.Poly, log: list[str]) -> sp.Poly:
+def _simple_part(D: _IntTerms, log: list[str]) -> _IntTerms:
     """The product of the factors of multiplicity one of D, up to a
     constant: `_square_split`, or sympy's `sqf_list` where that certifies
     nothing.  D is the evolute times the square of the x-coincidence locus,
@@ -764,18 +757,16 @@ def _simple_part(D: sp.Poly, log: list[str]) -> sp.Poly:
     lines has no multiplicity-one factor."""
     P = _square_split(D)
     if P is None:
-        _, parts = sp.sqf_list(D)
-        P = sp.prod([fac for fac, mult in parts if mult == 1], start=sp.Poly(1, X, Y))
-    if P.total_degree() == 0:
+        _, parts = sp.sqf_list(sp.Poly.from_dict(D, X, Y, domain=ZZ))
+        P = _integer_terms(sp.prod([f for f, mult in parts if mult == 1], start=sp.Poly(1, X, Y)))
+    if _degree(P) == 0:
         raise DegenerateCurveError(ZERO_CURVATURE)
-    if P.total_degree() < D.total_degree():
-        log.append(
-            f"removed x-coincidence extraneity: degree {D.total_degree()} -> {P.total_degree()}"
-        )
+    if _degree(P) < _degree(D):
+        log.append(f"removed x-coincidence extraneity: degree {_degree(D)} -> {_degree(P)}")
     return P
 
 
-def _square_split(D: sp.Poly) -> sp.Poly | None:
+def _square_split(D: _IntTerms) -> _IntTerms | None:
     """E primitive in X with D = mu(Y) E C**2, E squarefree and coprime to
     C, and every factor of mu of multiplicity at least 2: then E is D's
     multiplicity-one part.  None when the samples below certify no such E.
@@ -792,7 +783,8 @@ def _square_split(D: sp.Poly) -> sp.Poly | None:
     shared with C(X, v0), so E(X, v0) is squarefree and coprime to C(X, v0);
     a repeated or common factor would stay one at v0, since lc_X(D)(v0) != 0
     and E has no factor free of X."""
-    rows = D.rep.to_list()  # descending in X, each row descending in Y
+    in_y = _columns(D, 1)
+    rows = [in_y.get((a,), []) for a in range(max(in_y)[0], -1, -1)]  # descending in X, then Y
     top = max(len(row) for row in rows) - 1  # deg_Y D
     lead = {b: c for b, c in enumerate(rows[0][::-1]) if c}
     nodes: list[int] = []
@@ -800,8 +792,9 @@ def _square_split(D: sp.Poly) -> sp.Poly | None:
     # difference table and its Newton coefficients
     tables: list[tuple[list[int], list[int]]] = []
     simple = quiet = -1
+    grid = _grid([lead], 2 * top + 2)  # out of nodes is inconclusive, not a refusal
     try:
-        for v0 in _grid([lead], 2 * top + 2):
+        for v0 in grid:
             d0 = [reduce(lambda acc, c: acc * v0 + c, row, 0) for row in rows]
             parts = _square_parts(d0)
             if parts is None or len(parts[0]) < simple:
@@ -853,7 +846,7 @@ def _square_split(D: sp.Poly) -> sp.Poly | None:
     product = dup_mul([at(row) for row in E], dup_sqr([at(row) for row in C], ZZ), ZZ)
     if dup_mul([at(mu)], product, ZZ) != [at(row) for row in rows]:
         return None
-    return sp.Poly.from_dict(dmp_to_dict(E, 1, ZZ), X, Y, domain=ZZ)
+    return dmp_to_dict(E, 1, ZZ)
 
 
 def _square_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
@@ -880,7 +873,7 @@ def _norm(rows: list[list[int]]) -> int:
 # --------------------------------------------------------------------------
 
 
-def eliminate(system: tuple[sp.Poly, sp.Poly]) -> tuple[sp.Poly, list[str]]:
+def eliminate(system: tuple[_IntTerms, _IntTerms]) -> tuple[_IntTerms, list[str]]:
     """Project the normal system (F, H) to the ED discriminant in (X, Y):
     R = Res_y(F, H) without its content in x, D = disc_x(R), the
     multiplicity-one part of D, and the extraneous-factor policy.  Returns
@@ -892,14 +885,14 @@ def eliminate(system: tuple[sp.Poly, sp.Poly]) -> tuple[sp.Poly, list[str]]:
         return _normalize_sign(evolute), log
 
     # sp.factor_list sorts the factors, which fixes the order of the log
-    _, factors = sp.factor_list(evolute)
+    _, factors = sp.factor_list(sp.Poly.from_dict(evolute, X, Y, domain=ZZ))
     kept: list[sp.Poly] = []
     isotropic: list[sp.Poly] = []
     for fac, mult in factors:
         if fac.degree(X) == 0 or fac.degree(Y) == 0:
             log.append(f"stripped univariate extraneous factor: {sp.sstr(fac.as_expr())}")
             continue
-        if _is_isotropic_factor(fac):
+        if _is_isotropic_factor(_integer_terms(fac)):
             isotropic.append(fac)
             continue
         kept.append(fac)
@@ -914,37 +907,38 @@ def eliminate(system: tuple[sp.Poly, sp.Poly]) -> tuple[sp.Poly, list[str]]:
     if not kept:
         raise InconclusiveEliminationError("every factor was extraneous")
 
-    return _normalize_sign(sp.prod(kept)), log
+    return _normalize_sign(_integer_terms(sp.prod(kept))), log
 
 
-def _nothing_to_strip(P: sp.Poly) -> bool:
+def _nothing_to_strip(P: _IntTerms) -> bool:
     """Whether P certifiably has no univariate and no isotropic factor: its
-    contents in X and in Y are constant (`_constant_content`), and
-    X**2 + Y**2 does not divide its leading form, which every isotropic
-    factor's leading form would bring.  False leaves it undecided."""
-    terms = _integer_terms(P, X, Y)
+    contents in X and in Y are constant (`_content`), and X**2 + Y**2 does
+    not divide its leading form, which every isotropic factor's leading
+    form would bring.  False leaves it undecided."""
     return (
-        _constant_content(_columns(terms, 1).values())
-        and _constant_content(_columns(terms, 0).values())
+        len(_content(_columns(P, 1).values())) == 1
+        and len(_content(_columns(P, 0).values())) == 1
         and not _isotropic(_infinity_form(P))
     )
 
 
-def _is_isotropic_factor(fac: sp.Poly) -> bool:
+def _is_isotropic_factor(fac: _IntTerms) -> bool:
     """True when the factor's leading form is a nonzero constant times a
     power of X^2 + Y^2, i.e. the component sits entirely on the circular
-    points at infinity.  Both forms have degree d, so an exact division
-    leaves a nonzero constant quotient."""
-    d = fac.total_degree()
-    if d % 2:
-        return False
-    return _leading_form(fac).rem(sp.Poly(X**2 + Y**2, X, Y) ** (d // 2)).is_zero
+    points at infinity: entry k of `_infinity_form` is then that constant
+    times binomial(d/2, k/2) for even k and 0 for odd k."""
+    d = _degree(fac)
+    form = _infinity_form(fac)
+    power = [0 if k % 2 else comb(d // 2, k // 2) for k in range(d + 1)]
+    return d % 2 == 0 and form == [form[0] * c for c in power]
 
 
-def _normalize_sign(P: sp.Poly) -> sp.Poly:
+def _normalize_sign(P: _IntTerms) -> _IntTerms:
     """Integer-primitive form with positive leading (graded-lex) coefficient."""
-    _, prim = P.clear_denoms(convert=True)[1].primitive()
-    return -prim if prim.LC(order="grlex") < 0 else prim
+    scale = reduce(gcd, P.values(), 0)
+    if P[max(P, key=lambda m: (sum(m), m))] < 0:
+        scale = -scale
+    return {m: c // scale for m, c in P.items()}
 
 
 def oracle_check(curve: PlaneCurve) -> EvoluteResult:
@@ -952,9 +946,9 @@ def oracle_check(curve: PlaneCurve) -> EvoluteResult:
     compare the evolute degree with the closed-form target."""
     flags = curve.genericity_flags()
     evolute, log = eliminate(center_of_curvature_system(curve))
-    match = evolute.total_degree() == curve.expected_evolute_degree if not flags else None
+    match = _degree(evolute) == curve.expected_evolute_degree if not flags else None
     return EvoluteResult(
-        poly=evolute,
+        terms=evolute,
         expected_degree=curve.expected_evolute_degree,
         match=match,
         flags=tuple(flags),

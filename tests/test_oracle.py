@@ -21,8 +21,8 @@ from evolute.oracle import (
     _certified_irreducible,
     _discriminant,
     _interpolate,
+    _integer_terms,
     _is_isotropic_factor,
-    _leading_form,
     _normal_resultant,
     _nothing_to_strip,
     _simple_part,
@@ -215,25 +215,68 @@ def test_circular_point_detection():
 
 def test_system_circle_forces_center():
     F, H = center_of_curvature_system(PlaneCurve.from_expr("x**2 + y**2 - 1"))
+    F, H = _as_poly(F, x, y), _as_poly(H, x, y, X, Y)
     assert (F.gens, H.gens) == ((x, y), (x, y, X, Y))
     # the normal at (3/5, 4/5) is the line 4 X = 3 Y through the centre
     on_curve = {x: sp.Rational(3, 5), y: sp.Rational(4, 5)}
     assert sp.expand(H.as_expr().subs(on_curve) * 5 / 2) == 4 * X - 3 * Y
 
 
-def _as_poly(R):
-    """A sampled R(x; X, Y), exponents (i, a, b) -> coefficient, as a Poly."""
-    return sp.Poly.from_dict(R, x, X, Y)
+def _as_poly(terms, *gens):
+    """The oracle's integer terms (exponents -> coefficient) in `gens`, by
+    default a sampled R(x; X, Y), as a Poly."""
+    return sp.Poly.from_dict(terms, *(gens or (x, X, Y)))
+
+
+def _curve(F):
+    """The integer curve of a Poly F in (x, y), with placeholder invariants."""
+    return PlaneCurve(_integer_terms(F), F.total_degree(), 0, 0)
 
 
 def test_system_ellipse_vertex_center():
     F, H = center_of_curvature_system(PlaneCurve.from_expr(ELLIPSE))
     # the normal at the vertex (2, 0) of the 2-by-1 ellipse is the X axis
-    assert sp.factor_list(H.as_expr().subs({x: 2, y: 0}))[1] == [(Y, 1)]
+    assert sp.factor_list(_as_poly(H, x, y, X, Y).as_expr().subs({x: 2, y: 0}))[1] == [(Y, 1)]
     # at its centre of curvature (3/2, 0) two critical points of the distance
     # merge: R(x; 3/2, 0) has the double root x = 2
     R = _as_poly(_normal_resultant(F, H)).as_expr().subs({X: sp.Rational(3, 2), Y: 0})
     assert sp.Poly(R, x).rem(sp.Poly((x - 2) ** 2, x)).is_zero
+
+
+@st.composite
+def _integer_or_rational_curves(draw):
+    """A Poly in (x, y) of degree at most 1..4, with integer coefficients
+    or with denominators up to 6."""
+    d = draw(st.integers(1, 4))
+    denominators = st.just(1) if draw(st.booleans()) else st.integers(1, 6)
+    return sp.Poly.from_dict(
+        {
+            (i, j): sp.Rational(draw(st.integers(-3, 3)), draw(denominators))
+            for i in range(d + 1)
+            for j in range(d + 1 - i)
+        },
+        x,
+        y,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_integer_or_rational_curves())
+@example(sp.Poly(x**3 / 2 + y**3 / 3 + x * y / 5 + x - 2 * y + 1, x, y))
+def test_normal_condition_matches_sympy(F):
+    # H is built on the integer terms of F; sympy differentiates the same
+    # cleared F as an expression
+    assume(not F.is_ground)
+    cleared = F.clear_denoms(convert=True)[1].as_expr()
+    curve = _curve(F)
+    if curve.degree < 2:
+        with pytest.raises(DegenerateCurveError):
+            center_of_curvature_system(curve)
+        return
+    F_terms, H = center_of_curvature_system(curve)
+    reference = sp.diff(cleared, y) * (X - x) - sp.diff(cleared, x) * (Y - y)
+    assert _as_poly(F_terms, x, y) == sp.Poly(cleared, x, y)
+    assert _as_poly(H, x, y, X, Y) == sp.Poly(reference, x, y, X, Y)
 
 
 def test_line_is_degenerate():
@@ -352,7 +395,7 @@ def test_interpolate_rejects_non_integer_polynomial():
     ],
 )
 def test_is_isotropic_factor(factor, isotropic):
-    assert _is_isotropic_factor(sp.Poly(factor, X, Y)) is isotropic
+    assert _is_isotropic_factor(_integer_terms(sp.Poly(factor, X, Y))) is isotropic
 
 
 def _proportional(P, Q):
@@ -363,11 +406,11 @@ def _proportional(P, Q):
 def test_grid_resultant_matches_direct_resultant(conic):
     F, H = center_of_curvature_system(PlaneCurve.from_expr(conic))
     R = _normal_resultant(F, H)
-    direct = sp.resultant(F.as_expr(), H.as_expr(), y)
+    direct = sp.resultant(_as_poly(F, x, y).as_expr(), _as_poly(H, x, y, X, Y).as_expr(), y)
     assert _proportional(_as_poly(R), sp.Poly(direct, x, X, Y))
     disc = sp.Poly(sp.discriminant(direct, x), X, Y)
     assert disc.total_degree() > 0
-    assert _proportional(_discriminant(_strip_content(R, [])), disc)
+    assert _proportional(_as_poly(_discriminant(_strip_content(R, [])), X, Y), disc)
 
 
 def _sylvester_determinant(f, g):
@@ -449,7 +492,7 @@ _CURVE_TERMS = st.integers(2, 3).flatmap(
 def _normal_system(terms):
     F = sp.Poly.from_dict(terms, x, y)
     assume(F.total_degree() >= 2)
-    return center_of_curvature_system(PlaneCurve(F, F.total_degree(), 0, 0))
+    return center_of_curvature_system(_curve(F))
 
 
 # x**2 y + 2 y**2 + x - 1: H's head in y is 2 x, which vanishes at the node
@@ -465,7 +508,8 @@ def test_normal_resultant_matches_sympy_resultant(terms):
     # zero coefficients let the heads of F and H in y vary, down to
     # constants and to degree drops at sample nodes
     F, H = _normal_system(terms)
-    reference = sp.Poly(sp.resultant(F.as_expr(), H.as_expr(), y), x, X, Y)
+    F_expr, H_expr = _as_poly(F, x, y).as_expr(), _as_poly(H, x, y, X, Y).as_expr()
+    reference = sp.Poly(sp.resultant(F_expr, H_expr, y), x, X, Y)
     if reference.is_zero:
         with pytest.raises(InconclusiveEliminationError):
             _normal_resultant(F, H)
@@ -501,7 +545,7 @@ def test_total_degree_bound_holds(terms):
             _discriminant(terms)
         return
     assert reference.total_degree() <= (2 * m - 1) * e - lead
-    assert _proportional(_discriminant(terms), reference)
+    assert _proportional(_as_poly(_discriminant(terms), X, Y), reference)
 
 
 def _content_by_gcd_fold(R):
@@ -542,8 +586,9 @@ def test_content_certificate_matches_gcd_fold(terms):
 
 def _split(F):
     """The multiplicity-one part of disc_x(Res_y(F, H)) of the curve F."""
-    system = center_of_curvature_system(PlaneCurve(F, F.total_degree(), 0, 0))
-    return _simple_part(_discriminant(_strip_content(_normal_resultant(*system), [])), [])
+    system = center_of_curvature_system(_curve(F))
+    D = _discriminant(_strip_content(_normal_resultant(*system), []))
+    return _as_poly(_simple_part(D, []), X, Y)
 
 
 def _smooth(F):
@@ -589,9 +634,11 @@ def test_square_split_matches_sqf_list(terms):
         D = _discriminant(_strip_content(_normal_resultant(*_normal_system(terms)), []))
     except (DegenerateCurveError, InconclusiveEliminationError):
         assume(False)
-    simple = sp.prod([f for f, mult in sp.sqf_list(D)[1] if mult == 1], start=sp.Poly(1, X, Y))
+    simple = sp.prod(
+        [f for f, mult in sp.sqf_list(_as_poly(D, X, Y))[1] if mult == 1], start=sp.Poly(1, X, Y)
+    )
     split = _square_split(D)
-    assert split is None or _proportional(split, simple)
+    assert split is None or _proportional(_as_poly(split, X, Y), simple)
 
 
 _FACTORS = st.sampled_from([
@@ -613,8 +660,8 @@ def test_square_split_on_products(factors, scale):
         exponents[f] = exponents.get(f, 0) + k
     D = sp.Poly(scale * sp.prod([f**k for f, k in exponents.items()]), X, Y)
     simple = sp.Poly(sp.prod([f for f, k in exponents.items() if k == 1]), X, Y)
-    split = _square_split(D)
-    assert split is None or _proportional(split, simple)
+    split = _square_split(_integer_terms(D))
+    assert split is None or _proportional(_as_poly(split, X, Y), simple)
     if all(k <= 2 and f.has(X) for f, k in exponents.items()):
         assert split is not None  # a generic square split is certified
 
@@ -623,18 +670,30 @@ def test_square_split_refuses_what_the_nodes_miss():
     # D = X + Y**3 - Y is X at the first nodes 0, 1, -1, so the interpolation
     # settles on X; the exact identity refuses it
     D = sp.Poly(X + Y**3 - Y, X, Y)
-    split = _square_split(D)
-    assert split is None or _proportional(split, D)
+    split = _square_split(_integer_terms(D))
+    assert split is None or _proportional(_as_poly(split, X, Y), D)
+
+
+def test_square_split_out_of_nodes_is_inconclusive(monkeypatch):
+    # InconclusiveEliminationError is an ArithmeticError, which the split
+    # takes for images that are not integer polynomials; running out of
+    # nodes must still reach the caller, not fall back to sqf_list
+    def exhausted(leads, count):
+        raise InconclusiveEliminationError("could not find stable sample points")
+
+    monkeypatch.setattr(oracle, "_grid", exhausted)
+    with pytest.raises(InconclusiveEliminationError):
+        _square_split(_integer_terms(sp.Poly(X**2 + Y**2 - 1, X, Y)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_FACTORS, min_size=1, max_size=4))
 def test_nothing_to_strip_certificate(factors):
     P = sp.Poly(sp.prod(factors), X, Y)
-    if _nothing_to_strip(P):
+    if _nothing_to_strip(_integer_terms(P)):
         for fac, _ in sp.factor_list(P)[1]:
             assert fac.degree(X) > 0 and fac.degree(Y) > 0
-            assert not _is_isotropic_factor(fac)
+            assert not _is_isotropic_factor(_integer_terms(fac))
 
 
 _FORM_COEFFICIENTS = st.integers(-2, 2)
@@ -655,14 +714,15 @@ def _curves_at_infinity(draw):
     )
     F = sp.Poly(lead + lower, x, y)
     assume(F.total_degree() >= 1)
-    return PlaneCurve(F, F.total_degree(), 0, 0)
+    return _curve(F)
 
 
 @settings(max_examples=120, deadline=None)
 @given(_curves_at_infinity())
-@example(PlaneCurve(sp.Poly(x, x, y), 1, 0, 0))
+@example(PlaneCurve({(1, 0): 1}, 1, 0, 0))
 def test_flags_match_gcd_definitions(curve):
-    LF = _leading_form(curve.poly)
+    # the leading form LF, the terms of total degree d
+    LF = _as_poly({m: c for m, c in curve.terms.items() if sum(m) == curve.degree}, x, y)
     assert curve.through_circular_points() is (
         LF.gcd(sp.Poly(x**2 + y**2, x, y)).total_degree() > 0
     )
@@ -677,16 +737,16 @@ def test_flags_match_gcd_definitions(curve):
 def test_irreducibility_certificate_implies_one_factor(terms, cofactor):
     F = sp.Poly(sp.Poly.from_dict(terms, x, y).as_expr() * cofactor, x, y)
     assume(not F.is_ground)
-    if _certified_irreducible(F):
+    if _certified_irreducible(_integer_terms(F)):
         _, factors = sp.factor_list(F)
         assert len(factors) == 1 and factors[0][1] == 1
 
 
 def test_irreducibility_certificate_decides_common_inputs():
     for text in (ELLIPSE, CUBIC, "x**2 + y**2 - 1", "x**3 + y**3 - 3*x*y", WIDE_CONIC):
-        assert _certified_irreducible(parse_polynomial(text))
+        assert _certified_irreducible(_integer_terms(parse_polynomial(text)))
     for text in ("(x**2+y**2-1)*(x-3)", "x**2", "y**2 - 1"):
-        assert not _certified_irreducible(parse_polynomial(text))
+        assert not _certified_irreducible(_integer_terms(parse_polynomial(text)))
 
 
 _CONIC_COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
@@ -729,45 +789,62 @@ def test_generic_cubic_oracle_agrees_with_engine(terms):
 
 
 def test_canonical_text_deterministic():
-    poly = sp.Poly(3 * X**2 * Y - Y**3 + X - 7, X, Y)
-    assert canonical_text(poly) == "3*X**2*Y - Y**3 + X - 7"
-    assert canonical_text(sp.Poly(-2 * X * Y**2 + Y - 1, X, Y)) == "-2*X*Y**2 + Y - 1"
-    assert canonical_text(sp.Poly(0, X, Y)) == "0"
+    def text(expr):
+        return canonical_text(_integer_terms(sp.Poly(expr, X, Y)))
+
+    assert text(3 * X**2 * Y - Y**3 + X - 7) == "3*X**2*Y - Y**3 + X - 7"
+    assert text(-2 * X * Y**2 + Y - 1) == "-2*X*Y**2 + Y - 1"
+    assert text(0) == "0"
 
 
 # small values hit the +-1 and zero special cases, large ones the bignum printing
 _COEFFICIENTS = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
 
 
+def _grlex_text(poly):
+    """The printer on sympy's grlex term order that `canonical_text` replaced."""
+    pieces = []
+    for monom, c in poly.terms(order="grlex"):
+        mono = "*".join(f"{v}**{e}" if e > 1 else str(v) for v, e in zip(poly.gens, monom) if e)
+        body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else (mono or f"{abs(c)}")
+        pieces.append(("- " if c < 0 else "+ ") + body)
+    head = pieces[0].replace("+ ", "", 1).replace("- ", "-", 1)
+    return " ".join([head] + pieces[1:])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)), _COEFFICIENTS, max_size=20))
 def test_canonical_text_round_trip(terms):
-    # the empty dictionary is the zero polynomial
-    poly = sp.Poly.from_dict({m: c for m, c in terms.items() if sum(m) <= 8} or {(0, 0): 0}, X, Y)
-    assert sp.Poly(sp.sympify(canonical_text(poly)), X, Y) == poly
+    # zero coefficients are drawn and dropped, since the terms hold nonzero
+    # ones; the empty dictionary is the zero polynomial
+    terms = {m: c for m, c in terms.items() if c and sum(m) <= 8}
+    poly = sp.Poly.from_dict(terms or {(0, 0): 0}, X, Y)
+    text = canonical_text(terms)
+    assert text == _grlex_text(poly)
+    assert sp.Poly(sp.sympify(text), X, Y) == poly
 
 
 @pytest.mark.parametrize(
     "text, genus, kernel_calls, factor_calls",
     [
         # R: 5 x nodes times the lower set of total degree 2 in (X, Y), 30
-        # nodes, 3 of them where H vanishes at x = 0 and need no call; one
-        # coprime-column certificate; the discriminant: m = 4, e = 2 and a
-        # constant lc_x(R), so the lower set of total degree 14, 120 samples;
-        # one Res(f, f') of f(t) = LF(1, t) for the transversality flag
-        (ELLIPSE, None, 27 + 1 + 120 + 1, 0),
-        # R: 10 x nodes times 10, 1 without a call; the certificate fails
-        # (content of degree 2, the node), the gcd fold strips it; then
-        # m = 7, e = 3: the lower set of total degree 39, 820 samples; one
-        # transversality resultant
-        ("x**3 + y**3 - 3*x*y", 0, 99 + 1 + 820 + 1, 0),
-        # R: 100 nodes; one certificate; 1 378 discriminant samples; one
-        # transversality resultant
-        (CUBIC, None, 100 + 1 + 1378 + 1, 0),
-        # R: 30 nodes, 7 where H vanishes; one certificate; 15 discriminant
-        # samples; one transversality resultant.  The evolute X**2 + Y**2
-        # fails the isotropy certificate, so sympy lists its factors once
-        ("x**2 + y**2 - 1", None, 23 + 1 + 15 + 1, 1),
+        # nodes, 3 of them where H vanishes at x = 0 and need no call; R's
+        # content is a gcd fold, no resultant; the discriminant: m = 4, e = 2
+        # and a constant lc_x(R), so the lower set of total degree 14, 120
+        # samples; one Res(f, f') of f(t) = LF(1, t) for the transversality
+        # flag
+        (ELLIPSE, None, 27 + 120 + 1, 0),
+        # R: 10 x nodes times 10, 1 without a call; the gcd fold strips a
+        # content of degree 2 (the node); then m = 7, e = 3: the lower set
+        # of total degree 39, 820 samples; one transversality resultant
+        ("x**3 + y**3 - 3*x*y", 0, 99 + 820 + 1, 0),
+        # R: 100 nodes; 1 378 discriminant samples; one transversality
+        # resultant
+        (CUBIC, None, 100 + 1378 + 1, 0),
+        # R: 30 nodes, 7 where H vanishes; 15 discriminant samples; one
+        # transversality resultant.  The evolute X**2 + Y**2 fails the
+        # isotropy certificate, so sympy lists its factors once
+        ("x**2 + y**2 - 1", None, 23 + 15 + 1, 1),
     ],
 )
 def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls, factor_calls):
@@ -819,6 +896,19 @@ def test_wide_coefficient_conic_needs_no_sympy_factoring(monkeypatch):
     result = oracle_check(PlaneCurve.from_expr(WIDE_CONIC))
     assert result.degree == 6
     assert result.match is True
+
+
+def test_common_path_builds_no_poly(monkeypatch):
+    # the integer certificates decide these curves, so once the text is
+    # parsed no sympy Poly is built on the way to the report
+    curves = [PlaneCurve.from_expr(text) for text in (ELLIPSE, CUBIC, WIDE_CONIC)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy Poly built")
+
+    monkeypatch.setattr(oracle.sp, "Poly", refuse)
+    for curve in curves:
+        assert oracle_check(curve).to_dict()["match"] is True
 
 
 def test_quartic_evolute_degree(monkeypatch):
