@@ -32,10 +32,9 @@ from .pipelines import (
     surface_report,
     surface_report_from_degree,
 )
-from .thom import UnsupportedCodimensionError
 from .varieties import CurveInvariants, SurfaceChernNumbers
 
-INPUT_ERRORS = (ValueError, KeyError, UnsupportedCodimensionError, OSError)
+INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
 def _lazy_module(name: str):
@@ -210,8 +209,10 @@ def _stationary(args: argparse.Namespace) -> tuple[int, ...]:
     return tuple(ks)
 
 
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_output_options(
+    parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "csv")
+) -> None:
+    parser.add_argument("--format", choices=formats, default="text")
     parser.add_argument("--out", metavar="PATH", help="write the report to a file")
 
 
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="reproduce the full verification grid")
     p.add_argument("--skip-oracle", action="store_true", help="skip the elimination checks")
-    _add_output_options(p)
+    _add_output_options(p, ("text", "json"))
 
     return parser
 
@@ -395,6 +396,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 def _argv_from_config(path: str) -> list[str]:
     with open(path, encoding="utf-8") as handle:
         config = json.load(handle)
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
     if "subcommand" not in config:
         raise ValueError("config must name a subcommand")
     argv = [str(config.pop("subcommand"))]

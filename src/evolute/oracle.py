@@ -38,13 +38,14 @@ PRS on plain ints (`dup_resultant`), and the samples of a polynomial in
 tensor grid, which fixes it (Dyn and Floater, J. Approx. Theory 177,
 2014).  The work is predicted from the degree and the coefficient size
 before the curve is checked, and a curve above `MAX_WORK` is refused.
-Every polynomial from the curve to the evolute is an integer term map,
-exponents -> nonzero coefficient, with the curve's denominators cleared
-once.  sympy's `Poly` is built only by the parser, by the three sympy
-fallbacks (the curve's `factor_list`, D's `sqf_list` and the evolute's
-`factor_list`, which `_integer_terms` converts back) and by the public
-`EvoluteResult.polynomial`.  The curve text is read by a whitelisting walk
-over its syntax tree (`parse_polynomial`) and is never evaluated.
+The curve text is read by a whitelisting walk over its syntax tree
+(`parse_polynomial`), is never evaluated, and gives exact rational terms;
+`PlaneCurve.from_expr` clears their denominators once, by their lcm, and
+from there to the evolute every polynomial is an integer term map,
+exponents -> nonzero coefficient.  sympy's `Poly` is built only by the
+three sympy fallbacks (the curve's `factor_list`, D's `sqf_list` and the
+evolute's `factor_list`, which `_integer_terms` converts back) and by the
+public `EvoluteResult.polynomial`.
 
 This module shares no code with the intersection-theoretic engine; the two
 paths cross-check each other through the closed-form target
@@ -59,12 +60,12 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import sympy as sp
 from sympy.polys.densearith import dup_div, dup_exquo, dup_mul, dup_pow, dup_sqr
 from sympy.polys.densebasic import dmp_to_dict, dup_strip
-from sympy.polys.domains import QQ, ZZ
+from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_primitive, dup_gcd
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.sqfreetools import dup_sqf_list
@@ -76,6 +77,8 @@ X, Y = sp.symbols("X Y")
 # exponents -> nonzero integer coefficient: F in (x, y), H in (x, y, X, Y),
 # R in (x, X, Y), D and the evolute in (X, Y)
 _IntTerms = dict[tuple[int, ...], int]
+# the parsed curve in (x, y): exponents -> nonzero exact coefficient
+_Terms = dict[tuple[int, int], Fraction]
 
 
 class DegenerateCurveError(ValueError):
@@ -107,8 +110,9 @@ class PlaneCurve:
             raise ValueError("genus must be nonnegative")
         if cusps < 0:
             raise ValueError("cusp count must be nonnegative")
-        poly = parse_polynomial(text)
-        F = _integer_terms(poly)
+        terms = parse_polynomial(text)
+        scale = lcm(*(c.denominator for c in terms.values()))
+        F = {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
         d = _degree(F)
         if not d:
             raise ValueError("constant input is not a curve")
@@ -121,7 +125,7 @@ class PlaneCurve:
                 f"of ~{bits} bits, work {work:.1e} > budget {MAX_WORK:.0e}"
             )
         if not _certified_irreducible(F):
-            _, factors = sp.factor_list(poly)
+            _, factors = sp.factor_list(sp.Poly.from_dict(F, x, y))
             if any(mult > 1 for _, mult in factors):
                 raise ValueError("curve polynomial must be squarefree")
             if len(factors) > 1:
@@ -185,12 +189,12 @@ _SYNTAX = (
 )
 
 
-def parse_polynomial(text: str) -> sp.Poly:
-    """The polynomial in x and y written in `text`, built without evaluating
-    any code: integer and decimal literals (read exactly), x, y, + - * /,
-    unary signs, parentheses, division by a nonzero constant, and ** (or ^)
-    with an integer literal exponent in 0..MAX_DEGREE.  The domain is ZZ
-    when every coefficient is an integer and QQ otherwise."""
+def parse_polynomial(text: str) -> _Terms:
+    """The polynomial in x and y written in `text`, as exact terms (exponents
+    (i, j) of x**i y**j -> nonzero `Fraction`), built without evaluating any
+    code: integer and decimal literals (read exactly), x, y, + - * /, unary
+    signs, parentheses, division by a nonzero constant, and ** (or ^) with
+    an integer literal exponent in 0..MAX_DEGREE."""
     text = text.strip().replace("^", "**")
     try:
         tree = ast.parse(text, mode="eval")
@@ -205,16 +209,9 @@ def parse_polynomial(text: str) -> sp.Poly:
     if foreign:
         raise ValueError(f"curve may involve only x and y, got {', '.join(foreign)}")
     try:
-        terms = _build(tree.body, text)
+        return _build(tree.body, text)
     except RecursionError:
         raise ValueError(TOO_DEEP) from None
-    return sp.Poly.from_dict(
-        {m: QQ(c.numerator, c.denominator) for m, c in terms.items()}, x, y, domain=QQ
-    ).retract()
-
-
-# a polynomial in (x, y) while it is parsed: exponents -> nonzero coefficient
-_Terms = dict[tuple[int, int], Fraction]
 
 
 def _build(node: ast.expr, text: str) -> _Terms:
@@ -511,7 +508,7 @@ def dup_resultant(f: list[int], g: list[int]) -> int:
 def _integer_terms(poly: sp.Poly) -> _IntTerms:
     """The integer terms of a sympy `Poly` with its denominators cleared
     (the rational scale is irrelevant downstream, where content is
-    removed): the way back from the parser and the sympy fallbacks."""
+    removed): the way back from the sympy fallbacks."""
     return {m: int(c) for m, c in poly.clear_denoms(convert=True)[1].rep.to_dict().items()}
 
 

@@ -194,6 +194,13 @@ def test_missing_config_file_exit_two(tmp_path, capsys):
     assert err.startswith("error: ") and str(config) in err
 
 
+@pytest.mark.parametrize("payload", [["subcommand"], "subcommand"], ids=["list", "string"])
+def test_config_not_an_object_exit_two(tmp_path, capsys, payload):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(payload))
+    assert run(capsys, "--config", str(config)) == (2, "", "error: config must be a JSON object\n")
+
+
 def test_config_file(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"subcommand": "hypersurface", "n": 3, "d": 2, "format": "json"}))
@@ -281,6 +288,16 @@ def test_config_and_subcommand_conflict(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--config", "whatever.json", "salmon", "--d", "2"])
     assert err.value.code == 2
+
+
+def test_selftest_offers_no_csv(capsys):
+    # selftest has no CSV renderer, so argparse refuses the format before
+    # any check runs
+    with pytest.raises(SystemExit) as err:
+        main(["selftest", "--skip-oracle", "--format", "csv"])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == "" and "invalid choice: 'csv'" in err_text
 
 
 def test_exit_one_on_mismatch(capsys):

@@ -45,6 +45,7 @@ CUBIC = "x**3 + y**3 + x*y + x - 2*y + 1"
 # 2**256 + 12345 written out: sympy's factor_list of this conic's evolute
 # took over a minute; the certificates decide it without sympy
 WIDE_CONIC = f"x**2 + {2**256 + 12345}*y**2 + x*y - 3*x + 2*y - 7"
+RATIONAL_CUBIC = "x**3/2 + y**3/3 + x*y/5 + x - 2*y + 1"
 
 
 def test_plane_curve_validation():
@@ -88,7 +89,7 @@ def test_parser_messages():
 
 
 def test_parser_caps_degree_size_and_depth():
-    assert parse_polynomial(f"x**{MAX_DEGREE} + y").total_degree() == MAX_DEGREE
+    assert max(map(sum, parse_polynomial(f"x**{MAX_DEGREE} + y"))) == MAX_DEGREE
     for text in (
         f"x**{MAX_DEGREE + 1}",
         f"(x + y)**{MAX_DEGREE // 2} * (x - y)**{MAX_DEGREE // 2 + 1}",
@@ -100,21 +101,31 @@ def test_parser_caps_degree_size_and_depth():
     with pytest.raises(ValueError, match="^curve must be a polynomial"):
         parse_polynomial("x**10**9")
     # a long sum is folded in a loop; deep nesting is refused, not a crash
-    assert parse_polynomial(" + ".join(["x"] * 2000)) == sp.Poly(2000 * x, x, y)
+    assert parse_polynomial(" + ".join(["x"] * 2000)) == _exact_terms(2000 * x)
     with pytest.raises(ValueError, match="^curve polynomial nested too deeply$"):
         parse_polynomial("-" * 5000 + "x")
 
 
+def _exact_terms(expr):
+    """The terms of a sympy expression in (x, y), the reference for
+    `parse_polynomial`: exponents -> nonzero `Fraction` coefficient."""
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in sp.Poly(expr, x, y).terms() if c}
+
+
+def _denominators(terms):
+    return {c.denominator for c in terms.values()}
+
+
 def test_parser_exact_coefficients_and_domain():
-    assert parse_polynomial("x**2 + y**2 - 1").domain == sp.ZZ
-    assert parse_polynomial("2.0*x**2 + 6/3*y - 1").domain == sp.ZZ
+    assert _denominators(parse_polynomial("x**2 + y**2 - 1")) == {1}
+    assert _denominators(parse_polynomial("2.0*x**2 + 6/3*y - 1")) == {1}
     quarter = parse_polynomial("0.25*x**2 + y**2 - 1")
-    assert quarter.domain == sp.QQ
-    assert quarter == sp.Poly(x**2 / 4 + y**2 - 1, x, y)
-    assert parse_polynomial("0.1*x").coeffs() == [sp.Rational(1, 10)]
+    assert _denominators(quarter) == {4, 1}
+    assert quarter == _exact_terms(x**2 / 4 + y**2 - 1)
+    assert parse_polynomial("0.1*x") == {(1, 0): Fraction(1, 10)}
     # ^ is read as ** before parsing, so it keeps the precedence of **
     assert parse_polynomial("-x^2*3 + y^3") == parse_polynomial("-x**2*3 + y**3")
-    assert parse_polynomial("-x^2*3 + y^3") == sp.Poly(-3 * x**2 + y**3, x, y)
+    assert parse_polynomial("-x^2*3 + y^3") == _exact_terms(-3 * x**2 + y**3)
 
 
 # a power applies to a leaf only, so no text reaches the degree or size caps
@@ -138,7 +149,7 @@ _POLY_TEXT = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(_POLY_TEXT)
 def test_parser_matches_sympify(text):
-    assert parse_polynomial(text) == sp.Poly(sp.sympify(text, rational=True), x, y)
+    assert parse_polynomial(text) == _exact_terms(sp.sympify(text, rational=True))
 
 
 def test_parser_cap_boundaries():
@@ -151,14 +162,14 @@ def test_parser_cap_boundaries():
         ("1e-1233*x", "1e-1234*x"),
         (f"{5**4095}e-4095*x", f"{5**4096}e-4096*x"),  # x / 2**4095 and x / 2**4096
     ):
-        assert parse_polynomial(admitted) == sp.Poly(sp.sympify(admitted, rational=True), x, y)
+        assert parse_polynomial(admitted) == _exact_terms(sp.sympify(admitted, rational=True))
         with pytest.raises(ValueError, match=f"^{TOO_LARGE}$"):
             parse_polynomial(refused)
 
 
 def test_decimal_literals_are_capped_before_they_are_built():
-    assert parse_polynomial("x + 1e400").coeffs() == [1, 10**400]  # 1 329 bits
-    assert parse_polynomial("0e99999999999999999999 + x") == sp.Poly(x, x, y)
+    assert parse_polynomial("x + 1e400") == _exact_terms(x + 10**400)  # 1 329 bits
+    assert parse_polynomial("0e99999999999999999999 + x") == _exact_terms(x)
     started = time.monotonic()
     # the last two exponents are beyond the range of decimal.Decimal
     huge = ("1e99999999999999999999", "7.5e-99999999999999999999")
@@ -182,13 +193,13 @@ def test_decimal_cap_is_exact(whole, fraction, exponent):
             parse_polynomial(f"{literal}*x")
     else:
         value = sp.Rational(exact.numerator, exact.denominator)
-        assert parse_polynomial(f"{literal}*x") == sp.Poly(value * x, x, y)
+        assert parse_polynomial(f"{literal}*x") == _exact_terms(value * x)
 
 
 def test_integer_literals_are_capped():
     # 2**4096 - 1 is the largest integer of at most MAX_POWER_BITS bits
     admitted = 2**MAX_POWER_BITS - 1
-    assert parse_polynomial(f"{admitted}*x + y").coeffs() == [admitted, 1]
+    assert parse_polynomial(f"{admitted}*x + y") == _exact_terms(admitted * x + y)
     # 10**1300 written out (1 301 digits, 4 319 bits) is refused like 1e1300
     for literal in (2**MAX_POWER_BITS, 10**1300):
         with pytest.raises(ValueError, match=f"^{TOO_LARGE}$"):
@@ -277,6 +288,25 @@ def test_normal_condition_matches_sympy(F):
     reference = sp.diff(cleared, y) * (X - x) - sp.diff(cleared, x) * (Y - y)
     assert _as_poly(F_terms, x, y) == sp.Poly(cleared, x, y)
     assert _as_poly(H, x, y, X, Y) == sp.Poly(reference, x, y, X, Y)
+
+
+def _cleared(text):
+    """sympy's reference for a curve's integer terms: the text's polynomial
+    with its denominators cleared by `clear_denoms`."""
+    poly = sp.Poly(sp.sympify(text, rational=True), x, y).clear_denoms(convert=True)[1]
+    return {m: int(c) for m, c in poly.terms() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_POLY_TEXT, _integer_or_rational_curves().map(lambda F: str(F.as_expr()))))
+@example(RATIONAL_CUBIC)
+@example("0.25*x**2 + y**2/3 - 1.5")
+def test_from_expr_clears_denominators_like_sympy(text):
+    try:
+        curve = PlaneCurve.from_expr(text)
+    except ValueError:  # constant, reducible, not squarefree or too costly
+        return
+    assert curve.terms == _cleared(text)
 
 
 def test_line_is_degenerate():
@@ -744,9 +774,9 @@ def test_irreducibility_certificate_implies_one_factor(terms, cofactor):
 
 def test_irreducibility_certificate_decides_common_inputs():
     for text in (ELLIPSE, CUBIC, "x**2 + y**2 - 1", "x**3 + y**3 - 3*x*y", WIDE_CONIC):
-        assert _certified_irreducible(_integer_terms(parse_polynomial(text)))
+        assert _certified_irreducible(_cleared(text))
     for text in ("(x**2+y**2-1)*(x-3)", "x**2", "y**2 - 1"):
-        assert not _certified_irreducible(_integer_terms(parse_polynomial(text)))
+        assert not _certified_irreducible(_cleared(text))
 
 
 _CONIC_COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
@@ -899,16 +929,14 @@ def test_wide_coefficient_conic_needs_no_sympy_factoring(monkeypatch):
 
 
 def test_common_path_builds_no_poly(monkeypatch):
-    # the integer certificates decide these curves, so once the text is
-    # parsed no sympy Poly is built on the way to the report
-    curves = [PlaneCurve.from_expr(text) for text in (ELLIPSE, CUBIC, WIDE_CONIC)]
-
+    # the integer certificates decide these curves, so no sympy Poly is
+    # built from the text to the report, rational input included
     def refuse(*args, **kwargs):
         raise AssertionError("sympy Poly built")
 
     monkeypatch.setattr(oracle.sp, "Poly", refuse)
-    for curve in curves:
-        assert oracle_check(curve).to_dict()["match"] is True
+    for text in (ELLIPSE, CUBIC, WIDE_CONIC, RATIONAL_CUBIC):
+        assert oracle_check(PlaneCurve.from_expr(text)).to_dict()["match"] is True
 
 
 def test_quartic_evolute_degree(monkeypatch):
