@@ -21,14 +21,16 @@ factors are then stripped, and every removal is logged.
 
 Exact integer certificates decide the common case before any bivariate
 factorization.  The input is certified irreducible when its content in x
-is constant and one specialization F(x, y0) is irreducible; the evolute is
-split from D by univariate splits at sample nodes, interpolated and
-accepted only on an exact identity D = mu E C**2; and nothing needs
-stripping when both of its contents are constant and X**2 + Y**2 does not
-divide its leading form.  The genericity flags are exact tests on the
-leading form.  sympy's `factor_list` and `sqf_list` run only on what a
-certificate leaves undecided: reducible or non-squarefree input, circles
-and other isotropic evolutes, and a D whose split is not a square.
+is constant and one specialization F(x, y0) is irreducible (a quadratic
+by its discriminant); the evolute is split from D by univariate splits at
+sample nodes (one gcd each unless a root has multiplicity above 2),
+interpolated and accepted only on an exact identity D = mu E C**2; and
+nothing needs stripping when both of its contents are constant and
+X**2 + Y**2 does not divide its leading form.  The genericity flags are
+exact tests on the leading form.  sympy's `factor_list` and `sqf_list`
+run only on what a certificate leaves undecided: reducible or
+non-squarefree input, circles and other isotropic evolutes, and a D whose
+split is not a square.
 
 Both R and D are sampled on integer grids and interpolated exactly in
 integer arithmetic (Collins' evaluation-interpolation scheme): each sample
@@ -36,8 +38,10 @@ is one univariate resultant over the integers, computed by a subresultant
 PRS on plain ints (`dup_resultant`), and the samples of a polynomial in
 (X, Y) of total degree T are taken on the lower set of total degree T of a
 tensor grid, which fixes it (Dyn and Floater, J. Approx. Theory 177,
-2014).  The work is predicted from the degree and the coefficient size
-before the curve is checked, and a curve above `MAX_WORK` is refused.
+2014).  For D, T is the max-plus degree of its Sylvester matrix, one
+assignment problem on the degrees of R's coefficients.  The work is
+predicted from the degree and the coefficient size before the curve is
+checked, and a curve above `MAX_WORK` is refused.
 The curve text is read by a whitelisting walk over its syntax tree
 (`parse_polynomial`), is never evaluated, and gives exact rational terms;
 `PlaneCurve.from_expr` clears their denominators once, by their lcm, and
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, isqrt, lcm
 
 import sympy as sp
 from sympy.polys.densearith import dup_div, dup_exquo, dup_mul, dup_pow, dup_sqr
@@ -330,7 +334,13 @@ def predicted_work(F: _IntTerms) -> tuple[int, int, int]:
     sample count times the squared sample size: one schoolbook product of
     two samples per sample.  The model covers the sampling only: sympy's
     bivariate factoring is not modelled, and runs only on inputs that fail
-    the integer certificates."""
+    the integer certificates.
+
+    T is the Sylvester bound, kept on purpose although `_discriminant`
+    samples only up to the tighter `_discriminant_degree` (66 samples for a
+    conic against the 120 predicted here): it needs no R, so the guard runs
+    before any elimination, and admission, its message and the exit codes
+    stay as they were."""
     d = _degree(F)
     B = max(abs(c).bit_length() for c in F.values())
     T = (2 * d * d - 1) * d
@@ -368,9 +378,10 @@ def _certified_irreducible(f: _IntTerms) -> bool:
     """Whether F is certified irreducible over Q, hence squarefree: its
     content in x over Z[y] is constant (`_content`) and F(x, y0)
     keeps degree deg_x F and is irreducible in Z[x] for some y0 in
-    0, +-1, +-2.  A factorization F = G H would survive at y0: a factor free
-    of x would divide the content, and two factors of positive degree in x
-    keep it where lc_x(F) does not vanish.  False leaves it undecided."""
+    0, +-1, +-2 (`_irreducible`).  A factorization F = G H would survive at
+    y0: a factor free of x would divide the content, and two factors of
+    positive degree in x keep it where lc_x(F) does not vanish.  False
+    leaves it undecided."""
     n = max(i for i, _ in f)
     if not n or len(_content(_columns(f, 1).values())) > 1:
         return False
@@ -378,11 +389,22 @@ def _certified_irreducible(f: _IntTerms) -> bool:
         f0 = [0] * (n + 1)
         for (i, j), c in f.items():
             f0[n - i] += c * y0**j
-        if f0[0]:
-            _, factors = dup_factor_list(f0, ZZ)
-            if len(factors) == 1 and factors[0][1] == 1:
-                return True
+        if f0[0] and _irreducible(f0):
+            return True
     return False
+
+
+def _irreducible(f: list[int]) -> bool:
+    """Whether f, a descending integer list of degree >= 1 with a nonzero
+    head, is irreducible over Q (its content aside): a quadratic exactly
+    when its discriminant is not a square, any other f by sympy's
+    `dup_factor_list`."""
+    if len(f) == 3:
+        a, b, c = f
+        disc = b * b - 4 * a * c
+        return disc < 0 or isqrt(disc) ** 2 != disc
+    _, factors = dup_factor_list(f, ZZ)
+    return len(factors) == 1 and factors[0][1] == 1
 
 
 @dataclass(frozen=True)
@@ -695,19 +717,83 @@ def _strip_content(R: _IntTerms, log: list[str]) -> _IntTerms:
     return R
 
 
+def _discriminant_degree(R: _IntTerms) -> float:
+    """A bound T on the total degree of disc_x(R) in (X, Y): the max-plus
+    determinant of the Sylvester matrix of R and dR/dx, less deg lc_x(R);
+    -inf when every term of that determinant vanishes.
+
+    With m = deg_x R the matrix is 2m - 1 square, and each entry is a
+    coefficient r_k of x**k (times k in the rows of dR/dx), whose total
+    degree is w_k.  A term of the determinant has degree at most the sum
+    of w over one permutation, hence at most their maximum
+    (`_max_assignment`).  T is below the Sylvester bound
+    (2m - 1) deg_XY(R) - deg lc_x(R) whenever some r_k has a lower degree:
+    10 against 14 for a conic, 42 against 51 for the generic cubic."""
+    m = max(i for i, _, _ in R)
+    w = [-inf] * (m + 1)
+    for i, a, b in R:
+        w[i] = max(w[i], a + b)
+    n = 2 * m - 1
+    # m - 1 shifted rows of R, from x**m down, then m of dR/dx, whose x**k
+    # coefficient is (k + 1) r_(k + 1)
+    sylvester = [
+        [-inf] * s + row + [-inf] * (n - s - len(row))
+        for row, shifts in ((w[::-1], m - 1), (w[:0:-1], m))
+        for s in range(shifts)
+    ]
+    return _max_assignment(sylvester) - w[m]
+
+
+def _max_assignment(weights: list[list[float]]) -> float:
+    """The largest sum of weights[i][p(i)] over the permutations p of the
+    columns of this square matrix of nonnegative integers and -inf (the
+    max-plus determinant), by the Hungarian method (Kuhn, Naval Res.
+    Logist. Q. 2, 1955): a minimum-cost assignment on the costs -w, with
+    row and column potentials, adding one row at a time along a shortest
+    augmenting path.  A -inf entry costs more than any permutation that
+    avoids them all, so the sum is -inf only when none does."""
+    n = len(weights)
+    missing = 1 + n * max((c for row in weights for c in row if c > -inf), default=0)
+    cost = [[missing if c == -inf else -c for c in row] for row in weights]
+    u, v = [0] * (n + 1), [0] * (n + 1)
+    owner = [0] * (n + 1)  # owner[j]: the row (from 1) holding column j; column 0 is a root
+    for i in range(1, n + 1):
+        owner[0], j0 = i, 0
+        slack, back, used = [inf] * (n + 1), [0] * (n + 1), [False] * (n + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0, delta, j1 = owner[j0], inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], back[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # flip the augmenting path back to the root
+            owner[j0] = owner[back[j0]]
+            j0 = back[j0]
+    return sum(weights[owner[j] - 1][j - 1] for j in range(1, n + 1))
+
+
 def _discriminant(R: _IntTerms) -> _IntTerms:
     """disc_x(R) = Res_x(R, dR/dx) / lc_x(R) in (X, Y), up to sign.
 
-    With m = deg_x R and e its total degree in (X, Y), the Sylvester matrix
-    of R and dR/dx has 2m - 1 rows of coefficients of degree at most e, so
-    the quotient has total degree at most T = (2m - 1) e - deg lc_x(R).  It
-    is sampled on the lower set of total degree T of a grid that avoids the
+    Its total degree is at most T = `_discriminant_degree(R)`, and it is
+    sampled on the lower set of total degree T of a grid that avoids the
     zeros of lc_x(R), one `dup_resultant(R0, R0')` per node, each divided
     exactly by lc(R0)."""
     m = max(i for i, _, _ in R)
     e = max(a + b for _, a, b in R)
     lead = {(a, b): c for (i, a, b), c in R.items() if i == m}
-    count = (2 * m - 1) * e - max(a + b for a, b in lead) + 1
+    count = max(_discriminant_degree(R) + 1, 0)  # no samples when it vanishes term by term
     # at the X nodes, lc_x(R) stays a nonzero polynomial in Y
     top = max(b for _, b in lead)
     us = _grid([{a: c for (a, b), c in lead.items() if b == top}], count)
@@ -769,16 +855,18 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
     multiplicity-one part.  None when the samples below certify no such E.
 
     At a node v0 where lc_X(D) does not vanish, `_square_parts` splits
-    D0 = D(X, v0) into its simple roots and a square; a node with fewer
-    simple roots than another lies on a collision of E and C and is
-    dropped.  The images, scaled to the head lc_X(D)(v0), are those of
-    polynomials of degree at most deg_Y D in Y; Newton interpolation (Brown,
-    J. ACM 18, 1971) adds nodes until two in a row add nothing.  E and C
-    are the primitive parts in X, mu = lc_X(D) / (lc_X(E) lc_X(C)**2), and the
-    result stands only on the exact identity D = mu E C**2.  Given it, the
-    deg_X E simple roots of D0 at a kept node are roots of E(X, v0) not
-    shared with C(X, v0), so E(X, v0) is squarefree and coprime to C(X, v0);
-    a repeated or common factor would stay one at v0, since lc_X(D)(v0) != 0
+    D0 = D(X, v0) into its simple roots and a square, by one gcd unless a
+    root has multiplicity above 2; a node with fewer simple roots than
+    another lies on a collision of E and C and is dropped, and one with a
+    root of odd multiplicity above 1 is skipped.  The images, scaled to the
+    head lc_X(D)(v0), are those of polynomials of degree at most deg_Y D in
+    Y; Newton interpolation (Brown, J. ACM 18, 1971) adds nodes until two
+    in a row add nothing.  E and C are the primitive parts in X,
+    mu = lc_X(D) / (lc_X(E) lc_X(C)**2), and the result stands only on the
+    exact identity D = mu E C**2.  Given it, the deg_X E simple roots of D0
+    at a kept node are roots of E(X, v0) not shared with C(X, v0), so
+    E(X, v0) is squarefree and coprime to C(X, v0); a repeated or common
+    factor would stay one at v0, since lc_X(D)(v0) != 0
     and E has no factor free of X."""
     in_y = _columns(D, 1)
     rows = [in_y.get((a,), []) for a in range(max(in_y)[0], -1, -1)]  # descending in X, then Y
@@ -848,8 +936,18 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
 
 def _square_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
     """(e, c) with f = lc * e * c**2 and e the product of the simple roots
-    of f, up to constants, by Yun's squarefree decomposition (sympy's
-    `dup_sqf_list`); None when a root has odd multiplicity above 1."""
+    of f, up to constants; None when a root has odd multiplicity above 1.
+
+    When no root has multiplicity above 2, one gcd splits f: c = gcd(f, f')
+    is the product of the double roots and e = pp(f) / c**2 exactly.  A
+    remainder means a root of higher multiplicity, and Yun's squarefree
+    decomposition (sympy's `dup_sqf_list`) splits f instead."""
+    content = reduce(gcd, f)
+    f = [a // content for a in f]
+    c = dup_gcd(f, _derivative(f), ZZ)
+    e, rem = dup_div(f, dup_sqr(c, ZZ), ZZ)
+    if not rem:
+        return e, c
     e, c = [1], [1]
     for part, mult in dup_sqf_list(f, ZZ)[1]:
         if mult == 1:

@@ -1,12 +1,16 @@
 import time
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
+from math import gcd, inf
 
 import pytest
 import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.euclidtools import dup_resultant as sympy_dup_resultant
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from evolute import oracle
 from evolute.oracle import (
@@ -20,12 +24,16 @@ from evolute.oracle import (
     Y,
     _certified_irreducible,
     _discriminant,
+    _discriminant_degree,
     _interpolate,
     _integer_terms,
+    _irreducible,
     _is_isotropic_factor,
+    _max_assignment,
     _normal_resultant,
     _nothing_to_strip,
     _simple_part,
+    _square_parts,
     _square_split,
     _strip_content,
     canonical_text,
@@ -561,9 +569,12 @@ _R_TERMS = st.dictionaries(
 @example({(2, 1, 0): 1, (2, 0, 1): -1, (1, 0, 0): 1, (0, 0, 1): 1})
 # a linear R: the discriminant is the constant 1
 @example({(1, 1, 0): 2, (0, 0, 1): 1})
+# R = x**2 + X x + Y**2: disc = X**2 - 4 Y**2, max-plus bound 2, Sylvester 6
+@example({(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 2): 1})
 def test_total_degree_bound_holds(terms):
-    # the lower set of total degree (2m - 1) e - deg lc_x(R) fixes the
-    # discriminant, which the samples reproduce
+    # the lower set of total degree `_discriminant_degree(R)`, at most the
+    # Sylvester bound (2m - 1) e - deg lc_x(R), fixes the discriminant,
+    # which the samples reproduce
     R = _as_poly(terms)
     m = R.degree(x)
     assume(m > 0)
@@ -574,7 +585,7 @@ def test_total_degree_bound_holds(terms):
         with pytest.raises(DegenerateCurveError):
             _discriminant(terms)
         return
-    assert reference.total_degree() <= (2 * m - 1) * e - lead
+    assert reference.total_degree() <= _discriminant_degree(terms) <= (2 * m - 1) * e - lead
     assert _proportional(_as_poly(_discriminant(terms), X, Y), reference)
 
 
@@ -612,6 +623,44 @@ def test_content_certificate_matches_gcd_fold(terms):
         return
     assert _as_poly(_strip_content(R, log)) == expected
     assert log == expected_log
+
+
+@pytest.mark.parametrize(
+    "F, degree, sylvester",
+    [
+        (_cleared(ELLIPSE), 10, 14),
+        (_FOLIUM, 30, 39),
+        (_NODAL, 12, 18),
+        (_cleared(CUBIC), 42, 51),
+        (_cleared("x**2 + y**2 - 1"), 4, 4),
+    ],
+)
+def test_max_plus_bound_is_tight(F, degree, sylvester):
+    # the bound is deg D on these curves; the Sylvester bound, which the
+    # cost guard still uses, is looser on all but the circle
+    system = center_of_curvature_system(PlaneCurve(F, oracle._degree(F), 0, 0))
+    R = _strip_content(_normal_resultant(*system), [])
+    m = max(i for i, _, _ in R)
+    lead = max(a + b for i, a, b in R if i == m)
+    assert (2 * m - 1) * max(a + b for _, a, b in R) - lead == sylvester
+    assert _discriminant_degree(R) == degree == oracle._degree(_discriminant(R))
+
+
+_WEIGHTS = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.just(-inf), st.integers(0, 6)), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(_WEIGHTS)
+@example([[-inf, 0], [-inf, 3]])  # every permutation meets a -inf
+def test_max_assignment_is_max_over_permutations(weights):
+    n = len(weights)
+    best = max(sum(weights[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+    assert _max_assignment(weights) == best
 
 
 def _split(F):
@@ -694,6 +743,37 @@ def test_square_split_on_products(factors, scale):
     assert split is None or _proportional(_as_poly(split, X, Y), simple)
     if all(k <= 2 and f.has(X) for f, k in exponents.items()):
         assert split is not None  # a generic square split is certified
+
+
+_UNIVARIATE = st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(lambda f: f[0])
+
+
+def _normalized(f):
+    """f divided by its content, with a positive head: equal for f and g
+    exactly when they agree up to a nonzero rational."""
+    content = reduce(gcd, f, 0) * (1 if f[0] > 0 else -1)
+    return [c // content for c in f]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_UNIVARIATE, min_size=4, max_size=4), st.integers(-6, 6).filter(bool))
+@example([[1, 0], [1, -1], [1, 1], [1]], 1)  # x (x - 1)**2 (x + 1)**3: one triple root
+@example([[1, 0, 1], [1, 2], [1], [1, -2]], -2)  # (x + 2)**2 (x - 2)**4: past the gcd
+@example([[3], [2, 0], [1], [1]], 4)  # 12 x**2: a double root and constants
+def test_square_parts_matches_yun(parts, scale):
+    # f = scale e c**2 p**3 q**4: the split (one gcd, or Yun's decomposition
+    # past a remainder) agrees with Yun's wherever it answers, and refuses
+    # exactly when a root has odd multiplicity above 1
+    e, c, p, q = parts
+    f = reduce(_times, (e, c, c, p, p, p, q, q, q, q), [scale])
+    _, factors = dup_sqf_list(f, sp.ZZ)
+    split = _square_parts(f)
+    assert (split is None) == any(mult > 1 and mult % 2 for _, mult in factors)
+    if split is not None:
+        simple = reduce(_times, (g for g, mult in factors if mult == 1), [1])
+        halves = [g for g, mult in factors if mult % 2 == 0 for _ in range(mult // 2)]
+        root = reduce(_times, halves, [1])
+        assert [_normalized(g) for g in split] == [_normalized(simple), _normalized(root)]
 
 
 def test_square_split_refuses_what_the_nodes_miss():
@@ -779,6 +859,34 @@ def test_irreducibility_certificate_decides_common_inputs():
         assert not _certified_irreducible(_cleared(text))
 
 
+_LINEAR = st.tuples(st.integers(-5, 5).filter(bool), st.integers(-5, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-30, 30), min_size=3, max_size=3).filter(lambda f: f[0]),
+        # products of two linear factors (square discriminants) and squares
+        # of one (zero discriminant), times a content
+        st.builds(
+            lambda k, a, b: [k * a[0] * b[0], k * (a[0] * b[1] + a[1] * b[0]), k * a[1] * b[1]],
+            st.integers(-4, 4).filter(bool), _LINEAR, _LINEAR,
+        ),
+        st.builds(
+            lambda k, a: [k * a[0] ** 2, 2 * k * a[0] * a[1], k * a[1] ** 2],
+            st.integers(-4, 4).filter(bool), _LINEAR,
+        ),
+    )
+)
+@example([1, 0, 1])  # negative discriminant
+@example([2, 4, 2])  # zero discriminant, content 2
+@example([6, 0, 10])  # 2 (3 x**2 + 5): content only
+@example([4, 0, -9])  # (2 x - 3)(2 x + 3)
+def test_quadratic_irreducibility_matches_factoring(f):
+    _, factors = dup_factor_list(f, sp.ZZ)
+    assert _irreducible(f) == (len(factors) == 1 and factors[0][1] == 1)
+
+
 _CONIC_COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
 
 
@@ -854,23 +962,35 @@ def test_canonical_text_round_trip(terms):
     assert sp.Poly(sp.sympify(text), X, Y) == poly
 
 
+# sympy's univariate (dup_factor_list, dup_sqf_list) calls.  The first
+# factor F(x, y0) in the irreducibility certificate: none for the conics,
+# whose quadratics are decided by their discriminants; the folium splits at
+# y0 = 0.  The second are one Yun decomposition of mu(Y) in the split of D,
+# and one per node where a root of multiplicity above 2 leaves the one-gcd
+# split a remainder: two of the ellipse's nodes (multiplicity 4), two of
+# the folium's (7 and 6) and the circle's node 0, where D(X, 0) = X**4
+_UNIVARIATE_CALLS = {
+    ELLIPSE: (0, 3), "x**3 + y**3 - 3*x*y": (2, 3), CUBIC: (1, 1), "x**2 + y**2 - 1": (0, 2)
+}
+
+
 @pytest.mark.parametrize(
     "text, genus, kernel_calls, factor_calls",
     [
         # R: 5 x nodes times the lower set of total degree 2 in (X, Y), 30
         # nodes, 3 of them where H vanishes at x = 0 and need no call; R's
-        # content is a gcd fold, no resultant; the discriminant: m = 4, e = 2
-        # and a constant lc_x(R), so the lower set of total degree 14, 120
+        # content is a gcd fold, no resultant; the discriminant: m = 4 and
+        # a max-plus degree of 10, so the lower set of total degree 10, 66
         # samples; one Res(f, f') of f(t) = LF(1, t) for the transversality
         # flag
-        (ELLIPSE, None, 27 + 120 + 1, 0),
+        (ELLIPSE, None, 27 + 66 + 1, 0),
         # R: 10 x nodes times 10, 1 without a call; the gcd fold strips a
-        # content of degree 2 (the node); then m = 7, e = 3: the lower set
-        # of total degree 39, 820 samples; one transversality resultant
-        ("x**3 + y**3 - 3*x*y", 0, 99 + 820 + 1, 0),
-        # R: 100 nodes; 1 378 discriminant samples; one transversality
-        # resultant
-        (CUBIC, None, 100 + 1378 + 1, 0),
+        # content of degree 2 (the node); then m = 7: the lower set of total
+        # degree 30, 496 samples; one transversality resultant
+        ("x**3 + y**3 - 3*x*y", 0, 99 + 496 + 1, 0),
+        # R: 100 nodes; 946 discriminant samples (total degree 42); one
+        # transversality resultant
+        (CUBIC, None, 100 + 946 + 1, 0),
         # R: 30 nodes, 7 where H vanishes; 15 discriminant samples; one
         # transversality resultant.  The evolute X**2 + Y**2 fails the
         # isotropy certificate, so sympy lists its factors once
@@ -883,22 +1003,29 @@ def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls, factor_calls
     # sympy factors only what the integer certificates leave undecided
     counts = _count_calls(monkeypatch)
     oracle_check(PlaneCurve.from_expr(text, genus=genus))
+    factorings, decompositions = _UNIVARIATE_CALLS[text]
     assert counts == {
-        "dup_resultant": kernel_calls, "gcd": 0, "factor_list": factor_calls, "sqf_list": 0
+        "dup_resultant": kernel_calls, "gcd": 0, "factor_list": factor_calls, "sqf_list": 0,
+        "dup_factor_list": factorings, "dup_sqf_list": decompositions,
     }
 
 
 def test_reducible_input_reaches_sympy_factoring(monkeypatch):
     # every F(x, y0) of (x**2 + y**2 - 1)(x - 3) splits, so the certificate
-    # fails and one factor_list decides
+    # fails after five univariate factorizations and one factor_list decides
     counts = _count_calls(monkeypatch)
     with pytest.raises(DegenerateCurveError, match="irreducible over Q"):
         PlaneCurve.from_expr("(x**2+y**2-1)*(x-3)")
-    assert counts == {"dup_resultant": 0, "gcd": 0, "factor_list": 1, "sqf_list": 0}
+    assert counts == {
+        "dup_resultant": 0, "gcd": 0, "factor_list": 1, "sqf_list": 0,
+        "dup_factor_list": 5, "dup_sqf_list": 0,
+    }
 
 
 def _count_calls(monkeypatch):
-    counts = {"dup_resultant": 0, "gcd": 0, "factor_list": 0, "sqf_list": 0}
+    oracle_names = ("dup_resultant", "dup_factor_list", "dup_sqf_list")
+    sympy_names = ("gcd", "factor_list", "sqf_list")
+    counts = dict.fromkeys(oracle_names + sympy_names, 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -907,9 +1034,9 @@ def _count_calls(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(oracle, "dup_resultant", counting("dup_resultant", oracle.dup_resultant))
-    for name in ("gcd", "factor_list", "sqf_list"):
-        monkeypatch.setattr(oracle.sp, name, counting(name, getattr(oracle.sp, name)))
+    for module, names in ((oracle, oracle_names), (oracle.sp, sympy_names)):
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return counts
 
 
