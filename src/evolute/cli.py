@@ -303,12 +303,18 @@ def _surface_numbers(args: argparse.Namespace) -> tuple[SurfaceChernNumbers, int
     if args.d is not None:
         if any(v is not None for v in explicit):
             raise ValueError("give either --d or the four Chern numbers, not both")
-        if args.n != 3:
-            raise ValueError("the --d shorthand describes surfaces in 3-space")
+        _require_three_space([args.n])
         return SurfaceChernNumbers.from_degree(args.d), args.d
     if any(v is None for v in explicit):
         raise ValueError("surface needs --d or all of --K2 --c2 --KH --H2")
     return SurfaceChernNumbers(args.K2, args.c2, args.KH, args.H2), None
+
+
+def _require_three_space(ns: list[int]) -> None:
+    """The surface degree shorthand (`surface --d`, `sweep surface`) names a
+    smooth surface in 3-space, so it admits no other ambient dimension."""
+    if any(n != 3 for n in ns):
+        raise ValueError("the --d shorthand describes surfaces in 3-space")
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -324,7 +330,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
             for k0 in k0s
         ]
     elif args.target == "surface":
-        reports = [surface_report_from_degree(d, ambient=n) for n in ns for d in ds]
+        _require_three_space(ns)
+        reports = [surface_report_from_degree(d) for _ in ns for d in ds]
     else:
         reports = [hypersurface_report(n, d) for n in ns for d in ds]
 

@@ -38,8 +38,8 @@ is one univariate resultant over the integers, computed by a subresultant
 PRS on plain ints (`dup_resultant`), and the samples of a polynomial in
 (X, Y) of total degree T are taken on the lower set of total degree T of a
 tensor grid, which fixes it (Dyn and Floater, J. Approx. Theory 177,
-2014).  For D, T is the max-plus degree of its Sylvester matrix, one
-assignment problem on the degrees of R's coefficients.  The work is
+2014).  For D, T is read off the Newton polygon of R in x, from the
+degrees of its coefficients and the growth of its roots.  The work is
 predicted from the degree and the coefficient size before the curve is
 checked, and a curve above `MAX_WORK` is refused.
 The curve text is read by a whitelisting walk over its syntax tree
@@ -48,8 +48,7 @@ The curve text is read by a whitelisting walk over its syntax tree
 from there to the evolute every polynomial is an integer term map,
 exponents -> nonzero coefficient.  sympy's `Poly` is built only by the
 three sympy fallbacks (the curve's `factor_list`, D's `sqf_list` and the
-evolute's `factor_list`, which `_integer_terms` converts back) and by the
-public `EvoluteResult.polynomial`.
+evolute's `factor_list`, which `_integer_terms` converts back).
 
 This module shares no code with the intersection-theoretic engine; the two
 paths cross-check each other through the closed-form target
@@ -68,9 +67,8 @@ from math import comb, gcd, inf, isqrt, lcm
 
 import sympy as sp
 from sympy.polys.densearith import dup_div, dup_exquo, dup_mul, dup_pow, dup_sqr
-from sympy.polys.densebasic import dmp_to_dict, dup_strip
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_primitive, dup_gcd
+from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.sqfreetools import dup_sqf_list
 
@@ -374,6 +372,14 @@ def _derivative(f: list[int]) -> list[int]:
     return [(m - k) * c for k, c in enumerate(f[:-1])]
 
 
+def _horner(f: list[int], t: int) -> int:
+    """f(t) of a descending integer coefficient list ([] is 0)."""
+    value = 0
+    for c in f:
+        value = value * t + c
+    return value
+
+
 def _certified_irreducible(f: _IntTerms) -> bool:
     """Whether F is certified irreducible over Q, hence squarefree: its
     content in x over Z[y] is constant (`_content`) and F(x, y0)
@@ -383,12 +389,11 @@ def _certified_irreducible(f: _IntTerms) -> bool:
     positive degree in x keep it where lc_x(F) does not vanish.  False
     leaves it undecided."""
     n = max(i for i, _ in f)
-    if not n or len(_content(_columns(f, 1).values())) > 1:
+    in_y = _columns(f, 1)
+    if not n or len(_content(in_y.values())) > 1:
         return False
     for y0 in (0, 1, -1, 2, -2):
-        f0 = [0] * (n + 1)
-        for (i, j), c in f.items():
-            f0[n - i] += c * y0**j
+        f0 = [_horner(in_y.get((i,), []), y0) for i in range(n, -1, -1)]
         if f0[0] and _irreducible(f0):
             return True
     return False
@@ -418,10 +423,6 @@ class EvoluteResult:
     match: bool | None
     flags: tuple[str, ...]
     log: tuple[str, ...]
-
-    @property
-    def polynomial(self) -> sp.Expr:
-        return sp.Poly.from_dict(self.terms, X, Y).as_expr()
 
     @property
     def degree(self) -> int:
@@ -581,16 +582,14 @@ def _interpolate(xs: list[int], ys: list[int]) -> list[int]:
     return coeffs
 
 
-def _grid(leads: list[dict[int, int]], count: int) -> list[int]:
+def _grid(leads: list[list[int]], count: int) -> list[int]:
     """The first `count` of the integers 0, 1, -1, 2, -2, ... at which none
-    of the univariate polynomials `leads` (exponent -> coefficient) vanishes."""
+    of the univariate polynomials `leads` (descending lists) vanishes."""
     points: list[int] = []
     v = 0
     while len(points) < count:
         for cand in ((v,) if v == 0 else (v, -v)):
-            if len(points) < count and all(
-                sum(c * cand**e for e, c in lead.items()) for lead in leads
-            ):
+            if len(points) < count and all(_horner(lead, cand) for lead in leads):
                 points.append(cand)
         v += 1
         if v > 10 * count + 10:
@@ -636,17 +635,16 @@ def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
     d = _degree(f)
     p = max(j for _, j in f)
     n = max(j for _, j, _, _ in h)
-    xs = _grid([{i: c for (i, j), c in f.items() if j == p}], d * d + 1)
+    f_in_x, h_in_x = _columns(f, 0), _columns(h, 0)
+    xs = _grid([f_in_x[(p,)]], d * d + 1)
     uv = _grid([], p + 1)
     at_x: list[dict[tuple[int, int], int]] = []
     for x0 in xs:
-        f0 = [0] * (p + 1)
-        for (i, j), c in f.items():
-            f0[p - j] += c * x0**i
+        f0 = [_horner(f_in_x.get((j,), []), x0) for j in range(p, -1, -1)]
         # H at x0 is the sum of X**a Y**b parts[a, b], each descending in y
         parts: dict[tuple[int, int], list[int]] = {}
-        for (i, j, a, b), c in h.items():
-            parts.setdefault((a, b), [0] * (n + 1))[n - j] += c * x0**i
+        for (j, a, b), col in h_in_x.items():
+            parts.setdefault((a, b), [0] * (n + 1))[n - j] = _horner(col, x0)
 
         # called at once by `_lower_set`, so it sees this x0's f0 and parts
         def row(u0: int, vs: list[int]) -> list[int]:
@@ -718,69 +716,37 @@ def _strip_content(R: _IntTerms, log: list[str]) -> _IntTerms:
 
 
 def _discriminant_degree(R: _IntTerms) -> float:
-    """A bound T on the total degree of disc_x(R) in (X, Y): the max-plus
-    determinant of the Sylvester matrix of R and dR/dx, less deg lc_x(R);
-    -inf when every term of that determinant vanishes.
+    """A bound T on the total degree of disc_x(R) in (X, Y), read off the
+    Newton polygon of R in x; -inf when x**2 divides R, and D = 0.
 
-    With m = deg_x R the matrix is 2m - 1 square, and each entry is a
-    coefficient r_k of x**k (times k in the rows of dR/dx), whose total
-    degree is w_k.  A term of the determinant has degree at most the sum
-    of w over one permutation, hence at most their maximum
-    (`_max_assignment`).  T is below the Sylvester bound
-    (2m - 1) deg_XY(R) - deg lc_x(R) whenever some r_k has a lower degree:
-    10 against 14 for a conic, 42 against 51 for the generic cubic."""
+    With m = deg_x R and w_k the total degree of the coefficient r_k of
+    x**k, disc_x(R) = lc**(m - 2) prod R'(a) over the roots a of R, up to
+    sign.  Along a generic line to infinity, each segment (k1, k2) of the
+    upper hull of the points (k, w_k) holds k2 - k1 roots growing like
+    s**rho, rho = (w_k1 - w_k2) / (k2 - k1) (Newton-Puiseux; Walker,
+    Algebraic Curves, 1950, ch. IV), where R' grows at most like
+    s**max_k(w_(k + 1) + k rho); a root 0 gives R'(0) = r_1.  T is the
+    max-plus determinant of the Sylvester matrix of R and R', less w_m:
+    10 for a conic and 42 for the generic cubic, where the Sylvester bound
+    (2m - 1) deg_XY(R) - w_m is 14 and 51."""
     m = max(i for i, _, _ in R)
     w = [-inf] * (m + 1)
     for i, a, b in R:
         w[i] = max(w[i], a + b)
-    n = 2 * m - 1
-    # m - 1 shifted rows of R, from x**m down, then m of dR/dx, whose x**k
-    # coefficient is (k + 1) r_(k + 1)
-    sylvester = [
-        [-inf] * s + row + [-inf] * (n - s - len(row))
-        for row, shifts in ((w[::-1], m - 1), (w[:0:-1], m))
-        for s in range(shifts)
-    ]
-    return _max_assignment(sylvester) - w[m]
-
-
-def _max_assignment(weights: list[list[float]]) -> float:
-    """The largest sum of weights[i][p(i)] over the permutations p of the
-    columns of this square matrix of nonnegative integers and -inf (the
-    max-plus determinant), by the Hungarian method (Kuhn, Naval Res.
-    Logist. Q. 2, 1955): a minimum-cost assignment on the costs -w, with
-    row and column potentials, adding one row at a time along a shortest
-    augmenting path.  A -inf entry costs more than any permutation that
-    avoids them all, so the sum is -inf only when none does."""
-    n = len(weights)
-    missing = 1 + n * max((c for row in weights for c in row if c > -inf), default=0)
-    cost = [[missing if c == -inf else -c for c in row] for row in weights]
-    u, v = [0] * (n + 1), [0] * (n + 1)
-    owner = [0] * (n + 1)  # owner[j]: the row (from 1) holding column j; column 0 is a root
-    for i in range(1, n + 1):
-        owner[0], j0 = i, 0
-        slack, back, used = [inf] * (n + 1), [0] * (n + 1), [False] * (n + 1)
-        while owner[j0]:
-            used[j0] = True
-            i0, delta, j1 = owner[j0], inf, 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    reduced = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                    if reduced < slack[j]:
-                        slack[j], back[j] = reduced, j0
-                    if slack[j] < delta:
-                        delta, j1 = slack[j], j
-            for j in range(n + 1):
-                if used[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    slack[j] -= delta
-            j0 = j1
-        while j0:  # flip the augmenting path back to the root
-            owner[j0] = owner[back[j0]]
-            j0 = back[j0]
-    return sum(weights[owner[j] - 1][j - 1] for j in range(1, n + 1))
+    support = [k for k in range(m + 1) if w[k] > -inf]
+    if support[0] > 1:
+        return -inf
+    hull: list[int] = []
+    for k in support:  # drop the last vertex while it is on or below the chord to k
+        while len(hull) > 1 and (w[hull[-1]] - w[hull[-2]]) * (k - hull[-2]) <= (
+            w[k] - w[hull[-2]]
+        ) * (hull[-1] - hull[-2]):
+            hull.pop()
+        hull.append(k)
+    T = (m - 2) * w[m] + (w[1] if support[0] else 0)
+    for k1, k2 in zip(hull, hull[1:]):
+        T += max((k2 - k1) * w[k + 1] + k * (w[k1] - w[k2]) for k in range(m) if w[k + 1] > -inf)
+    return T
 
 
 def _discriminant(R: _IntTerms) -> _IntTerms:
@@ -791,33 +757,23 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
     zeros of lc_x(R), one `dup_resultant(R0, R0')` per node, each divided
     exactly by lc(R0)."""
     m = max(i for i, _, _ in R)
-    e = max(a + b for _, a, b in R)
-    lead = {(a, b): c for (i, a, b), c in R.items() if i == m}
+    in_x = _columns(R, 1)
+
+    def at(u0: int, i: int, top: int) -> list[int]:  # x**i's coefficient, descending in Y
+        return [_horner(in_x.get((i, b), []), u0) for b in range(top, -1, -1)]
+
     count = max(_discriminant_degree(R) + 1, 0)  # no samples when it vanishes term by term
     # at the X nodes, lc_x(R) stays a nonzero polynomial in Y
-    top = max(b for _, b in lead)
-    us = _grid([{a: c for (a, b), c in lead.items() if b == top}], count)
-    leads = []
-    for u0 in us:
-        lead_u: dict[int, int] = {}
-        for (a, b), c in lead.items():
-            lead_u[b] = lead_u.get(b, 0) + c * u0**a
-        leads.append(lead_u)
-    vs = _grid(leads, count)
+    top = max(b for i, b in in_x if i == m)
+    us = _grid([in_x[m, top]], count)
+    vs = _grid([at(u0, m, top) for u0 in us], count)
+    e = max(b for _, b in in_x)  # deg_Y R
 
     def row(u0: int, vs: list[int]) -> list[int]:
-        # R at X = u0: one ascending polynomial in Y per power of x, descending
-        in_y = [[0] * (e + 1) for _ in range(m + 1)]
-        for (i, a, b), c in R.items():
-            in_y[m - i][b] += c * u0**a
+        in_y = [at(u0, i, e) for i in range(m, -1, -1)]  # R at X = u0, descending in x
         samples = []
         for v0 in vs:
-            r0 = []
-            for coeffs in in_y:
-                value = 0
-                for c in reversed(coeffs):
-                    value = value * v0 + c
-                r0.append(value)
+            r0 = [_horner(coeffs, v0) for coeffs in in_y]
             q, rem = divmod(dup_resultant(r0, _derivative(r0)), r0[0])
             if rem:
                 raise ArithmeticError("discriminant sample not divisible by lc(R0)")
@@ -871,16 +827,15 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
     in_y = _columns(D, 1)
     rows = [in_y.get((a,), []) for a in range(max(in_y)[0], -1, -1)]  # descending in X, then Y
     top = max(len(row) for row in rows) - 1  # deg_Y D
-    lead = {b: c for b, c in enumerate(rows[0][::-1]) if c}
     nodes: list[int] = []
     # per coefficient of the two images: the last diagonal of its divided
     # difference table and its Newton coefficients
     tables: list[tuple[list[int], list[int]]] = []
     simple = quiet = -1
-    grid = _grid([lead], 2 * top + 2)  # out of nodes is inconclusive, not a refusal
+    grid = _grid([rows[0]], 2 * top + 2)  # out of nodes is inconclusive, not a refusal
     try:
         for v0 in grid:
-            d0 = [reduce(lambda acc, c: acc * v0 + c, row, 0) for row in rows]
+            d0 = [_horner(row, v0) for row in rows]
             parts = _square_parts(d0)
             if parts is None or len(parts[0]) < simple:
                 continue
@@ -908,21 +863,15 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
             return None
     except ArithmeticError:  # the kept images are not those of integer polynomials
         return None
-    dense = [dup_strip(_monomials(nodes, newton)[::-1]) for _, newton in tables]
-    E = dmp_primitive(dense[:simple], 1, ZZ)[1]
-    C = dmp_primitive(dense[simple:], 1, ZZ)[1]
-    mu, rem = dup_div(
-        [lead.get(b, 0) for b in range(max(lead), -1, -1)],
-        dup_mul(E[0], dup_sqr(C[0], ZZ), ZZ),
-        ZZ,
-    )
+    images = [_monomials(nodes, newton)[::-1] for _, newton in tables]  # descending in Y
+    E, C = _primitive(images[:simple]), _primitive(images[simple:])
+    mu, rem = dup_div(rows[0], dup_mul(E[0], dup_sqr(C[0], ZZ), ZZ), ZZ)
     if rem or any(mult == 1 for _, mult in dup_sqf_list(mu, ZZ)[1]):
         return None
     # both sides at Y = 2**k (Kronecker): every coefficient of either side
     # is below 2**(k - 1) in size, so equal values mean equal polynomials
-    size = max(
-        sum(map(abs, mu)) * _norm(E) * _norm(C) ** 2, max(abs(c) for row in rows for c in row)
-    )
+    norm_e, norm_c = (sum(abs(c) for row in P for c in row) for P in (E, C))
+    size = max(sum(map(abs, mu)) * norm_e * norm_c**2, max(abs(c) for row in rows for c in row))
     k = size.bit_length() + 1
 
     def at(row: list[int]) -> int:
@@ -931,7 +880,18 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
     product = dup_mul([at(row) for row in E], dup_sqr([at(row) for row in C], ZZ), ZZ)
     if dup_mul([at(mu)], product, ZZ) != [at(row) for row in rows]:
         return None
-    return dmp_to_dict(E, 1, ZZ)
+    return {(len(E) - 1 - a, b): c for a, row in enumerate(E) for b, c in enumerate(row[::-1]) if c}
+
+
+def _primitive(rows: list[list[int]]) -> list[list[int]]:
+    """A polynomial in (X, Y), as rows descending in X of coefficient lists
+    descending in Y, divided by its content in Z[Y], the integer content
+    included, with leading zeros stripped ([] for a zero row)."""
+    rows = [row[next((k for k, c in enumerate(row) if c), len(row)) :] for row in rows]
+    content = _content(row for row in rows if row)
+    if len(content) == 1:  # known only up to an integer factor
+        content = [reduce(gcd, (c for row in rows for c in row))]
+    return [dup_exquo(row, content, ZZ) for row in rows]
 
 
 def _square_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
@@ -939,13 +899,14 @@ def _square_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
     of f, up to constants; None when a root has odd multiplicity above 1.
 
     When no root has multiplicity above 2, one gcd splits f: c = gcd(f, f')
-    is the product of the double roots and e = pp(f) / c**2 exactly.  A
-    remainder means a root of higher multiplicity, and Yun's squarefree
-    decomposition (sympy's `dup_sqf_list`) splits f instead."""
+    is the product of the double roots, and its cofactor pp(f) / c, which
+    the gcd computes too, divided by c is e exactly.  A remainder means a
+    root of higher multiplicity, and Yun's squarefree decomposition
+    (sympy's `dup_sqf_list`) splits f instead."""
     content = reduce(gcd, f)
     f = [a // content for a in f]
-    c = dup_gcd(f, _derivative(f), ZZ)
-    e, rem = dup_div(f, dup_sqr(c, ZZ), ZZ)
+    c, cofactor, _ = dup_inner_gcd(f, _derivative(f), ZZ)
+    e, rem = dup_div(cofactor, c, ZZ)
     if not rem:
         return e, c
     e, c = [1], [1]
@@ -957,10 +918,6 @@ def _square_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
         else:
             c = dup_mul(c, dup_pow(part, mult // 2, ZZ), ZZ)
     return e, c
-
-
-def _norm(rows: list[list[int]]) -> int:
-    return sum(abs(c) for row in rows for c in row)
 
 
 # --------------------------------------------------------------------------

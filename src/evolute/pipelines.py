@@ -374,7 +374,7 @@ def curve_report(inv: CurveInvariants) -> EnumerativeReport:
                 env == 2 * cusp + 2 * g - 2 - kappa,
             )
         )
-        identities.extend(salmon_identity_checks(inv))
+        identities.extend(_salmon_identities(inv, env, cusp))
 
     flags = _validity_flags(results) + [NOTE_CYCLE_DEGREES]
     citations = _thom_citations(len(results)) + [CITE_CURVE_FORMS, CITE_PLUCKER]
@@ -394,13 +394,23 @@ def curve_report(inv: CurveInvariants) -> EnumerativeReport:
 
 
 def salmon_identity_checks(inv: CurveInvariants) -> list[IdentityResult]:
-    """Salmon's two classical counts for curves in 3-space, against ours:
-    3m + n + theta equals the envelope degree and 5m + alpha the evolute
-    degree (weighted stationary indices throughout)."""
+    """Salmon's two classical counts for curves in 3-space, against the
+    engine's: 3m + n + theta equals the envelope degree and 5m + alpha the
+    evolute degree (weighted stationary indices throughout)."""
     if inv.ambient != 3:
         raise ValueError("Salmon's counts concern curves in 3-space")
+    variety = curve_geometry(inv).variety
+    env, cusp = (
+        _degree(variety, cls, k) for k, cls in enumerate(_compiled_classes("curve", 3)[:2], 1)
+    )
+    return _salmon_identities(inv, env, cusp)
+
+
+def _salmon_identities(inv: CurveInvariants, env: int, cusp: int) -> list[IdentityResult]:
+    """The two Salmon identities against the engine's envelope and
+    cuspidal-edge degrees env and cusp, which `curve_report` has already
+    integrated."""
     chars = salmon_characters(inv)
-    env, cusp, _ = curve_closed_forms(inv.degree, inv.genus, inv.cusp_count)
     lhs1 = 3 * chars.m + chars.strict_dual_class + chars.theta
     lhs2 = 5 * chars.m + chars.alpha
     return [
@@ -440,9 +450,8 @@ def surface_report(
     )
 
 
-def surface_report_from_degree(d: int, ambient: int = 3) -> EnumerativeReport:
-    if ambient != 3:
-        raise ValueError("degree shorthand describes surfaces in 3-space")
+def surface_report_from_degree(d: int) -> EnumerativeReport:
+    """The report of a smooth degree-d surface in 3-space."""
     return surface_report(3, SurfaceChernNumbers.from_degree(d), degree=d)
 
 

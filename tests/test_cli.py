@@ -68,6 +68,14 @@ def test_surface_requires_complete_numbers(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["surface", "--n", "4", "--d", "2"], ["sweep", "surface", "--n", "3..4", "--d", "2"]]
+)
+def test_degree_shorthand_needs_three_space(capsys, argv):
+    # one check of --n for both paths, before any report is built
+    assert run(capsys, *argv) == (2, "", "error: the --d shorthand describes surfaces in 3-space\n")
+
+
 def test_surface_chern_numbers_input(capsys):
     code, out, _ = run(
         capsys,

@@ -29,7 +29,6 @@ from evolute.oracle import (
     _integer_terms,
     _irreducible,
     _is_isotropic_factor,
-    _max_assignment,
     _normal_resultant,
     _nothing_to_strip,
     _simple_part,
@@ -338,17 +337,17 @@ def test_ellipse_evolute():
     assert result.match is True
     assert not result.flags
     # the four vertices' centers of curvature lie on the evolute
+    poly = sp.Poly.from_dict(result.terms, X, Y)
     for point in ((sp.Rational(3, 2), 0), (-sp.Rational(3, 2), 0), (0, 3), (0, -3)):
-        assert result.polynomial.subs({X: point[0], Y: point[1]}) == 0
+        assert poly.eval({X: point[0], Y: point[1]}) == 0
     # Lame-form sanity: no odd-degree monomials (symmetry in both axes)
-    poly = sp.Poly(result.polynomial, X, Y)
     assert all(i % 2 == 0 and j % 2 == 0 for i, j in poly.monoms())
 
 
 def test_ellipse_determinism():
     first = oracle_check(PlaneCurve.from_expr(ELLIPSE))
     second = oracle_check(PlaneCurve.from_expr(ELLIPSE))
-    assert first.polynomial == second.polynomial
+    assert first.terms == second.terms
     assert first.text == second.text
 
 
@@ -356,13 +355,13 @@ def test_circle_flagged_not_failed():
     result = oracle_check(PlaneCurve.from_expr("x**2 + y**2 - 1"))
     assert result.match is None
     assert any("circular points" in f for f in result.flags)
-    assert result.polynomial == sp.expand(X**2 + Y**2)
+    assert sp.Poly.from_dict(result.terms, X, Y) == sp.Poly(X**2 + Y**2, X, Y)
     assert result.degree == 2  # the degenerate d(d-1) case
 
 
 def test_shifted_circle_center():
     result = oracle_check(PlaneCurve.from_expr("(x-1)**2 + (y+2)**2 - 9"))
-    assert result.polynomial == sp.expand((X - 1) ** 2 + (Y + 2) ** 2)
+    assert sp.Poly.from_dict(result.terms, X, Y) == sp.Poly((X - 1) ** 2 + (Y + 2) ** 2, X, Y)
 
 
 def test_cubic_evolute_degree(battery_result):
@@ -646,21 +645,34 @@ def test_max_plus_bound_is_tight(F, degree, sylvester):
     assert _discriminant_degree(R) == degree == oracle._degree(_discriminant(R))
 
 
-_WEIGHTS = st.integers(1, 5).flatmap(
-    lambda n: st.lists(
-        st.lists(st.one_of(st.just(-inf), st.integers(0, 6)), min_size=n, max_size=n),
-        min_size=n,
-        max_size=n,
-    )
-)
+def _max_plus_sylvester_degree(R):
+    """The largest sum of entry degrees over the permutations of the
+    Sylvester matrix of R and dR/dx in x, less deg lc_x(R): m - 1 shifted
+    rows of R's coefficient degrees w_k, from x**m down, then m of dR/dx's,
+    whose x**k coefficient is (k + 1) r_(k + 1); -inf for a missing entry."""
+    m = max(i for i, _, _ in R)
+    w = [max((a + b for i, a, b in R if i == k), default=-inf) for k in range(m + 1)]
+    n = 2 * m - 1
+    rows = [
+        [-inf] * s + row + [-inf] * (n - s - len(row))
+        for row, shifts in ((w[::-1], m - 1), (w[:0:-1], m))
+        for s in range(shifts)
+    ]
+    best = max(sum(rows[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+    return best - w[m]
 
 
-@given(_WEIGHTS)
-@example([[-inf, 0], [-inf, 3]])  # every permutation meets a -inf
-def test_max_assignment_is_max_over_permutations(weights):
-    n = len(weights)
-    best = max(sum(weights[i][p[i]] for i in range(n)) for p in permutations(range(n)))
-    assert _max_assignment(weights) == best
+@settings(max_examples=60, deadline=None)
+@given(_R_TERMS)
+@example({(3, 0, 0): 1, (1, 2, 0): 1, (1, 0, 1): 2})  # x divides R once: the root 0
+@example({(3, 0, 1): 1, (2, 1, 0): 1})  # x**2 divides R: D = 0
+@example({(1, 1, 0): 2, (0, 0, 1): 1})  # m = 1
+@example({(2, 2, 2): 1, (1, 0, 1): 1, (0, 1, 0): -1})  # lc_x(R) of the highest degree
+def test_newton_polygon_degree_is_max_plus_sylvester(terms):
+    # the closed form on R's Newton polygon equals the max-plus determinant
+    # of the Sylvester matrix, the brute-force reference, on every R
+    assume(max(i for i, _, _ in terms) > 0)
+    assert _discriminant_degree(terms) == _max_plus_sylvester_degree(terms)
 
 
 def _split(F):

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from evolute import pipelines
 from evolute.bundle import BundleSpace
+from evolute.chow import integrate
 from evolute.pipelines import (
     EnumerativeReport,
     curve_closed_forms,
@@ -333,6 +335,15 @@ def test_salmon_strict_dual_class_is_second_developable():
 def test_salmon_identities_grid(battery_result):
     name, ok, detail = battery_result(check_salmon_grid)
     assert ok, f"{name}: {detail}"
+
+
+def test_salmon_identities_check_the_engine(monkeypatch):
+    # Salmon's counts are compared with the engine's integrals, so a wrong
+    # engine degree breaks the identities; the closed forms alone cannot
+    inv = CurveInvariants(3, 3, 0)
+    assert all(check.holds for check in salmon_identity_checks(inv))
+    monkeypatch.setattr(pipelines, "integrate", lambda variety, cls: integrate(variety, cls) + 1)
+    assert not any(check.holds for check in salmon_identity_checks(inv))
 
 
 def test_salmon_identities_need_threespace():
