@@ -40,8 +40,10 @@ INPUT_ERRORS = (ValueError, KeyError, OSError)
 def _lazy_module(name: str):
     """The module `name`, executed on its first attribute access.
 
-    The oracle imports sympy, which takes most of the start-up time and
-    about two thirds of the memory of a process that never runs the oracle.
+    Only the `oracle` and `selftest` subcommands run the oracle, so the
+    engine subcommands skip its definitions and imports (sympy is imported
+    by its fallbacks alone, not when it loads).  The module is registered
+    in `sys.modules` at once, where instrumentation looks for it.
     """
     if name in sys.modules:
         return sys.modules[name]

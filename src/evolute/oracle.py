@@ -22,15 +22,15 @@ factors are then stripped, and every removal is logged.
 Exact integer certificates decide the common case before any bivariate
 factorization.  The input is certified irreducible when its content in x
 is constant and one specialization F(x, y0) is irreducible (a quadratic
-by its discriminant); the evolute is split from D by univariate splits at
-sample nodes (one gcd each unless a root has multiplicity above 2),
-interpolated and accepted only on an exact identity D = mu E C**2; and
-nothing needs stripping when both of its contents are constant and
-X**2 + Y**2 does not divide its leading form.  The genericity flags are
-exact tests on the leading form.  sympy's `factor_list` and `sqf_list`
-run only on what a certificate leaves undecided: reducible or
-non-squarefree input, circles and other isotropic evolutes, and a D whose
-split is not a square.
+by its discriminant, a higher degree modulo a small prime); the evolute is
+split from D by univariate splits at sample nodes (one gcd each unless a
+root has multiplicity above 2), interpolated and accepted only on an exact
+identity D = mu E C**2; and nothing needs stripping when both of its
+contents are constant and X**2 + Y**2 does not divide its leading form.
+The genericity flags are exact tests on the leading form.  sympy's
+`factor_list` and `sqf_list` run only on what a certificate leaves
+undecided: reducible or non-squarefree input, circles and other isotropic
+evolutes, and a D whose split is not a square.
 
 Both R and D are sampled on integer grids and interpolated exactly in
 integer arithmetic (Collins' evaluation-interpolation scheme): each sample
@@ -46,9 +46,12 @@ The curve text is read by a whitelisting walk over its syntax tree
 (`parse_polynomial`), is never evaluated, and gives exact rational terms;
 `PlaneCurve.from_expr` clears their denominators once, by their lcm, and
 from there to the evolute every polynomial is an integer term map,
-exponents -> nonzero coefficient.  sympy's `Poly` is built only by the
-three sympy fallbacks (the curve's `factor_list`, D's `sqf_list` and the
-evolute's `factor_list`, which `_integer_terms` converts back).
+exponents -> nonzero coefficient, and every univariate one a descending
+list of ints.  Their gcds (the heuristic gcd), exact quotients, products
+and squarefree parts (Yun) are plain-int code in this module.  sympy is
+imported only by the three fallbacks (the curve's `factor_list`, D's
+`sqf_list` and the evolute's `factor_list`), through `_sympy`; they build
+its `Poly`, and `_integer_terms` converts their results back.
 
 This module shares no code with the intersection-theoretic engine; the two
 paths cross-check each other through the closed-form target
@@ -58,22 +61,31 @@ paths cross-check each other through the closed-form target
 from __future__ import annotations
 
 import ast
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, inf, isqrt, lcm
 
-import sympy as sp
-from sympy.polys.densearith import dup_div, dup_exquo, dup_mul, dup_pow, dup_sqr
-from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.sqfreetools import dup_sqf_list
 
-x, y = sp.symbols("x y")
-X, Y = sp.symbols("X Y")
+def _sympy():
+    """sympy, imported on first use: only the three fallbacks need it.  It
+    is also this module's attribute `sp` (PEP 562, `__getattr__` below),
+    which instrumentation may replace, so the fallbacks reach sympy here."""
+    global sp
+    try:
+        return sp
+    except NameError:
+        import sympy as sp
+
+        return sp
+
+
+def __getattr__(name: str):
+    if name == "sp":
+        return _sympy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # exponents -> nonzero integer coefficient: F in (x, y), H in (x, y, X, Y),
@@ -127,7 +139,8 @@ class PlaneCurve:
                 f"of ~{bits} bits, work {work:.1e} > budget {MAX_WORK:.0e}"
             )
         if not _certified_irreducible(F):
-            _, factors = sp.factor_list(sp.Poly.from_dict(F, x, y))
+            sp = _sympy()
+            _, factors = sp.factor_list(sp.Poly.from_dict(F, *sp.symbols("x y")))
             if any(mult > 1 for _, mult in factors):
                 raise ValueError("curve polynomial must be squarefree")
             if len(factors) > 1:
@@ -153,7 +166,7 @@ class PlaneCurve:
         f(t) = LF(1, t) has no repeated root, Res(f, f') != 0.  Tangency at
         infinity also violates the general-position assumption."""
         form = _infinity_form(self.terms)
-        f = form[next(k for k, c in enumerate(form) if c) :]
+        f = _strip(form)
         if len(form) - len(f) > 1:
             return False
         return len(f) == 1 or dup_resultant(f, _derivative(f)) != 0
@@ -383,9 +396,9 @@ def _horner(f: list[int], t: int) -> int:
 def _certified_irreducible(f: _IntTerms) -> bool:
     """Whether F is certified irreducible over Q, hence squarefree: its
     content in x over Z[y] is constant (`_content`) and F(x, y0)
-    keeps degree deg_x F and is irreducible in Z[x] for some y0 in
-    0, +-1, +-2 (`_irreducible`).  A factorization F = G H would survive at
-    y0: a factor free of x would divide the content, and two factors of
+    keeps degree deg_x F and is certified irreducible in Z[x] for some y0
+    in 0, +-1, +-2 (`_irreducible`).  A factorization F = G H would survive
+    at y0: a factor free of x would divide the content, and two factors of
     positive degree in x keep it where lc_x(F) does not vanish.  False
     leaves it undecided."""
     n = max(i for i, _ in f)
@@ -399,17 +412,78 @@ def _certified_irreducible(f: _IntTerms) -> bool:
     return False
 
 
+# a specialization of degree n whose Galois group is the symmetric group
+# stays irreducible modulo about 1/n of the primes (Chebotarev), so a
+# generic one is certified by one of these
+_CERTIFYING_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
 def _irreducible(f: list[int]) -> bool:
     """Whether f, a descending integer list of degree >= 1 with a nonzero
-    head, is irreducible over Q (its content aside): a quadratic exactly
-    when its discriminant is not a square, any other f by sympy's
-    `dup_factor_list`."""
+    head, is certified irreducible over Q (its content aside): always at
+    degree 1, a quadratic exactly when its discriminant is not a square,
+    any other when it is irreducible modulo one of `_CERTIFYING_PRIMES`
+    that does not divide its head.  A factorization over Z would survive
+    modulo such a p with both degrees, since p divides neither head.  False
+    leaves a cubic or higher undecided."""
+    if len(f) == 2:
+        return True
     if len(f) == 3:
         a, b, c = f
         disc = b * b - 4 * a * c
         return disc < 0 or isqrt(disc) ** 2 != disc
-    _, factors = dup_factor_list(f, ZZ)
-    return len(factors) == 1 and factors[0][1] == 1
+    return any(_irreducible_mod(f, p) for p in _CERTIFYING_PRIMES if f[0] % p)
+
+
+def _irreducible_mod(f: list[int], p: int) -> bool:
+    """Whether f, of degree n >= 2 with a head prime to p, is irreducible
+    over F_p: gcd(f, x**(p**k) - x) = 1 for k = 1 .. n // 2, since a
+    reducible f has an irreducible factor of some degree k <= n / 2, and
+    those divide x**(p**k) - x (Ben-Or's form of the distinct-degree test,
+    FOCS 1981).  The powers are residues mod f, descending lists of n
+    integers in 0 .. p - 1."""
+    n = len(f) - 1
+    inverse = pow(f[0], -1, p)
+    monic = [c * inverse % p for c in f]
+
+    def times(a: list[int], b: list[int]) -> list[int]:  # a b mod (f, p)
+        product = [0] * (2 * n - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b, i):
+                    product[j] += u * v
+        for k in range(n - 1):
+            c = product[k] % p
+            if c:
+                for j, v in enumerate(monic[1:], k + 1):
+                    product[j] -= c * v
+        return [c % p for c in product[n - 1 :]]
+
+    x = [0] * (n - 2) + [1, 0]
+    power = x
+    for _ in range(n // 2):
+        base, power = power, [0] * (n - 1) + [1]
+        for bit in bin(p)[2:]:  # power = base**p, by squaring
+            power = times(power, power)
+            if bit == "1":
+                power = times(power, base)
+        difference = [(a - b) % p for a, b in zip(power, x)]
+        if len(_gcd_mod(monic, difference, p)) > 1:
+            return False
+    return True
+
+
+def _gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    """A gcd over F_p of f, with a nonzero head, and g, by Euclid's
+    algorithm."""
+    g = _strip(g)
+    while g:
+        inverse = pow(g[0], -1, p)
+        while len(f) >= len(g):
+            c = f[0] * inverse % p
+            f = _strip([(a - c * b) % p for a, b in zip(f[1:], g[1:] + [0] * (len(f) - len(g)))])
+        f, g = g, f
+    return f
 
 
 @dataclass(frozen=True)
@@ -528,7 +602,7 @@ def dup_resultant(f: list[int], g: list[int]) -> int:
             return sign * (g[0] ** da // h ** (da - 1))
 
 
-def _integer_terms(poly: sp.Poly) -> _IntTerms:
+def _integer_terms(poly) -> _IntTerms:
     """The integer terms of a sympy `Poly` with its denominators cleared
     (the rational scale is irrelevant downstream, where content is
     removed): the way back from the sympy fallbacks."""
@@ -692,7 +766,7 @@ def _content(columns: Iterable[list[int]]) -> list[int]:
     for col in rest:
         if len(content) == 1:
             break
-        content = dup_gcd(content, col, ZZ)
+        content = _gcd(content, col)[0]
     return content
 
 
@@ -708,7 +782,7 @@ def _strip_content(R: _IntTerms, log: list[str]) -> _IntTerms:
         m -= len(content) - 1
         R = {}
         for (a, b), col in columns.items():
-            quotient = dup_exquo(col, content, ZZ)[::-1]
+            quotient = _exquo(col, content)[::-1]
             R.update({(i, a, b): c for i, c in enumerate(quotient) if c})
     if m == 0:
         raise DegenerateCurveError(ZERO_CURVATURE)
@@ -796,8 +870,10 @@ def _simple_part(D: _IntTerms, log: list[str]) -> _IntTerms:
     lines has no multiplicity-one factor."""
     P = _square_split(D)
     if P is None:
-        _, parts = sp.sqf_list(sp.Poly.from_dict(D, X, Y, domain=ZZ))
-        P = _integer_terms(sp.prod([f for f, mult in parts if mult == 1], start=sp.Poly(1, X, Y)))
+        sp = _sympy()
+        gens = sp.symbols("X Y")
+        _, parts = sp.sqf_list(sp.Poly.from_dict(D, *gens, domain=sp.ZZ))
+        P = _integer_terms(sp.prod([f for f, mult in parts if mult == 1], start=sp.Poly(1, *gens)))
     if _degree(P) == 0:
         raise DegenerateCurveError(ZERO_CURVATURE)
     if _degree(P) < _degree(D):
@@ -865,8 +941,8 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
         return None
     images = [_monomials(nodes, newton)[::-1] for _, newton in tables]  # descending in Y
     E, C = _primitive(images[:simple]), _primitive(images[simple:])
-    mu, rem = dup_div(rows[0], dup_mul(E[0], dup_sqr(C[0], ZZ), ZZ), ZZ)
-    if rem or any(mult == 1 for _, mult in dup_sqf_list(mu, ZZ)[1]):
+    mu = _exquo(rows[0], _mul(E[0], _mul(C[0], C[0])))
+    if mu is None or any(mult == 1 for _, mult in _sqf_list(mu)):
         return None
     # both sides at Y = 2**k (Kronecker): every coefficient of either side
     # is below 2**(k - 1) in size, so equal values mean equal polynomials
@@ -877,8 +953,9 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
     def at(row: list[int]) -> int:
         return reduce(lambda acc, c: (acc << k) + c, row, 0)
 
-    product = dup_mul([at(row) for row in E], dup_sqr([at(row) for row in C], ZZ), ZZ)
-    if dup_mul([at(mu)], product, ZZ) != [at(row) for row in rows]:
+    image = [at(row) for row in C]
+    product = _mul([at(row) for row in E], _mul(image, image))
+    if [at(mu) * c for c in product] != [at(row) for row in rows]:
         return None
     return {(len(E) - 1 - a, b): c for a, row in enumerate(E) for b, c in enumerate(row[::-1]) if c}
 
@@ -887,11 +964,11 @@ def _primitive(rows: list[list[int]]) -> list[list[int]]:
     """A polynomial in (X, Y), as rows descending in X of coefficient lists
     descending in Y, divided by its content in Z[Y], the integer content
     included, with leading zeros stripped ([] for a zero row)."""
-    rows = [row[next((k for k, c in enumerate(row) if c), len(row)) :] for row in rows]
+    rows = [_strip(row) for row in rows]
     content = _content(row for row in rows if row)
     if len(content) == 1:  # known only up to an integer factor
         content = [reduce(gcd, (c for row in rows for c in row))]
-    return [dup_exquo(row, content, ZZ) for row in rows]
+    return [_exquo(row, content) for row in rows]
 
 
 def _square_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
@@ -901,23 +978,177 @@ def _square_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
     When no root has multiplicity above 2, one gcd splits f: c = gcd(f, f')
     is the product of the double roots, and its cofactor pp(f) / c, which
     the gcd computes too, divided by c is e exactly.  A remainder means a
-    root of higher multiplicity, and Yun's squarefree decomposition
-    (sympy's `dup_sqf_list`) splits f instead."""
-    content = reduce(gcd, f)
+    root of higher multiplicity, and Yun's squarefree decomposition goes on
+    from that gcd's cofactors (`_yun`); it stops at the first part of odd
+    multiplicity above 1, whose node is skipped."""
+    content = gcd(*f)
     f = [a // content for a in f]
-    c, cofactor, _ = dup_inner_gcd(f, _derivative(f), ZZ)
-    e, rem = dup_div(cofactor, c, ZZ)
-    if not rem:
+    c, cofactor, derived = _gcd(f, _derivative(f))
+    e = _exquo(cofactor, c)
+    if e is not None:
         return e, c
     e, c = [1], [1]
-    for part, mult in dup_sqf_list(f, ZZ)[1]:
+    for part, mult in _yun(cofactor, derived):
         if mult == 1:
             e = part
         elif mult % 2:
             return None
         else:
-            c = dup_mul(c, dup_pow(part, mult // 2, ZZ), ZZ)
+            for _ in range(mult // 2):
+                c = _mul(c, part)
     return e, c
+
+
+# --------------------------------------------------------------------------
+# univariate integer polynomials: descending lists of ints, [] for zero
+# --------------------------------------------------------------------------
+
+# evaluation points the heuristic gcd tries before the primitive PRS
+_HEURISTIC_POINTS = 6
+
+
+def _strip(f: list[int]) -> list[int]:
+    """f without its leading zeros."""
+    return f[next((k for k, c in enumerate(f) if c), len(f)) :]
+
+
+def _mul(f: list[int], g: list[int]) -> list[int]:
+    """f g, by the schoolbook product."""
+    if not (f and g):
+        return []
+    product = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                product[j] += a * b
+    return product
+
+
+def _exquo(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g for g with a nonzero head, or None when g does not divide f in
+    Z[x]: a head that does not divide, or a remainder."""
+    r = list(f)
+    lead, tail = g[0], g[1:]
+    quotient = []
+    for k in range(len(f) - len(g) + 1):
+        q, rem = divmod(r[k], lead)
+        if rem:
+            return None
+        if q:
+            for j, b in enumerate(tail, k + 1):
+                r[j] -= q * b
+        quotient.append(q)
+    return None if any(r[len(quotient) :]) else quotient
+
+
+def _gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, f / h, g / h) for h = gcd(f, g) in Z[x], normalised as sympy's
+    `dup_inner_gcd` normalises it: the gcd of the two contents times a
+    primitive polynomial, with a positive head when f or g vanishes.
+
+    The heuristic gcd (Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989)
+    evaluates f and g at a large integer t, reads a candidate h from the
+    balanced base-t digits of the integer gcd (or a cofactor from those of
+    a cofactor's value), and keeps it only when it divides both; t grows
+    after a failure, and after `_HEURISTIC_POINTS` of them a primitive PRS
+    decides."""
+    if not (f and g):
+        if not (f or g):
+            return [], [], []
+        h = f or g
+        unit = 1 if h[0] > 0 else -1
+        h = [unit * c for c in h]
+        return (h, [unit], []) if f else (h, [], [unit])
+    common = gcd(*f, *g)
+    if common > 1:
+        f, g = [c // common for c in f], [c // common for c in g]
+    if len(f) == 1 or len(g) == 1:
+        return [common], f, g
+    f_norm, g_norm = max(map(abs, f)), max(map(abs, g))
+    bound = 2 * min(f_norm, g_norm) + 29
+    t = max(min(bound, 99 * isqrt(bound)), 2 * min(f_norm // abs(f[0]), g_norm // abs(g[0])) + 4)
+    for _ in range(_HEURISTIC_POINTS):
+        ft, gt = _horner(f, t), _horner(g, t)
+        if ft and gt:
+            ht = gcd(ft, gt)
+
+            def candidates() -> Iterator[list[int] | None]:
+                h = _balanced_digits(ht, t)
+                yield [c // gcd(*h) for c in h]
+                yield _exquo(f, _balanced_digits(ft // ht, t))
+                yield _exquo(g, _balanced_digits(gt // ht, t))
+
+            for h in candidates():
+                if h is not None:
+                    cff = _exquo(f, h)
+                    cfg = None if cff is None else _exquo(g, h)
+                    if cfg is not None:
+                        return [common * c for c in h], cff, cfg
+        t = 73794 * t * isqrt(isqrt(t)) // 27011
+    return _prs_gcd(f, g, common)
+
+
+def _balanced_digits(value: int, t: int) -> list[int]:
+    """The digits of `value` in base t, each in (-t/2, t/2], descending: the
+    coefficients of the polynomial with small coefficients that takes
+    `value` at t."""
+    digits = []
+    while value:
+        digit = value % t
+        if digit > t // 2:
+            digit -= t
+        digits.append(digit)
+        value = (value - digit) // t
+    return digits[::-1]
+
+
+def _prs_gcd(
+    f: list[int], g: list[int], common: int
+) -> tuple[list[int], list[int], list[int]]:
+    """`_gcd` of f and g, of degree >= 1 with no common integer content,
+    times `common`, by the primitive PRS: each pseudo-remainder is divided
+    by its content, so the coefficients do not grow exponentially."""
+    a, b = ([c // gcd(*h) for c in h] for h in sorted((f, g), key=len, reverse=True))
+    while len(b) > 1:
+        r = a
+        while len(r) >= len(b):  # lc(b) r - lc(r) x**k b drops the head
+            r = _strip([b[0] * u - r[0] * v for u, v in zip(r[1:], b[1:] + [0] * (len(r) - len(b)))])
+        if not r:
+            break
+        a, b = b, [c // gcd(*r) for c in r]
+    unit = gcd(*b) if b[0] > 0 else -gcd(*b)
+    h = [c // unit for c in b]
+    return [common * c for c in h], _exquo(f, h), _exquo(g, h)
+
+
+def _sqf_list(f: list[int]) -> Iterator[tuple[list[int], int]]:
+    """Yun's squarefree decomposition (Yun, SYMSAC 1976) of f's primitive
+    part with a positive head, as sympy's `dup_sqf_list` lists it: the
+    pairs (part, multiplicity) with a part of positive degree, by rising
+    multiplicity.  It is lazy, so a caller can stop at the part it needs."""
+    if len(f) > 1:
+        scale = gcd(*f) if f[0] > 0 else -gcd(*f)
+        f = [c // scale for c in f]
+        _, p, q = _gcd(f, _derivative(f))
+        yield from _yun(p, q)
+
+
+def _yun(p: list[int], q: list[int]) -> Iterator[tuple[list[int], int]]:
+    """Yun's decomposition of f from p = f / gcd(f, f') and q = f' / gcd(f,
+    f'): gcd(p, q - p') is the part of multiplicity 1, and the cofactors
+    repeat the step for the next multiplicity."""
+    multiplicity = 1
+    while True:
+        d = _derivative(p)
+        n = max(len(q), len(d))
+        h = _strip([a - b for a, b in zip([0] * (n - len(q)) + q, [0] * (n - len(d)) + d)])
+        if not h:
+            yield p, multiplicity
+            return
+        g, p, q = _gcd(p, h)
+        if len(g) > 1:
+            yield g, multiplicity
+        multiplicity += 1
 
 
 # --------------------------------------------------------------------------
@@ -937,11 +1168,12 @@ def eliminate(system: tuple[_IntTerms, _IntTerms]) -> tuple[_IntTerms, list[str]
         return _normalize_sign(evolute), log
 
     # sp.factor_list sorts the factors, which fixes the order of the log
-    _, factors = sp.factor_list(sp.Poly.from_dict(evolute, X, Y, domain=ZZ))
+    sp = _sympy()
+    _, factors = sp.factor_list(sp.Poly.from_dict(evolute, *sp.symbols("X Y"), domain=sp.ZZ))
     kept: list[sp.Poly] = []
     isotropic: list[sp.Poly] = []
     for fac, mult in factors:
-        if fac.degree(X) == 0 or fac.degree(Y) == 0:
+        if fac.degree(0) == 0 or fac.degree(1) == 0:
             log.append(f"stripped univariate extraneous factor: {sp.sstr(fac.as_expr())}")
             continue
         if _is_isotropic_factor(_integer_terms(fac)):

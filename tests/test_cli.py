@@ -247,18 +247,50 @@ def test_parser_built_once(capsys):
     ids=lambda argv: argv[0],
 )
 def test_engine_subcommands_leave_sympy_unloaded(argv):
-    # a fresh interpreter: this one has long imported the oracle
+    # a fresh interpreter: this one has long imported sympy; loading the
+    # oracle module does not import it either
     script = (
         "import sys, evolute.cli as cli\n"
         f"cli.main({argv + ['--format', 'csv']!r})\n"
-        "print('sympy' in sys.modules, cli.oracle.x)\n"
+        "print('sympy' in sys.modules, cli.oracle.PlaneCurve.__name__)\n"
         "print('sympy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(evolute.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.endswith("False x\nTrue\n")
+    assert out.endswith("False PlaneCurve\nFalse\n")
+
+
+# golden oracle cases that the integer certificates decide end to end
+COMMON_PATH = (
+    "oracle_ellipse_json", "oracle_cubic_json", "oracle_folium_json",
+    "oracle_wide_conic_json", "oracle_rational_cubic_json",
+)
+
+
+def test_oracle_common_path_leaves_sympy_unloaded():
+    # a fresh interpreter runs the golden curves through `main`, prints each
+    # exit code and report, and then whether sympy was ever imported
+    golden = Path(__file__).parent / "golden"
+    cases = json.loads((golden / "cases.json").read_text(encoding="utf-8"))
+    script = (
+        "import contextlib, io, json, sys, evolute.cli as cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.main(argv)\n"
+        "    print(json.dumps([code, out.getvalue()]))\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    argvs = json.dumps([cases[name]["argv"] for name in COMMON_PATH])
+    env = {**os.environ, "PYTHONPATH": str(Path(evolute.__file__).parents[1])}
+    lines = subprocess.run(
+        [sys.executable, "-c", script, argvs], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert lines[-1] == "False"
+    for name, line in zip(COMMON_PATH, lines[:-1], strict=True):
+        assert json.loads(line) == [0, (golden / f"{name}.out").read_text(encoding="utf-8")]
 
 
 def test_non_integer_locus_degree_exits_three(capsys, monkeypatch):

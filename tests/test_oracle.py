@@ -1,15 +1,21 @@
+import ast
 import time
+import types
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import gcd, inf
+from pathlib import Path
 
 import pytest
 import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.densearith import dup_div
+from sympy.polys.euclidtools import dup_inner_gcd, dup_rr_prs_gcd
 from sympy.polys.euclidtools import dup_resultant as sympy_dup_resultant
 from sympy.polys.factortools import dup_factor_list
+from sympy.polys.galoistools import gf_from_int_poly, gf_irreducible_p
 from sympy.polys.sqfreetools import dup_sqf_list
 
 from evolute import oracle
@@ -20,18 +26,21 @@ from evolute.oracle import (
     DegenerateCurveError,
     InconclusiveEliminationError,
     PlaneCurve,
-    X,
-    Y,
+    _CERTIFYING_PRIMES,
     _certified_irreducible,
     _discriminant,
     _discriminant_degree,
+    _exquo,
+    _gcd,
     _interpolate,
     _integer_terms,
     _irreducible,
+    _irreducible_mod,
     _is_isotropic_factor,
     _normal_resultant,
     _nothing_to_strip,
     _simple_part,
+    _sqf_list,
     _square_parts,
     _square_split,
     _strip_content,
@@ -40,12 +49,13 @@ from evolute.oracle import (
     dup_resultant,
     oracle_check,
     parse_polynomial,
-    x,
-    y,
 )
 from evolute.pipelines import curve_report
 from evolute.selftest import check_oracle
 from evolute.varieties import CurveInvariants
+
+x, y = sp.symbols("x y")
+X, Y = sp.symbols("X Y")
 
 ELLIPSE = "x**2/4 + y**2 - 1"
 CUBIC = "x**3 + y**3 + x*y + x - 2*y + 1"
@@ -788,6 +798,98 @@ def test_square_parts_matches_yun(parts, scale):
         assert [_normalized(g) for g in split] == [_normalized(simple), _normalized(root)]
 
 
+def test_square_parts_stops_at_odd_multiplicity(monkeypatch):
+    # x (x - 1)**3 (x + 1)**6: the one-gcd split leaves a remainder, and
+    # Yun's steps for multiplicities 1, 2 and 3 reach the triple root; the
+    # part of multiplicity 6 would take two more gcds
+    calls = []
+    monkeypatch.setattr(oracle, "_gcd", lambda f, g: calls.append(1) or _gcd(f, g))
+    f = reduce(_times, [[1, 0]] + [[1, -1]] * 3 + [[1, 1]] * 6)
+    assert _square_parts(f) is None
+    assert len(calls) == 4
+
+
+# integer polynomials with zero and constant ones among them, negative heads
+# and integer content
+def _stripped(f):
+    while f and not f[0]:
+        f = f[1:]
+    return f
+
+
+_SMALL = st.lists(st.integers(-6, 6), max_size=4).map(_stripped)
+
+
+@st.composite
+def _sharing_pairs(draw):
+    """(f, g) = (k a h**i, k b h): a common factor h, to a power in f, and
+    a common integer content k."""
+    h, a, b = draw(_SMALL), draw(_SMALL), draw(_SMALL)
+    k = draw(st.integers(-4, 4).filter(bool))
+    f = reduce(_times, [a] + [h] * draw(st.integers(1, 3))) if a and h else []
+    g = _times(b, h) if b and h else []
+    return [k * c for c in f], [k * c for c in g]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_sharing_pairs(), st.tuples(_SMALL, _SMALL)))
+@example(([], []))
+@example(([], [-2, 4]))
+@example(([-3, 6], []))
+@example(([6], [4, 2]))  # constants: the content gcd alone
+@example(([-3, 6, -3], [2, -2]))  # a negative head and a common root
+def test_plain_int_helpers_match_sympy(pair):
+    # sympy's routines are the reference: the heuristic gcd and its
+    # cofactors, the primitive PRS that follows it, exact division (None
+    # where sympy's division leaves a remainder) and Yun's decomposition
+    f, g = pair
+    assert _gcd(f, g) == tuple(dup_inner_gcd(f, g, sp.ZZ))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_HEURISTIC_POINTS", 0)
+        assert _gcd(f, g) == tuple(dup_rr_prs_gcd(f, g, sp.ZZ))
+    if g:
+        quotient, rem = dup_div(f, g, sp.ZZ)
+        assert _exquo(f, g) == (None if rem else quotient)
+    for h in (f, g):
+        assert list(_sqf_list(h)) == dup_sqf_list(h, sp.ZZ)[1]
+
+
+_NONCONSTANT = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda f: f[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_NONCONSTANT, _NONCONSTANT, st.sampled_from(_CERTIFYING_PRIMES))
+@example([1, 0, 1], [1, 0, 1], 3)  # (x**2 + 1)**2: irreducible factors, not squarefree
+@example([1, 1, 1], [1, 0, -2], 7)  # no root modulo 7, reducible over Q
+def test_modular_certificate_refuses_products(a, b, p):
+    # a product of two nonconstant integer polynomials is never certified,
+    # and the test modulo p agrees with sympy's over F_p on both factors
+    f = _times(a, b)
+    assert not _irreducible(f)
+    for h in (f, a, b):
+        if h[0] % p:
+            assert _irreducible_mod(h, p) == gf_irreducible_p(gf_from_int_poly(h, p), p, sp.ZZ)
+
+
+def test_sympy_is_imported_by_the_accessor_alone():
+    # nothing at module level (class bodies included) imports sympy, and the
+    # only function that does is the fallbacks' accessor
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imports: list[tuple[str | None, str]] = []
+    stack = [(None, node) for node in tree.body]
+    while stack:
+        owner, node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Import):
+            imports += [(owner, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports.append((owner, node.module or ""))
+        stack += [(owner, child) for child in ast.iter_child_nodes(node)]
+    assert (None, "ast") in imports  # the scan sees the module's own imports
+    assert {owner for owner, name in imports if name.split(".")[0] == "sympy"} == {"_sympy"}
+
+
 def test_square_split_refuses_what_the_nodes_miss():
     # D = X + Y**3 - Y is X at the first nodes 0, 1, -1, so the interpolation
     # settles on X; the exact identity refuses it
@@ -974,15 +1076,17 @@ def test_canonical_text_round_trip(terms):
     assert sp.Poly(sp.sympify(text), X, Y) == poly
 
 
-# sympy's univariate (dup_factor_list, dup_sqf_list) calls.  The first
-# factor F(x, y0) in the irreducibility certificate: none for the conics,
-# whose quadratics are decided by their discriminants; the folium splits at
-# y0 = 0.  The second are one Yun decomposition of mu(Y) in the split of D,
-# and one per node where a root of multiplicity above 2 leaves the one-gcd
-# split a remainder: two of the ellipse's nodes (multiplicity 4), two of
-# the folium's (7 and 6) and the circle's node 0, where D(X, 0) = X**4
-_UNIVARIATE_CALLS = {
-    ELLIPSE: (0, 3), "x**3 + y**3 - 3*x*y": (2, 3), CUBIC: (1, 1), "x**2 + y**2 - 1": (0, 2)
+# the plain-int certificates' work: `_irreducible_mod` tests of F(x, y0)
+# modulo a prime, and `_yun` squarefree decompositions.  The conics'
+# quadratics are decided by their discriminants; the folium's x**3 at
+# y0 = 0 fails at all 15 primes and x**3 - 3 x + 1 at y0 = 1 is irreducible
+# modulo 2.  One decomposition per node where a root of multiplicity above
+# 2 leaves the one-gcd split a remainder, and one of mu(Y) in the split of
+# D unless it is a constant (only the ellipse's is not): two of the
+# ellipse's nodes (multiplicity 4), two of the folium's (7 and 6) and the
+# circle's node 0, where D(X, 0) = X**4
+_CERTIFICATE_CALLS = {
+    ELLIPSE: (0, 3), "x**3 + y**3 - 3*x*y": (16, 2), CUBIC: (1, 0), "x**2 + y**2 - 1": (0, 1)
 }
 
 
@@ -1010,32 +1114,33 @@ _UNIVARIATE_CALLS = {
     ],
 )
 def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls, factor_calls):
-    # the kernel and sympy's routines are reached by name, through the module
-    # globals that instrumentation wraps; no gcd of two Polys is left, and
-    # sympy factors only what the integer certificates leave undecided
+    # the kernel and the certificates are reached by name, through the module
+    # globals that instrumentation wraps, and sympy through `_sympy`; no gcd
+    # of two Polys is left, and sympy factors only what the integer
+    # certificates leave undecided
     counts = _count_calls(monkeypatch)
     oracle_check(PlaneCurve.from_expr(text, genus=genus))
-    factorings, decompositions = _UNIVARIATE_CALLS[text]
+    modular, decompositions = _CERTIFICATE_CALLS[text]
     assert counts == {
         "dup_resultant": kernel_calls, "gcd": 0, "factor_list": factor_calls, "sqf_list": 0,
-        "dup_factor_list": factorings, "dup_sqf_list": decompositions,
+        "_irreducible_mod": modular, "_yun": decompositions,
     }
 
 
 def test_reducible_input_reaches_sympy_factoring(monkeypatch):
     # every F(x, y0) of (x**2 + y**2 - 1)(x - 3) splits, so the certificate
-    # fails after five univariate factorizations and one factor_list decides
+    # fails at five values of y0 times 15 primes and one factor_list decides
     counts = _count_calls(monkeypatch)
     with pytest.raises(DegenerateCurveError, match="irreducible over Q"):
         PlaneCurve.from_expr("(x**2+y**2-1)*(x-3)")
     assert counts == {
         "dup_resultant": 0, "gcd": 0, "factor_list": 1, "sqf_list": 0,
-        "dup_factor_list": 5, "dup_sqf_list": 0,
+        "_irreducible_mod": 75, "_yun": 0,
     }
 
 
 def _count_calls(monkeypatch):
-    oracle_names = ("dup_resultant", "dup_factor_list", "dup_sqf_list")
+    oracle_names = ("dup_resultant", "_irreducible_mod", "_yun")
     sympy_names = ("gcd", "factor_list", "sqf_list")
     counts = dict.fromkeys(oracle_names + sympy_names, 0)
 
@@ -1046,40 +1151,40 @@ def _count_calls(monkeypatch):
 
         return counted
 
-    for module, names in ((oracle, oracle_names), (oracle.sp, sympy_names)):
-        for name in names:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in oracle_names:
+        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    proxy = types.SimpleNamespace(**vars(sp))
+    for name in sympy_names:
+        setattr(proxy, name, counting(name, getattr(sp, name)))
+    monkeypatch.setattr(oracle, "_sympy", lambda: proxy)
     return counts
 
 
-def _forbid_sympy_factoring(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("sympy factoring reached")
+def _forbid_sympy(monkeypatch):
+    def refuse():
+        raise AssertionError("sympy reached")
 
-    monkeypatch.setattr(oracle.sp, "factor_list", refuse)
-    monkeypatch.setattr(oracle.sp, "sqf_list", refuse)
+    monkeypatch.setattr(oracle, "_sympy", refuse)
 
 
 def test_wide_coefficient_conic_needs_no_sympy_factoring(monkeypatch):
-    _forbid_sympy_factoring(monkeypatch)
+    _forbid_sympy(monkeypatch)
     result = oracle_check(PlaneCurve.from_expr(WIDE_CONIC))
     assert result.degree == 6
     assert result.match is True
 
 
 def test_common_path_builds_no_poly(monkeypatch):
-    # the integer certificates decide these curves, so no sympy Poly is
-    # built from the text to the report, rational input included
-    def refuse(*args, **kwargs):
-        raise AssertionError("sympy Poly built")
-
-    monkeypatch.setattr(oracle.sp, "Poly", refuse)
+    # the integer certificates decide these curves, so sympy, and with it any
+    # Poly, is not reached from the text to the report, rational input
+    # included
+    _forbid_sympy(monkeypatch)
     for text in (ELLIPSE, CUBIC, WIDE_CONIC, RATIONAL_CUBIC):
         assert oracle_check(PlaneCurve.from_expr(text)).to_dict()["match"] is True
 
 
 def test_quartic_evolute_degree(monkeypatch):
-    _forbid_sympy_factoring(monkeypatch)
+    _forbid_sympy(monkeypatch)
     result = oracle_check(PlaneCurve.from_expr("x**4 + y**4 + x*y + x - 2*y + 1"))
     assert result.degree == 36
     assert result.match is True
