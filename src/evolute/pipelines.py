@@ -15,15 +15,19 @@ envelope of osculating hyperplanes, so that an osculating report costs the
 same whatever ran before it in the process.
 
 Every theorem-level closed form is implemented independently of the engine
-and both values are reported side by side; identities between them (the
-tangent-developable degree relation, Salmon's classical counts) are checked
-and reported as named verdicts.
+and both values are reported side by side.  The curve, surface and
+hypersurface reports go through one assembler, `_report`: it integrates each
+locus class, pairs the degree with its closed form, checks the identities
+(for curves in 3-space, the tangent-developable degree relation and Salmon's
+classical counts against the engine's degrees) and adds the validity flags
+and the Thom-polynomial citations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable, Iterable
 
 from .bundle import BundleSpace
 from .chow import VarietyDescriptor, binomial, integrate
@@ -76,10 +80,6 @@ def sigma_degree(space: BundleSpace, k: int) -> int:
     return _degree(space.base, locus_class(space, k), k)
 
 
-def _locus_classes(space: BundleSpace, top: int) -> tuple[GradedClass, ...]:
-    return tuple(locus_class(space, k) for k in range(1, top + 1))
-
-
 @cache
 def _compiled_classes(kind: str, n: int) -> tuple[GradedClass, ...]:
     """Locus classes of a curve or a surface in n-space, k = 1..min(4, n).
@@ -93,7 +93,7 @@ def _compiled_classes(kind: str, n: int) -> tuple[GradedClass, ...]:
     else:
         geom = curve_geometry(CurveInvariants(n, 1, 0))
         space = BundleSpace(geom.variety, geom.normal_bundle)
-    return _locus_classes(space, min(MAX_CODIMENSION, n))
+    return tuple(locus_class(space, k) for k in range(1, min(MAX_CODIMENSION, n) + 1))
 
 
 # --------------------------------------------------------------------------
@@ -146,55 +146,16 @@ def surface_degree_forms(d: int) -> tuple[int, int, int]:
     )
 
 
-@dataclass(frozen=True)
-class SalmonSurfaceReference:
-    """Salmon's centro-surface companions for a degree-d surface in 3-space."""
-
-    evolute_class: int
-    ed_degree: int
-    umbilic_count: int
-
-
-def salmon_surface_reference(d: int) -> SalmonSurfaceReference:
-    """Class of the evolute 2d(d^2-d-1), Euclidean distance degree
-    d(d^2-d+1) and umbilic count 2d(5d^2-14d+11)."""
+def salmon_surface_reference(d: int) -> tuple[int, int, int]:
+    """Salmon's centro-surface companions for a degree-d surface in 3-space:
+    the class of the evolute 2d(d^2-d-1), the Euclidean distance degree
+    d(d^2-d+1) and the umbilic count 2d(5d^2-14d+11)."""
     if d < 2:
         raise ValueError("reference values need degree >= 2")
-    return SalmonSurfaceReference(
-        evolute_class=2 * d * (d * d - d - 1),
-        ed_degree=d * (d * d - d + 1),
-        umbilic_count=2 * d * (5 * d * d - 14 * d + 11),
-    )
-
-
-@dataclass(frozen=True)
-class SalmonCharacters:
-    """Salmon's numerical characters of a space curve, in weighted form.
-
-    m is the curve degree, the strict dual class is 3(d+2g-2)-2k0-k1, theta
-    counts inflections (k1), and alpha = 2 k1 + k2 is the weighted count of
-    hyperosculating planes with k2 = 4(d+3(g-1))-3k0-2k1.
-    """
-
-    m: int
-    strict_dual_class: int
-    theta: int
-    k2: int
-
-    @property
-    def alpha(self) -> int:
-        return 2 * self.theta + self.k2
-
-
-def salmon_characters(inv: CurveInvariants) -> SalmonCharacters:
-    d, g = inv.degree, inv.genus
-    k0 = inv.stationary[0]
-    k1 = inv.stationary[1] if inv.ambient >= 3 else 0
-    return SalmonCharacters(
-        m=d,
-        strict_dual_class=3 * (d + 2 * g - 2) - 2 * k0 - k1,
-        theta=k1,
-        k2=4 * (d + 3 * (g - 1)) - 3 * k0 - 2 * k1,
+    return (
+        2 * d * (d * d - d - 1),
+        d * (d * d - d + 1),
+        2 * d * (5 * d * d - 14 * d + 11),
     )
 
 
@@ -211,15 +172,6 @@ class LocusResult:
     closed_form: int | None
     match: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "locus": self.locus,
-            "k": self.k,
-            "engine_degree": self.engine_degree,
-            "closed_form": self.closed_form,
-            "match": self.match,
-        }
-
 
 @dataclass(frozen=True)
 class IdentityResult:
@@ -227,9 +179,6 @@ class IdentityResult:
     lhs: int
     rhs: int
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
 
 
 @dataclass(frozen=True)
@@ -247,12 +196,12 @@ class EnumerativeReport:
         )
 
     def to_dict(self) -> dict:
+        """The fields, with each result and identity as a dict of its fields
+        (JSON serializes the tuples as lists)."""
         return {
-            "input": self.input,
-            "results": [r.to_dict() for r in self.results],
-            "identities": [i.to_dict() for i in self.identities],
-            "citations": list(self.citations),
-            "flags": list(self.flags),
+            **vars(self),
+            "results": [dict(vars(r)) for r in self.results],
+            "identities": [dict(vars(i)) for i in self.identities],
         }
 
 
@@ -290,12 +239,8 @@ NOTE_CYCLE_DEGREES = (
 
 
 def _thom_citations(max_k: int) -> list[str]:
-    cites = [CITE_THOM_12]
-    if max_k >= 3:
-        cites.append(CITE_THOM_3)
-    if max_k >= 4:
-        cites.append(CITE_THOM_4)
-    return cites
+    """The Thom polynomials of orders 1..max_k: Ronga's for 1-2, then one more each."""
+    return [CITE_THOM_12, CITE_THOM_3, CITE_THOM_4][: max(1, max_k - 1)]
 
 
 def _locus_label(base_dim: int, ambient: int, k: int) -> str:
@@ -317,6 +262,10 @@ def _entry(label: str, k: int | None, engine: int, closed: int | None) -> LocusR
     return LocusResult(label, k, engine, closed, None if closed is None else engine == closed)
 
 
+def _identity(name: str, lhs: int, rhs: int) -> IdentityResult:
+    return IdentityResult(name, lhs, rhs, lhs == rhs)
+
+
 def _validity_flags(results: tuple[LocusResult, ...]) -> list[str]:
     bad = [r.locus for r in results if r.engine_degree <= 0]
     if bad:
@@ -328,13 +277,20 @@ def _validity_flags(results: tuple[LocusResult, ...]) -> list[str]:
     return []
 
 
-def _locus_results(
-    variety: VarietyDescriptor, classes: tuple[GradedClass, ...], closed: tuple[int, ...]
-) -> tuple[LocusResult, ...]:
-    """Engine degree of each k-fold locus (the integral of classes[k-1])
-    beside its closed form closed[k-1] where k <= len(closed)."""
+def _report(
+    echo: dict,
+    variety: VarietyDescriptor,
+    classes: Iterable[GradedClass],
+    closed: tuple[int, ...],
+    citations: list[str],
+    identities: Callable[[tuple[LocusResult, ...]], tuple[IdentityResult, ...]] | None = None,
+) -> EnumerativeReport:
+    """The report of one point: the engine degree of each k-fold locus (the
+    integral of the k-th class) beside its closed form closed[k-1] where
+    k <= len(closed), the identities drawn from those rows, the validity
+    flags, and the Thom citations of the orders reached before `citations`."""
     r, n = variety.dim, variety.ambient_dim
-    return tuple(
+    results = tuple(
         _entry(
             _locus_label(r, n, k),
             k,
@@ -342,6 +298,13 @@ def _locus_results(
             closed[k - 1] if k <= len(closed) else None,
         )
         for k, cls in enumerate(classes, 1)
+    )
+    return EnumerativeReport(
+        input=echo,
+        results=results,
+        identities=() if identities is None else identities(results),
+        citations=tuple(_thom_citations(len(results)) + citations),
+        flags=tuple(_validity_flags(results) + [NOTE_CYCLE_DEGREES]),
     )
 
 
@@ -359,76 +322,53 @@ def curve_report(inv: CurveInvariants) -> EnumerativeReport:
     loci against the closed forms, plus the n=3 consistency identities."""
     n, d, g, k0 = inv.ambient, inv.degree, inv.genus, inv.cusp_count
     _require_reachable_evolute(1, n)
-    results = _locus_results(
-        curve_geometry(inv).variety, _compiled_classes("curve", n), curve_closed_forms(d, g, k0)
-    )
-
-    identities = []
-    if n == 3:
-        env, cusp, kappa = (r.engine_degree for r in results[:3])
-        identities.append(
-            IdentityResult(
-                "tangent-developable degree relation: envelope = 2*edge + 2g-2 - cusps",
-                env,
-                2 * cusp + 2 * g - 2 - kappa,
-                env == 2 * cusp + 2 * g - 2 - kappa,
-            )
-        )
-        identities.extend(_salmon_identities(inv, env, cusp))
-
-    flags = _validity_flags(results) + [NOTE_CYCLE_DEGREES]
-    citations = _thom_citations(len(results)) + [CITE_CURVE_FORMS, CITE_PLUCKER]
-    return EnumerativeReport(
-        input={
+    return _report(
+        {
             "kind": "curve",
             "ambient": n,
             "degree": d,
             "genus": g,
             "stationary": list(inv.stationary),
         },
-        results=results,
-        identities=tuple(identities),
-        citations=tuple(citations),
-        flags=tuple(flags),
+        curve_geometry(inv).variety,
+        _compiled_classes("curve", n),
+        curve_closed_forms(d, g, k0),
+        [CITE_CURVE_FORMS, CITE_PLUCKER],
+        (lambda results: _space_curve_identities(inv, results)) if n == 3 else None,
     )
 
 
-def salmon_identity_checks(inv: CurveInvariants) -> list[IdentityResult]:
-    """Salmon's two classical counts for curves in 3-space, against the
-    engine's: 3m + n + theta equals the envelope degree and 5m + alpha the
-    evolute degree (weighted stationary indices throughout)."""
-    if inv.ambient != 3:
-        raise ValueError("Salmon's counts concern curves in 3-space")
-    variety = curve_geometry(inv).variety
-    env, cusp = (
-        _degree(variety, cls, k) for k, cls in enumerate(_compiled_classes("curve", 3)[:2], 1)
+def _space_curve_identities(
+    inv: CurveInvariants, results: tuple[LocusResult, ...]
+) -> tuple[IdentityResult, ...]:
+    """The identities between the engine's envelope, cuspidal-edge and
+    edge-cusp degrees of a curve in 3-space: the tangent-developable degree
+    relation, and Salmon's two classical counts 3m + n + theta = envelope
+    and 5m + alpha = evolute, with his characters in weighted form: m is the
+    degree, n = 3(m+2g-2)-2k0-k1 the strict dual class, theta = k1 counts
+    inflections and alpha = 2 theta + k2 hyperosculating planes, where
+    k2 = 4(m+3(g-1))-3k0-2k1."""
+    m, g = inv.degree, inv.genus
+    k0, theta = inv.stationary
+    env, cusp, kappa = (r.engine_degree for r in results)
+    strict_dual_class = 3 * (m + 2 * g - 2) - 2 * k0 - theta
+    k2 = 4 * (m + 3 * (g - 1)) - 3 * k0 - 2 * theta
+    alpha = 2 * theta + k2
+    return (
+        _identity(
+            "tangent-developable degree relation: envelope = 2*edge + 2g-2 - cusps",
+            env,
+            2 * cusp + 2 * g - 2 - kappa,
+        ),
+        _identity("Salmon: 3m + n + theta = envelope degree", 3 * m + strict_dual_class + theta, env),
+        _identity("Salmon: 5m + alpha = evolute degree", 5 * m + alpha, cusp),
     )
-    return _salmon_identities(inv, env, cusp)
-
-
-def _salmon_identities(inv: CurveInvariants, env: int, cusp: int) -> list[IdentityResult]:
-    """The two Salmon identities against the engine's envelope and
-    cuspidal-edge degrees env and cusp, which `curve_report` has already
-    integrated."""
-    chars = salmon_characters(inv)
-    lhs1 = 3 * chars.m + chars.strict_dual_class + chars.theta
-    lhs2 = 5 * chars.m + chars.alpha
-    return [
-        IdentityResult("Salmon: 3m + n + theta = envelope degree", lhs1, env, lhs1 == env),
-        IdentityResult("Salmon: 5m + alpha = evolute degree", lhs2, cusp, lhs2 == cusp),
-    ]
 
 
 def surface_report(
     ambient: int, numbers: SurfaceChernNumbers, degree: int | None = None
 ) -> EnumerativeReport:
     _require_reachable_evolute(2, ambient)
-    variety, _ = surface_geometry(ambient, numbers)
-    results = _locus_results(
-        variety, _compiled_classes("surface", ambient), surface_closed_forms(numbers)
-    )
-
-    flags = _validity_flags(results) + [NOTE_CYCLE_DEGREES]
     input_echo = {
         "kind": "surface",
         "ambient": ambient,
@@ -441,12 +381,12 @@ def surface_report(
     }
     if degree is not None:
         input_echo["degree"] = degree
-    return EnumerativeReport(
-        input=input_echo,
-        results=results,
-        identities=(),
-        citations=tuple(_thom_citations(len(results)) + [CITE_SURFACE_FORMS]),
-        flags=tuple(flags),
+    return _report(
+        input_echo,
+        surface_geometry(ambient, numbers)[0],
+        _compiled_classes("surface", ambient),
+        surface_closed_forms(numbers),
+        [CITE_SURFACE_FORMS],
     )
 
 
@@ -461,28 +401,22 @@ def hypersurface_report(ambient: int, degree: int) -> EnumerativeReport:
     curve forms (in the plane, with the smooth plane-curve genus) or the
     surface forms (in 3-space) as cross-checks."""
     variety, normal = hypersurface_geometry(ambient, degree)
+    space = BundleSpace(variety, normal)
     companions: tuple[int, ...] = ()
+    citations = [CITE_TRIFOGLI]
     if ambient == 2:
         genus = (degree - 1) * (degree - 2) // 2
         companions = curve_closed_forms(degree, genus, 0)
-    elif ambient == 3:
-        companions = surface_closed_forms(SurfaceChernNumbers.from_degree(degree))
-    closed = (trifogli_degree(ambient, degree),) + companions[1:]
-    classes = _locus_classes(BundleSpace(variety, normal), min(MAX_CODIMENSION, ambient))
-    results = _locus_results(variety, classes, closed)
-
-    flags = _validity_flags(results) + [NOTE_CYCLE_DEGREES]
-    citations = _thom_citations(len(results)) + [CITE_TRIFOGLI]
-    if ambient == 2:
         citations.append(CITE_CURVE_FORMS)
     elif ambient == 3:
+        companions = surface_closed_forms(SurfaceChernNumbers.from_degree(degree))
         citations.append(CITE_SURFACE_FORMS)
-    return EnumerativeReport(
-        input={"kind": "hypersurface", "ambient": ambient, "degree": degree},
-        results=results,
-        identities=(),
-        citations=tuple(citations),
-        flags=tuple(flags),
+    return _report(
+        {"kind": "hypersurface", "ambient": ambient, "degree": degree},
+        variety,
+        (locus_class(space, k) for k in range(1, min(MAX_CODIMENSION, ambient) + 1)),
+        (trifogli_degree(ambient, degree),) + companions[1:],
+        citations,
     )
 
 
@@ -548,11 +482,10 @@ def osculating_report(inv: CurveInvariants) -> EnumerativeReport:
     results = tuple(results)
 
     identities = (
-        IdentityResult(
+        _identity(
             "envelope of osculating hyperplanes = developable(n-2) + hyperosculation index",
             env_engine,
             dev_below + k_top,
-            env_engine == dev_below + k_top,
         ),
     )
 
@@ -590,15 +523,13 @@ def salmon_reference_report(d: int) -> EnumerativeReport:
     3-space: its class, the Euclidean distance degree, and the umbilic count.
     No engine derivation exists for these here, so each row reports the
     closed form on both sides."""
-    ref = salmon_surface_reference(d)
-    rows = (
-        _entry("evolute class (dual-surface degree)", None, ref.evolute_class, ref.evolute_class),
-        _entry("Euclidean distance degree", None, ref.ed_degree, ref.ed_degree),
-        _entry("umbilic count", None, ref.umbilic_count, ref.umbilic_count),
-    )
+    labels = ("evolute class (dual-surface degree)", "Euclidean distance degree", "umbilic count")
     return EnumerativeReport(
         input={"kind": "salmon-reference", "degree": d},
-        results=rows,
+        results=tuple(
+            _entry(label, None, value, value)
+            for label, value in zip(labels, salmon_surface_reference(d))
+        ),
         identities=(),
         citations=(CITE_SURFACE_FORMS, CITE_ED_DEGREE, CITE_UMBILICS),
         flags=(),

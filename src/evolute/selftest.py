@@ -27,7 +27,6 @@ from .pipelines import (
     curve_report,
     hypersurface_report,
     osculating_report,
-    salmon_identity_checks,
     salmon_surface_reference,
     surface_degree_forms,
     surface_report_from_degree,
@@ -176,7 +175,7 @@ def check_salmon_grid() -> tuple[str, bool, str]:
     bad = [
         (d, g, k0, k1)
         for d, g, k0, k1 in grid
-        if not all(c.holds for c in salmon_identity_checks(CurveInvariants(3, d, g, (k0, k1))))
+        if not all(c.holds for c in curve_report(CurveInvariants(3, d, g, (k0, k1))).identities)
     ]
     return (
         "Salmon count identities over the n=3 grid",
@@ -306,8 +305,7 @@ def check_salmon_reference() -> tuple[str, bool, str]:
     }
     bad = []
     for d, values in expected.items():
-        ref = salmon_surface_reference(d)
-        if (ref.evolute_class, ref.ed_degree, ref.umbilic_count) != values:
+        if salmon_surface_reference(d) != values:
             bad.append(d)
     return ("centro-surface reference values d=2..6", not bad, f"failures: {bad}" if bad else "15/15")
 

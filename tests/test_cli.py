@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import evolute
-from evolute import oracle, pipelines
+from evolute import cli, oracle, pipelines
 from evolute.cli import build_parser, main, render_json, render_sweep_csv
 from evolute.pipelines import (
     EnumerativeReport,
@@ -115,6 +115,15 @@ def test_sweep_empty_range_rejected(capsys, fmt):
     assert code == 2
     assert out == ""
     assert "--d 3..1 is an empty range" in err
+
+
+@pytest.mark.parametrize(("flag", "value"), [("--g", "a"), ("--n", "3.."), ("--k0", "1..3,5")])
+def test_sweep_range_error_names_the_flag(capsys, flag, value):
+    assert run(capsys, "sweep", "curve", "--d", "2", flag, value) == (
+        2,
+        "",
+        f"error: {flag} expects an integer, a list a,b,c or a range lo..hi, got {value!r}\n",
+    )
 
 
 def test_oracle_cli(capsys):
@@ -322,6 +331,15 @@ def test_inconclusive_elimination_exits_three(capsys, monkeypatch):
     code, out, err = run(capsys, "oracle", "--poly", "x**2/4 + y**2 - 1")
     assert (code, out) == (3, "")
     assert err == "internal error: every factor was extraneous\n"
+
+
+def test_internal_lookup_error_exits_three(capsys, monkeypatch):
+    # no input path raises a LookupError, so one is an internal fault, not bad input
+    def lookup_fault(inv):
+        raise KeyError((1, 0))
+
+    monkeypatch.setattr(cli, "curve_report", lookup_fault)
+    assert run(capsys, "curve", "--d", "3") == (3, "", "internal error: (1, 0)\n")
 
 
 def test_config_and_subcommand_conflict(capsys):

@@ -13,8 +13,6 @@ from evolute.pipelines import (
     locus_class,
     osculating_envelope_closed_form,
     osculating_report,
-    salmon_characters,
-    salmon_identity_checks,
     salmon_reference_report,
     salmon_surface_reference,
     sigma_degree,
@@ -213,8 +211,7 @@ def test_surface_closed_forms_degree_polynomials():
 
 
 def test_salmon_surface_reference_values():
-    ref = salmon_surface_reference(2)
-    assert (ref.evolute_class, ref.ed_degree, ref.umbilic_count) == (4, 6, 12)
+    assert salmon_surface_reference(2) == (4, 6, 12)
     with pytest.raises(ValueError):
         salmon_surface_reference(1)
 
@@ -311,25 +308,31 @@ def test_hypersurface_grid(n, d):
 # -- Salmon characters --------------------------------------------------------
 
 
+def _salmon_counts(inv):
+    """The identities 3m + n + theta = envelope and 5m + alpha = evolute."""
+    counts = [i for i in curve_report(inv).identities if i.name.startswith("Salmon")]
+    assert len(counts) == 2
+    return counts
+
+
 def test_salmon_characters_twisted_cubic():
-    chars = salmon_characters(CurveInvariants(3, 3, 0))
-    assert chars.m == 3
-    assert chars.strict_dual_class == 3
-    assert chars.theta == 0
-    assert chars.k2 == 0
-    assert 3 * chars.m + chars.strict_dual_class + chars.theta == 12
-    assert 5 * chars.m + chars.alpha == 15
+    # m = 3, strict dual class n = 3, theta = 0 and k2 = 0, so alpha = 0
+    count1, count2 = _salmon_counts(CurveInvariants(3, 3, 0))
+    assert (count1.lhs, count1.rhs) == (3 * 3 + 3 + 0, 12)
+    assert (count2.lhs, count2.rhs) == (5 * 3 + 2 * 0 + 0, 15)
 
 
 def test_salmon_strict_dual_class_is_second_developable():
-    # the strict dual's class equals the degree of the second developable
+    # the strict dual's class n = (3m + n + theta) - 3m - theta, with m = d
+    # and theta = k1, equals the degree of the second developable
     from evolute.pipelines import developable_closed_form
 
     for d in (3, 5):
         for g in (0, 2):
             for ks in ((0, 0), (2, 1), (1, 3)):
                 inv = CurveInvariants(3, d, g, ks)
-                assert salmon_characters(inv).strict_dual_class == developable_closed_form(inv, 2)
+                count1, _ = _salmon_counts(inv)
+                assert count1.lhs - 3 * d - ks[1] == developable_closed_form(inv, 2)
 
 
 def test_salmon_identities_grid(battery_result):
@@ -341,14 +344,15 @@ def test_salmon_identities_check_the_engine(monkeypatch):
     # Salmon's counts are compared with the engine's integrals, so a wrong
     # engine degree breaks the identities; the closed forms alone cannot
     inv = CurveInvariants(3, 3, 0)
-    assert all(check.holds for check in salmon_identity_checks(inv))
+    assert all(check.holds for check in _salmon_counts(inv))
     monkeypatch.setattr(pipelines, "integrate", lambda variety, cls: integrate(variety, cls) + 1)
-    assert not any(check.holds for check in salmon_identity_checks(inv))
+    assert not any(check.holds for check in _salmon_counts(inv))
 
 
 def test_salmon_identities_need_threespace():
-    with pytest.raises(ValueError):
-        salmon_identity_checks(CurveInvariants(4, 3, 0))
+    # Salmon's counts concern curves in 3-space: other reports carry none
+    for n in (2, 4):
+        assert curve_report(CurveInvariants(n, 3, 0)).identities == ()
 
 
 # -- osculating ---------------------------------------------------------------
