@@ -32,12 +32,17 @@ The genericity flags are exact tests on the leading form.  sympy's
 undecided: reducible or non-squarefree input, circles and other isotropic
 evolutes, and a D whose split is not a square.
 
-Both R and D are sampled on integer grids and interpolated exactly in
+Both R and D are sampled at integer nodes and interpolated exactly in
 integer arithmetic (Collins' evaluation-interpolation scheme): each sample
 is one univariate resultant over the integers, computed by a subresultant
-PRS on plain ints (`dup_resultant`), and the samples of a polynomial in
-(X, Y) of total degree T are taken on the lower set of total degree T of a
-tensor grid, which fixes it (Dyn and Floater, J. Approx. Theory 177,
+PRS on plain ints (`dup_resultant`).  A sample's coefficients in (X, Y)
+are packed into one integer by Kronecker substitution, at a power of two
+that Hadamard's bound makes large enough to read them back off its digits:
+X = t and Y = t**(p + 1) for R, whose total degree in (X, Y) is at most
+p = deg_y F, one resultant per x node; Y = t for D, one resultant per X
+node, while the packed samples stay within `_PACKED_BITS`.  A larger D is
+sampled on the lower set of total degree T of a tensor grid, which fixes a
+polynomial of total degree T (Dyn and Floater, J. Approx. Theory 177,
 2014).  For D, T is read off the Newton polygon of R in x, from the
 degrees of its coefficients and the growth of its roots.  The work is
 predicted from the degree and the coefficient size before the curve is
@@ -91,8 +96,9 @@ def __getattr__(name: str):
 # exponents -> nonzero integer coefficient: F in (x, y), H in (x, y, X, Y),
 # R in (x, X, Y), D and the evolute in (X, Y)
 _IntTerms = dict[tuple[int, ...], int]
-# the parsed curve in (x, y): exponents -> nonzero exact coefficient
-_Terms = dict[tuple[int, int], Fraction]
+# the parsed curve in (x, y): exponents -> nonzero exact coefficient, an
+# int unless a `/` or a decimal literal made it a `Fraction`
+_Terms = dict[tuple[int, int], int | Fraction]
 
 
 class DegenerateCurveError(ValueError):
@@ -206,10 +212,11 @@ _SYNTAX = (
 
 def parse_polynomial(text: str) -> _Terms:
     """The polynomial in x and y written in `text`, as exact terms (exponents
-    (i, j) of x**i y**j -> nonzero `Fraction`), built without evaluating any
-    code: integer and decimal literals (read exactly), x, y, + - * /, unary
-    signs, parentheses, division by a nonzero constant, and ** (or ^) with
-    an integer literal exponent in 0..MAX_DEGREE."""
+    (i, j) of x**i y**j -> nonzero coefficient: an int, or a `Fraction`
+    where a `/` or a decimal literal is involved), built without evaluating
+    any code: integer and decimal literals (read exactly), x, y, + - * /,
+    unary signs, parentheses, division by a nonzero constant, and ** (or ^)
+    with an integer literal exponent in 0..MAX_DEGREE."""
     text = text.strip().replace("^", "**")
     try:
         tree = ast.parse(text, mode="eval")
@@ -244,12 +251,12 @@ def _build(node: ast.expr, text: str) -> _Terms:
 
 def _leaf(node: ast.expr, text: str) -> _Terms:
     if isinstance(node, ast.Name):
-        return {(1, 0) if node.id == "x" else (0, 1): Fraction(1)}
+        return {(1, 0) if node.id == "x" else (0, 1): 1}
     if isinstance(node, ast.Constant):
         if type(node.value) is int:
             if node.value.bit_length() > MAX_POWER_BITS:
                 raise ValueError(TOO_LARGE)
-            value = Fraction(node.value)
+            value = node.value
         elif type(node.value) is float:
             value = _decimal(ast.get_source_segment(text, node))
         else:
@@ -264,7 +271,7 @@ def _leaf(node: ast.expr, text: str) -> _Terms:
     bits = max((_bits(c) for c in base.values()), default=1)
     if e.value * max(_degree(base), 1) > MAX_DEGREE or e.value * bits > MAX_POWER_BITS:
         raise ValueError(TOO_LARGE)
-    power = {(0, 0): Fraction(1)}
+    power = {(0, 0): 1}
     for _ in range(e.value):
         power = _product(power, base)
     return power
@@ -294,7 +301,7 @@ def _decimal(literal: str) -> Fraction:
     return exact
 
 
-def _bits(c: Fraction) -> int:
+def _bits(c: int | Fraction) -> int:
     return max(abs(c.numerator).bit_length(), c.denominator.bit_length())
 
 
@@ -314,7 +321,7 @@ def _combine(op: ast.operator, left: _Terms, right: _Terms) -> _Terms:
     if isinstance(op, ast.Div):
         if right.keys() != {(0, 0)}:  # zero or not a constant
             raise ValueError(NOT_POLYNOMIAL)
-        return {m: c / right[0, 0] for m, c in left.items()}
+        return {m: Fraction(c) / right[0, 0] for m, c in left.items()}
     if isinstance(op, ast.Mult):
         if _degree(left) + _degree(right) > MAX_DEGREE:
             raise ValueError(TOO_LARGE)
@@ -347,11 +354,12 @@ def predicted_work(F: _IntTerms) -> tuple[int, int, int]:
     bivariate factoring is not modelled, and runs only on inputs that fail
     the integer certificates.
 
-    T is the Sylvester bound, kept on purpose although `_discriminant`
-    samples only up to the tighter `_discriminant_degree` (66 samples for a
-    conic against the 120 predicted here): it needs no R, so the guard runs
-    before any elimination, and admission, its message and the exit codes
-    stay as they were."""
+    This prices the lower-set grid of the Sylvester bound, kept on purpose
+    although `_discriminant` samples only up to the tighter
+    `_discriminant_degree`, and a small conic's D in 11 packed resultants
+    (against the 120 grid samples predicted here): it needs no R, so the
+    guard runs before any elimination, and admission, its message and the
+    exit codes stay as they were."""
     d = _degree(F)
     B = max(abs(c).bit_length() for c in F.values())
     T = (2 * d * d - 1) * d
@@ -701,41 +709,39 @@ def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
     With p and n the degrees of F and H in y, R is homogeneous of degree p
     in the coefficients of H, which are linear in (X, Y), so p bounds its
     total degree in (X, Y); Bezout bounds its degree in x by d**2.  It is
-    sampled at d**2 + 1 x nodes that avoid the zeros of lc_y(F), times the
-    (X, Y) lower set of total degree p, one `dup_resultant` per node.
-    Where the head of H in y vanishes at a node, H0 falls delta degrees
-    short of n and the sample is lc(F0)**delta Res(F0, H0), the resultant
-    at the formal degree n."""
+    sampled at d**2 + 1 x nodes that avoid the zeros of lc_y(F), one
+    `dup_resultant` per node with X = t and Y = t**(p + 1) packed into one
+    integer (`_packed_resultant`): the exponent a + (p + 1) b of t is X**a
+    Y**b's alone for a + b <= p, and a digit beyond that raises
+    `ArithmeticError`.  Where the head of H in y vanishes at a node, H0
+    falls delta degrees short of n and the sample is lc(F0)**delta
+    Res(F0, H0), the resultant at the formal degree n."""
     d = _degree(f)
     p = max(j for _, j in f)
     n = max(j for _, j, _, _ in h)
     f_in_x, h_in_x = _columns(f, 0), _columns(h, 0)
     xs = _grid([f_in_x[(p,)]], d * d + 1)
-    uv = _grid([], p + 1)
     at_x: list[dict[tuple[int, int], int]] = []
     for x0 in xs:
-        f0 = [_horner(f_in_x.get((j,), []), x0) for j in range(p, -1, -1)]
-        # H at x0 is the sum of X**a Y**b parts[a, b], each descending in y
-        parts: dict[tuple[int, int], list[int]] = {}
+        f0 = [[_horner(f_in_x.get((j,), []), x0)] for j in range(p, -1, -1)]
+        # H at x0, descending in y: coefficients c + c' X + c'' Y, descending in t
+        h0 = [[0] * (p + 2) for _ in range(n + 1)]
         for (j, a, b), col in h_in_x.items():
-            parts.setdefault((a, b), [0] * (n + 1))[n - j] = _horner(col, x0)
-
-        # called at once by `_lower_set`, so it sees this x0's f0 and parts
-        def row(u0: int, vs: list[int]) -> list[int]:
-            samples = []
-            for v0 in vs:
-                h0 = [0] * (n + 1)
-                for (a, b), part in parts.items():
-                    w = u0**a * v0**b
-                    h0 = [s + w * c for s, c in zip(h0, part)]
-                delta = next((k for k, c in enumerate(h0) if c), None)
-                if delta is None:  # Res(F0, 0) = 0, or lc(F0)**n when F0 is a constant
-                    samples.append(0 if p else f0[0] ** n)
-                else:
-                    samples.append(dup_resultant(f0, h0[delta:]) * f0[0] ** delta)
-            return samples
-
-        at_x.append(_lower_set(row, uv, uv))
+            h0[n - j][p + 1 - a - (p + 1) * b] = _horner(col, x0)
+        delta = next((k for k, c in enumerate(h0) if any(c)), None)
+        if delta is None:  # Res(F0, 0) = 0, or lc(F0)**n when F0 is a constant
+            at_x.append({} if p else {(0, 0): f0[0][0] ** n})
+            continue
+        scale = f0[0][0] ** delta
+        digits = _packed_resultant(f0, h0[delta:], _packing_bits(f0, h0[delta:]))
+        sample = {}
+        for e, c in enumerate(reversed(digits)):
+            if c:
+                a, b = e % (p + 1), e // (p + 1)
+                if a + b > p:
+                    raise ArithmeticError("packed resultant has a term beyond its degree")
+                sample[a, b] = scale * c
+        at_x.append(sample)
     R: _IntTerms = {}
     for a, b in sorted(set().union(*at_x)):
         for i, c in enumerate(_interpolate(xs, [s.get((a, b), 0) for s in at_x])):
@@ -744,6 +750,40 @@ def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
     if not R:
         raise InconclusiveEliminationError("resultant in y vanished identically")
     return R
+
+
+def _packing_bits(f: list[list[int]], g: list[list[int]]) -> int:
+    """k such that every coefficient of Res(f, g) in t is below 2**(k - 1)
+    in size, for f and g in one variable with coefficients in Z[t]
+    (descending lists of descending lists).  On |t| = 1 an entry of their
+    Sylvester matrix is at most the 1-norm of its coefficients, so Hadamard's
+    bound with those norms bounds the determinant there, and with it each of
+    its coefficients (Cauchy's estimate)."""
+    f_rows, g_rows = (sum(sum(map(abs, c)) ** 2 for c in poly) for poly in (f, g))
+    square = f_rows ** (len(g) - 1) * g_rows ** (len(f) - 1)
+    return (square.bit_length() + 1) // 2 + 1
+
+
+def _packed_resultant(f: list[list[int]], g: list[list[int]], k: int) -> list[int]:
+    """Res(f, g) of `_packing_bits`'s f and g, with nonzero heads, as a
+    descending list in t, from one `dup_resultant` at t = 2**k (Kronecker
+    substitution), k = `_packing_bits(f, g)`: its coefficients are the
+    balanced base-t digits of the integer resultant, each in (-t/2, t/2],
+    read off by masks and shifts."""
+
+    def packed(poly: list[list[int]]) -> list[int]:
+        return [reduce(lambda acc, c: (acc << k) + c, coeffs, 0) for coeffs in poly]
+
+    value = dup_resultant(packed(f), packed(g))
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    digits = []
+    while value:
+        digit = value & mask
+        if digit > half:
+            digit -= mask + 1
+        digits.append(digit)
+        value = (value - digit) >> k
+    return digits[::-1]
 
 
 def _columns(terms: _IntTerms, var: int) -> dict[tuple[int, ...], list[int]]:
@@ -823,38 +863,73 @@ def _discriminant_degree(R: _IntTerms) -> float:
     return T
 
 
+# the largest packed sample, in bits, of `_discriminant`'s one resultant per
+# X node; above it CPython's quadratic long division makes those resultants
+# slower than the lower-set grid's many small ones: the crossover on conics
+# is near 2 800 bits, and the generic cubic's 15 400-bit samples take D 175
+# ms against 46 ms on the grid
+_PACKED_BITS = 2048
+
+
 def _discriminant(R: _IntTerms) -> _IntTerms:
     """disc_x(R) = Res_x(R, dR/dx) / lc_x(R) in (X, Y), up to sign.
 
-    Its total degree is at most T = `_discriminant_degree(R)`, and it is
-    sampled on the lower set of total degree T of a grid that avoids the
-    zeros of lc_x(R), one `dup_resultant(R0, R0')` per node, each divided
-    exactly by lc(R0)."""
+    Its total degree is at most T = `_discriminant_degree(R)`, so its
+    coefficient of Y**b has degree at most T - b in X, and it is sampled at
+    T + 1 X nodes that avoid the zeros of lc_x(R).  At each node u0, one
+    `dup_resultant(R0, R0')` with Y = t packed into one integer
+    (`_packed_resultant`) gives Res_x(R, dR/dx)(u0, Y), divided exactly by
+    lc_x(R)(u0, Y) in Z[Y]; each power Y**b is interpolated in X over the
+    first T + 1 - b nodes.  When a packed sample would exceed `_PACKED_BITS`,
+    D is sampled instead on the lower set of total degree T of a grid, one
+    `dup_resultant(R0, R0')` per node, each divided exactly by lc(R0)."""
+    T = _discriminant_degree(R)
+    if T < 0:  # x**2 divides R, and D = 0
+        raise DegenerateCurveError(ZERO_CURVATURE)
     m = max(i for i, _, _ in R)
     in_x = _columns(R, 1)
+    e = max(b for _, b in in_x)  # deg_Y R
 
     def at(u0: int, i: int, top: int) -> list[int]:  # x**i's coefficient, descending in Y
         return [_horner(in_x.get((i, b), []), u0) for b in range(top, -1, -1)]
 
-    count = max(_discriminant_degree(R) + 1, 0)  # no samples when it vanishes term by term
-    # at the X nodes, lc_x(R) stays a nonzero polynomial in Y
+    # at the X nodes, lc_x(R) stays a nonzero polynomial in Y, of degree top
     top = max(b for i, b in in_x if i == m)
-    us = _grid([in_x[m, top]], count)
-    vs = _grid([at(u0, m, top) for u0 in us], count)
-    e = max(b for _, b in in_x)  # deg_Y R
-
-    def row(u0: int, vs: list[int]) -> list[int]:
-        in_y = [at(u0, i, e) for i in range(m, -1, -1)]  # R at X = u0, descending in x
-        samples = []
-        for v0 in vs:
-            r0 = [_horner(coeffs, v0) for coeffs in in_y]
-            q, rem = divmod(dup_resultant(r0, _derivative(r0)), r0[0])
-            if rem:
+    us = _grid([in_x[m, top]], T + 1)
+    in_y = {u0: [at(u0, i, e) for i in range(m, -1, -1)] for u0 in us}  # descending in x
+    pairs = [  # R0 and R0', with coefficients in Z[Y]
+        (r0, [[(m - k) * c for c in coeffs] for k, coeffs in enumerate(r0[:-1])])
+        for r0 in in_y.values()
+    ]
+    bits = [_packing_bits(r0, dr0) for r0, dr0 in pairs]
+    # Res_x(R0, R0') has degree at most top + T in Y
+    if max(bits) * (top + T + 1) <= _PACKED_BITS:
+        D: _IntTerms = {}
+        at_u = []
+        for (r0, dr0), k in zip(pairs, bits):
+            sample = _exquo(_packed_resultant(r0, dr0, k), _strip(r0[0]))
+            if sample is None:
                 raise ArithmeticError("discriminant sample not divisible by lc(R0)")
-            samples.append(q)
-        return samples
+            if len(sample) > T + 1:
+                raise ArithmeticError("discriminant sample beyond its degree bound")
+            at_u.append(sample[::-1])  # ascending in Y
+        for b in range(T + 1):
+            column = [s[b] if b < len(s) else 0 for s in at_u[: T + 1 - b]]
+            D.update({(i, b): c for i, c in enumerate(_interpolate(us, column)) if c})
+    else:
+        vs = _grid([at(u0, m, top) for u0 in us], T + 1)
 
-    D = _lower_set(row, us, vs)
+        def row(u0: int, vs: list[int]) -> list[int]:
+            samples = []
+            for v0 in vs:
+                r0 = [_horner(coeffs, v0) for coeffs in in_y[u0]]
+                q, rem = divmod(dup_resultant(r0, _derivative(r0)), r0[0])
+                if rem:
+                    raise ArithmeticError("discriminant sample not divisible by lc(R0)")
+                samples.append(q)
+            return samples
+
+        D = _lower_set(row, us, vs)
     if not D:
         # two roots of R share x at every centre only when each normal
         # meets the curve twice at one x: a pair of horizontal lines

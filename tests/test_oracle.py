@@ -1,6 +1,7 @@
 import ast
 import time
 import types
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
@@ -39,6 +40,7 @@ from evolute.oracle import (
     _is_isotropic_factor,
     _normal_resultant,
     _nothing_to_strip,
+    _packing_bits,
     _simple_part,
     _sqf_list,
     _square_parts,
@@ -572,6 +574,18 @@ _R_TERMS = st.dictionaries(
 )
 
 
+# `_PACKED_BITS` values that make `_discriminant` sample every D on the
+# lower-set grid, and pack every X node, whatever the size of its samples
+_D_PATHS = (0, inf)
+
+
+@contextmanager
+def _packed_bits(bits):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_PACKED_BITS", bits)
+        yield
+
+
 @settings(max_examples=60, deadline=None)
 @given(_R_TERMS)
 # lc_x(R) = X - Y vanishes on the diagonal, so the Y nodes avoid every X node
@@ -580,22 +594,73 @@ _R_TERMS = st.dictionaries(
 @example({(1, 1, 0): 2, (0, 0, 1): 1})
 # R = x**2 + X x + Y**2: disc = X**2 - 4 Y**2, max-plus bound 2, Sylvester 6
 @example({(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 2): 1})
+@example({(3, 0, 1): 1, (2, 1, 0): 1})  # x**2 divides R: D = 0
 def test_total_degree_bound_holds(terms):
-    # the lower set of total degree `_discriminant_degree(R)`, at most the
-    # Sylvester bound (2m - 1) e - deg lc_x(R), fixes the discriminant,
-    # which the samples reproduce
+    # the T + 1 X nodes of total degree T = `_discriminant_degree(R)`, at
+    # most the Sylvester bound (2m - 1) e - deg lc_x(R), fix the
+    # discriminant, which the samples reproduce on the lower-set grid and
+    # packed alike
     R = _as_poly(terms)
     m = R.degree(x)
     assume(m > 0)
     e = max(a + b for _, a, b in R.monoms())
     lead = max(a + b for i, a, b in R.monoms() if i == m)
     reference = sp.Poly(sp.discriminant(R.as_expr(), x), X, Y)
-    if reference.is_zero:
-        with pytest.raises(DegenerateCurveError):
-            _discriminant(terms)
-        return
-    assert reference.total_degree() <= _discriminant_degree(terms) <= (2 * m - 1) * e - lead
-    assert _proportional(_as_poly(_discriminant(terms), X, Y), reference)
+    if not reference.is_zero:
+        assert reference.total_degree() <= _discriminant_degree(terms) <= (2 * m - 1) * e - lead
+    for bits in _D_PATHS:
+        with _packed_bits(bits):
+            if reference.is_zero:
+                with pytest.raises(DegenerateCurveError):
+                    _discriminant(terms)
+            else:
+                assert _proportional(_as_poly(_discriminant(terms), X, Y), reference)
+
+
+def _coefficients_in_t(poly, *gens):
+    """A Poly in one variable over Z[gens] as `_packing_bits` takes it: a
+    descending list of its coefficients' coefficient lists."""
+    return [[int(a) for a in sp.Poly(c, *gens).coeffs()] for c in poly.all_coeffs()]
+
+
+def _below_packing_bound(f, g, *gens):
+    """Whether every coefficient of Res(f, g) in `gens` is below
+    2**(k - 1) in size, for `_packing_bits`'s k: its balanced base-2**k
+    digits decode it exactly."""
+    k = _packing_bits(_coefficients_in_t(f, *gens), _coefficients_in_t(g, *gens))
+    reference = sp.Poly(sp.resultant(f.as_expr(), g.as_expr(), f.gen), *gens)
+    return all(abs(c) < 2 ** (k - 1) for c in reference.coeffs())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_CURVE_TERMS, st.integers(-4, 4))
+def test_packing_bound_covers_normal_resultant(terms, x0):
+    # F0 = F(x0, y) with integer coefficients and H0 = H(x0, y) with
+    # coefficients linear in (X, Y), at an x node that keeps deg_y F
+    F, H = _normal_system(terms)
+    F0 = sp.Poly(_as_poly(F, x, y).as_expr().subs(x, x0), y)
+    H0 = sp.Poly(_as_poly(H, x, y, X, Y).as_expr().subs(x, x0), y)
+    assume(F0.degree() == max(j for _, j in F) and not H0.is_zero)
+    assert _below_packing_bound(F0, H0, X, Y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_R_TERMS, st.integers(-4, 4))
+def test_packing_bound_covers_discriminant_resultant(terms, u0):
+    # R0 = R(x, u0, Y) and R0' at an X node that keeps deg_x R
+    R = _as_poly(terms)
+    R0 = sp.Poly(R.as_expr().subs(X, u0), x)
+    assume(R.degree(x) > 0 and R0.degree() == R.degree(x))
+    assert _below_packing_bound(R0, R0.diff(x), Y)
+
+
+def test_packed_term_beyond_the_degree_is_refused(monkeypatch):
+    # R has total degree at most deg_y F = 2 in (X, Y): the digit of t**9,
+    # X**0 Y**3 with Y = t**3, cannot come from a sample
+    F, H = center_of_curvature_system(PlaneCurve.from_expr(ELLIPSE))
+    monkeypatch.setattr(oracle, "_packed_resultant", lambda f, g, k: [1] + [0] * 9)
+    with pytest.raises(ArithmeticError, match="beyond its degree"):
+        _normal_resultant(F, H)
 
 
 def _content_by_gcd_fold(R):
@@ -732,9 +797,13 @@ def test_single_order_split_matches_other_order(terms):
 @example({(2, 0): -3, (1, 1): 2, (1, 0): 2, (0, 2): -2, (0, 1): 3, (0, 0): -2})
 def test_square_split_matches_sqf_list(terms):
     try:
-        D = _discriminant(_strip_content(_normal_resultant(*_normal_system(terms)), []))
+        R = _strip_content(_normal_resultant(*_normal_system(terms)), [])
+        with _packed_bits(_D_PATHS[0]):
+            D = _discriminant(R)
     except (DegenerateCurveError, InconclusiveEliminationError):
         assume(False)
+    with _packed_bits(_D_PATHS[1]):
+        assert _discriminant(R) == D  # the packed samples give the same D
     simple = sp.prod(
         [f for f, mult in sp.sqf_list(_as_poly(D, X, Y))[1] if mult == 1], start=sp.Poly(1, X, Y)
     )
@@ -1093,24 +1162,23 @@ _CERTIFICATE_CALLS = {
 @pytest.mark.parametrize(
     "text, genus, kernel_calls, factor_calls",
     [
-        # R: 5 x nodes times the lower set of total degree 2 in (X, Y), 30
-        # nodes, 3 of them where H vanishes at x = 0 and need no call; R's
-        # content is a gcd fold, no resultant; the discriminant: m = 4 and
-        # a max-plus degree of 10, so the lower set of total degree 10, 66
-        # samples; one Res(f, f') of f(t) = LF(1, t) for the transversality
-        # flag
-        (ELLIPSE, None, 27 + 66 + 1, 0),
-        # R: 10 x nodes times 10, 1 without a call; the gcd fold strips a
-        # content of degree 2 (the node); then m = 7: the lower set of total
-        # degree 30, 496 samples; one transversality resultant
-        ("x**3 + y**3 - 3*x*y", 0, 99 + 496 + 1, 0),
-        # R: 100 nodes; 946 discriminant samples (total degree 42); one
+        # R: one packed resultant at each of 5 x nodes; R's content is a gcd
+        # fold, no resultant; the discriminant: m = 4 and a max-plus degree
+        # of 10, so one packed resultant at each of 11 X nodes; one
+        # Res(f, f') of f(t) = LF(1, t) for the transversality flag
+        (ELLIPSE, None, 5 + 11 + 1, 0),
+        # R: 10 x nodes; the gcd fold strips a content of degree 2 (the
+        # node); then m = 7 and total degree 30, whose packed samples exceed
+        # `_PACKED_BITS`: the lower set of total degree 30, 496 samples; one
         # transversality resultant
-        (CUBIC, None, 100 + 946 + 1, 0),
-        # R: 30 nodes, 7 where H vanishes; 15 discriminant samples; one
+        ("x**3 + y**3 - 3*x*y", 0, 10 + 496 + 1, 0),
+        # R: 10 nodes; 946 discriminant samples on the grid (total degree
+        # 42); one transversality resultant
+        (CUBIC, None, 10 + 946 + 1, 0),
+        # R: 5 nodes; 5 packed discriminant samples (total degree 4); one
         # transversality resultant.  The evolute X**2 + Y**2 fails the
         # isotropy certificate, so sympy lists its factors once
-        ("x**2 + y**2 - 1", None, 23 + 15 + 1, 1),
+        ("x**2 + y**2 - 1", None, 5 + 5 + 1, 1),
     ],
 )
 def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls, factor_calls):
