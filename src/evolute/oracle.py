@@ -22,10 +22,11 @@ factors are then stripped, and every removal is logged.
 Exact integer certificates decide the common case before any bivariate
 factorization.  The input is certified irreducible when its content in x
 is constant and one specialization F(x, y0) is irreducible (a quadratic
-by its discriminant, a higher degree modulo a small prime); the evolute is
-split from D by univariate splits at sample nodes (one gcd each unless a
-root has multiplicity above 2), interpolated and accepted only on an exact
-identity D = mu E C**2; and nothing needs stripping when both of its
+by its discriminant, a higher degree modulo a small prime); the square
+part C of D is interpolated from univariate splits at sample nodes (one
+gcd each unless a root has multiplicity above 2), and the evolute E is
+D / C**2 by one exact division, accepted only on the exact identity
+D = mu E C**2; and nothing needs stripping when both of its
 contents are constant and X**2 + Y**2 does not divide its leading form.
 The genericity flags are exact tests on the leading form.  sympy's
 `factor_list` and `sqf_list` run only on what a certificate leaves
@@ -204,10 +205,7 @@ TOO_LARGE = (
 )
 TOO_DEEP = "curve polynomial nested too deeply"
 ZERO_CURVATURE = "zero curvature along the curve (line components)"
-_SYNTAX = (
-    ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Load,
-    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub,
-)
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 def parse_polynomial(text: str) -> _Terms:
@@ -224,12 +222,23 @@ def parse_polynomial(text: str) -> _Terms:
         raise ValueError(f"--poly does not parse: {exc.msg}") from None
     except RecursionError:
         raise ValueError(TOO_DEEP) from None
-    nodes = list(ast.walk(tree.body))
-    if not all(isinstance(node, _SYNTAX) for node in nodes):
-        raise ValueError(NOT_POLYNOMIAL)
-    foreign = sorted({node.id for node in nodes if isinstance(node, ast.Name)} - {"x", "y"})
+    # one walk over the grammar; any other node is refused at once, so
+    # foreign syntax is named before a foreign name
+    foreign = set()
+    stack = [tree.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
+            stack += (node.left, node.right)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            stack.append(node.operand)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in ("x", "y"):
+                foreign.add(node.id)
+        elif not isinstance(node, ast.Constant):
+            raise ValueError(NOT_POLYNOMIAL)
     if foreign:
-        raise ValueError(f"curve may involve only x and y, got {', '.join(foreign)}")
+        raise ValueError(f"curve may involve only x and y, got {', '.join(sorted(foreign))}")
     try:
         return _build(tree.body, text)
     except RecursionError:
@@ -771,10 +780,21 @@ def _packed_resultant(f: list[list[int]], g: list[list[int]], k: int) -> list[in
     balanced base-t digits of the integer resultant, each in (-t/2, t/2],
     read off by masks and shifts."""
 
-    def packed(poly: list[list[int]]) -> list[int]:
-        return [reduce(lambda acc, c: (acc << k) + c, coeffs, 0) for coeffs in poly]
+    value = dup_resultant([_pack(c, k) for c in f], [_pack(c, k) for c in g])
+    return _unpack(value, k)
 
-    value = dup_resultant(packed(f), packed(g))
+
+def _pack(f: list[int], k: int) -> int:
+    """f(2**k) of a descending integer coefficient list: Kronecker
+    substitution, by shifts."""
+    return reduce(lambda acc, c: (acc << k) + c, f, 0)
+
+
+def _unpack(value: int, k: int) -> list[int]:
+    """The balanced base-2**k digits of `value`, each in (-2**(k-1),
+    2**(k-1)], descending ([] for 0): the polynomial f with
+    `_pack(f, k) == value` whose coefficients are below 2**(k - 1) in size,
+    read off by masks and shifts."""
     mask, half = (1 << k) - 1, 1 << (k - 1)
     digits = []
     while value:
@@ -965,24 +985,63 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
     D0 = D(X, v0) into its simple roots and a square, by one gcd unless a
     root has multiplicity above 2; a node with fewer simple roots than
     another lies on a collision of E and C and is dropped, and one with a
-    root of odd multiplicity above 1 is skipped.  The images, scaled to the
-    head lc_X(D)(v0), are those of polynomials of degree at most deg_Y D in
-    Y; Newton interpolation (Brown, J. ACM 18, 1971) adds nodes until two
-    in a row add nothing.  E and C are the primitive parts in X,
-    mu = lc_X(D) / (lc_X(E) lc_X(C)**2), and the result stands only on the
-    exact identity D = mu E C**2.  Given it, the deg_X E simple roots of D0
-    at a kept node are roots of E(X, v0) not shared with C(X, v0), so
-    E(X, v0) is squarefree and coprime to C(X, v0); a repeated or common
-    factor would stay one at v0, since lc_X(D)(v0) != 0
-    and E has no factor free of X."""
+    root of odd multiplicity above 1 is skipped.  Only the image of C is
+    interpolated: scaled to the head lc_X(D)(v0), it is that of
+    lc_X(D) C / lc_X(C), of degree at most deg_Y D in Y, and Newton
+    interpolation (Brown, J. ACM 18, 1971) adds nodes until one adds
+    nothing.  C is its primitive part in X, and one exact division of D by
+    C**2 at Y = 2**k (Kronecker) gives mu E, read off the balanced digits
+    of the quotient: E is its primitive part in X and mu its content.
+
+    k comes from Mignotte's factor-coefficient bound: a factor Q of D in
+    Z[X, Y] has a 1-norm, and so every coefficient, of at most
+    2**(deg_X Q + deg_Y Q) M(Q), where the Mahler measure M is
+    multiplicative, at least 1 on nonzero integer polynomials and at most
+    the 2-norm.  Partial degrees add, so mu E, and the product of the
+    1-norms of mu, E, C and C, are at most 2**(deg_X D + deg_Y D) |D|_2,
+    which k keeps at most 2**(k - 2), as it does every coefficient of D.
+    Where that product is below 2**(k - 1), it bounds every coefficient of
+    mu E C**2, and D = C**2 mu E at Y = 2**k is the exact identity
+    D = mu E C**2.
+
+    Given it, and deg_X E + 1 = `simple`, the deg_X E simple roots of D0 at
+    a kept node are roots of E(X, v0) not shared with C(X, v0), so E(X, v0)
+    is squarefree and coprime to C(X, v0); a repeated or common factor
+    would stay one at v0, since lc_X(D)(v0) != 0 and E has no factor free of
+    X.  A failed division or certificate means C is not yet right, as when
+    the nodes so far are symmetric about a centre of symmetry of its image:
+    the next node goes on, up to deg_Y D + 1 kept nodes, which fix C."""
     in_y = _columns(D, 1)
     rows = [in_y.get((a,), []) for a in range(max(in_y)[0], -1, -1)]  # descending in X, then Y
     top = max(len(row) for row in rows) - 1  # deg_Y D
+    norm_bits = (sum(c * c for c in D.values()).bit_length() + 1) // 2  # 2**norm_bits >= |D|_2
+    k = len(rows) - 1 + top + norm_bits + 2  # 2**(k - 2) >= 2**(deg_X D + deg_Y D) |D|_2
+    packed = [_pack(row, k) for row in rows]
+
+    def divided_out(C: list[list[int]]) -> _IntTerms | None:
+        """E from D / C**2, or None where a certificate fails."""
+        image = [_pack(row, k) for row in C]
+        quotient = _exquo(packed, _mul(image, image))
+        if quotient is None:
+            return None
+        mu, E = _primitive([_unpack(c, k) for c in quotient])
+        norm_e, norm_c = (sum(abs(c) for row in P for c in row) for P in (E, C))
+        if (
+            len(E) != simple
+            or (sum(map(abs, mu)) * norm_e * norm_c**2).bit_length() >= k
+            or [_pack(mu, k) * _pack(row, k) for row in E] != quotient
+            or any(mult == 1 for _, mult in _sqf_list(mu))
+        ):
+            return None
+        return {
+            (len(E) - 1 - a, b): c for a, row in enumerate(E) for b, c in enumerate(row[::-1]) if c
+        }
+
     nodes: list[int] = []
-    # per coefficient of the two images: the last diagonal of its divided
+    # per coefficient of the image of C: the last diagonal of its divided
     # difference table and its Newton coefficients
     tables: list[tuple[list[int], list[int]]] = []
-    simple = quiet = -1
+    simple = -1
     grid = _grid([rows[0]], 2 * top + 2)  # out of nodes is inconclusive, not a refusal
     try:
         for v0 in grid:
@@ -990,60 +1049,41 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
             parts = _square_parts(d0)
             if parts is None or len(parts[0]) < simple:
                 continue
-            e0, g = parts
-            scaled = [divmod(d0[0] * c, f[0]) for f in (e0, g) for c in f]
+            e0, c0 = parts
+            scaled = [divmod(d0[0] * c, f[0]) for f in (e0, c0) for c in f]
             if any(r for _, r in scaled):  # not the images of E and C
                 continue
             if len(e0) > simple:  # every earlier node lay on a collision
-                simple, nodes, tables = len(e0), [], [([], []) for _ in scaled]
+                simple, nodes, tables = len(e0), [], [([], []) for _ in c0]
             nodes.append(v0)
             settled = True
-            for (diagonal, newton), (value, _) in zip(tables, scaled):
+            for (diagonal, newton), (value, _) in zip(tables, scaled[simple:]):
                 row = [value]
                 for j, previous in enumerate(diagonal, 1):
                     row.append(_exact(row[-1] - previous, v0 - nodes[-1 - j]))
                 diagonal[:] = row
                 newton.append(row[-1])
                 settled = settled and not row[-1]
-            # a set of nodes symmetric about a centre of symmetry of the
-            # images also adds nothing, but never two sets in a row
-            quiet = quiet + 1 if settled else 0
-            if quiet == 2 or len(nodes) > top:
-                break
-        else:
-            return None
+            if settled or len(nodes) > top:
+                E = divided_out(_primitive([_monomials(nodes, dd)[::-1] for _, dd in tables])[1])
+                if E is not None or len(nodes) > top:
+                    return E
     except ArithmeticError:  # the kept images are not those of integer polynomials
-        return None
-    images = [_monomials(nodes, newton)[::-1] for _, newton in tables]  # descending in Y
-    E, C = _primitive(images[:simple]), _primitive(images[simple:])
-    mu = _exquo(rows[0], _mul(E[0], _mul(C[0], C[0])))
-    if mu is None or any(mult == 1 for _, mult in _sqf_list(mu)):
-        return None
-    # both sides at Y = 2**k (Kronecker): every coefficient of either side
-    # is below 2**(k - 1) in size, so equal values mean equal polynomials
-    norm_e, norm_c = (sum(abs(c) for row in P for c in row) for P in (E, C))
-    size = max(sum(map(abs, mu)) * norm_e * norm_c**2, max(abs(c) for row in rows for c in row))
-    k = size.bit_length() + 1
-
-    def at(row: list[int]) -> int:
-        return reduce(lambda acc, c: (acc << k) + c, row, 0)
-
-    image = [at(row) for row in C]
-    product = _mul([at(row) for row in E], _mul(image, image))
-    if [at(mu) * c for c in product] != [at(row) for row in rows]:
-        return None
-    return {(len(E) - 1 - a, b): c for a, row in enumerate(E) for b, c in enumerate(row[::-1]) if c}
+        pass
+    return None
 
 
-def _primitive(rows: list[list[int]]) -> list[list[int]]:
-    """A polynomial in (X, Y), as rows descending in X of coefficient lists
-    descending in Y, divided by its content in Z[Y], the integer content
-    included, with leading zeros stripped ([] for a zero row)."""
+def _primitive(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """The content in Z[Y], the integer content included, of a polynomial
+    in (X, Y), as rows descending in X of coefficient lists descending in
+    Y, and the polynomial divided by it, with leading zeros stripped ([]
+    for a zero row)."""
     rows = [_strip(row) for row in rows]
     content = _content(row for row in rows if row)
     if len(content) == 1:  # known only up to an integer factor
-        content = [reduce(gcd, (c for row in rows for c in row))]
-    return [_exquo(row, content) for row in rows]
+        g = reduce(gcd, (c for row in rows for c in row))
+        return [g], [[c // g for c in row] for row in rows]
+    return content, [_exquo(row, content) for row in rows]
 
 
 def _square_parts(f: list[int]) -> tuple[list[int], list[int]] | None:

@@ -139,6 +139,20 @@ def test_oracle_cli_degenerate_input(capsys):
     assert "curvature" in err
 
 
+@pytest.mark.parametrize(
+    "poly",
+    [
+        "sin(x)", "x @ y", "x % 2", "~x", "not x", "x < y", "(x := 1)", "'a'", "x**y",
+        # a foreign name beside foreign syntax: the syntax is named first
+        "z + sin(w)", "x if y else 1", "[x]", "x.real",
+    ],
+)
+def test_rejected_input_messages(capsys, poly):
+    assert run(capsys, "oracle", "--poly", poly) == (
+        2, "", "error: curve must be a polynomial in x and y\n"
+    )
+
+
 def test_oversized_integer_literal_exits_two_at_once(capsys):
     # 10**1300 written out as 1 301 digits is refused before any elimination,
     # as 1e1300 is; the oracle ran past 120 s on it when it was read

@@ -960,8 +960,8 @@ def test_sympy_is_imported_by_the_accessor_alone():
 
 
 def test_square_split_refuses_what_the_nodes_miss():
-    # D = X + Y**3 - Y is X at the first nodes 0, 1, -1, so the interpolation
-    # settles on X; the exact identity refuses it
+    # D = X + Y**3 - Y is X at the first nodes 0, 1, -1; only the image of
+    # its square part C = 1 is interpolated, and D / C**2 is D itself
     D = sp.Poly(X + Y**3 - Y, X, Y)
     split = _square_split(_integer_terms(D))
     assert split is None or _proportional(_as_poly(split, X, Y), D)
@@ -1151,11 +1151,12 @@ def test_canonical_text_round_trip(terms):
 # y0 = 0 fails at all 15 primes and x**3 - 3 x + 1 at y0 = 1 is irreducible
 # modulo 2.  One decomposition per node where a root of multiplicity above
 # 2 leaves the one-gcd split a remainder, and one of mu(Y) in the split of
-# D unless it is a constant (only the ellipse's is not): two of the
-# ellipse's nodes (multiplicity 4), two of the folium's (7 and 6) and the
+# D unless it is a constant (only the ellipse's is not): none of the
+# ellipse's nodes (its split is certified at the nodes 1 and -1, before its
+# multiplicity-4 nodes 3 and -3), two of the folium's (7 and 6) and the
 # circle's node 0, where D(X, 0) = X**4
 _CERTIFICATE_CALLS = {
-    ELLIPSE: (0, 3), "x**3 + y**3 - 3*x*y": (16, 2), CUBIC: (1, 0), "x**2 + y**2 - 1": (0, 1)
+    ELLIPSE: (0, 1), "x**3 + y**3 - 3*x*y": (16, 2), CUBIC: (1, 0), "x**2 + y**2 - 1": (0, 1)
 }
 
 
@@ -1193,6 +1194,44 @@ def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls, factor_calls
         "dup_resultant": kernel_calls, "gcd": 0, "factor_list": factor_calls, "sqf_list": 0,
         "_irreducible_mod": modular, "_yun": decompositions,
     }
+
+
+# a conic of `oracle_plane` (perfbench seed 1): C's image in Y has degree
+# 2, so three nodes fix it and a fourth adds nothing
+_SEED_CONIC = "-4*x**2 + 2*x*y - 4*x + 3*y**2 + y - 3"
+
+
+@pytest.mark.parametrize(
+    "text, calls",
+    [
+        # lc_X(D) = c Y**2 takes one value at the nodes 1 and -1, so the
+        # second node adds nothing to C's image, whose primitive part X is
+        # already right
+        (ELLIPSE, 2),
+        (CUBIC, 13),
+        (_SEED_CONIC, 4),
+    ],
+)
+def test_square_split_node_counts(monkeypatch, text, calls):
+    # the split finishes at the first node that adds nothing to C's image
+    counts = []
+    monkeypatch.setattr(oracle, "_square_parts", lambda f: counts.append(1) or _square_parts(f))
+    oracle_check(PlaneCurve.from_expr(text))
+    assert len(counts) == calls
+
+
+def test_square_split_goes_on_past_a_false_settling(monkeypatch):
+    # D = (X**2 + Y + 1)(X + Y**3 - Y)**2: C's image is X at the nodes 0 and
+    # 1, so the second node adds nothing and C = X, which the division by
+    # C**2 refuses; the node -1, where E(X, -1) = X**2 meets C, is dropped,
+    # and the nodes 2, -2 and 3 fix C, with no sympy fallback
+    _forbid_sympy(monkeypatch)
+    counts = []
+    monkeypatch.setattr(oracle, "_square_parts", lambda f: counts.append(1) or _square_parts(f))
+    D = _integer_terms(sp.Poly((X**2 + Y + 1) * (X + Y**3 - Y) ** 2, X, Y))
+    split = _simple_part(D, [])
+    assert _proportional(_as_poly(split, X, Y), sp.Poly(X**2 + Y + 1, X, Y))
+    assert len(counts) == 6
 
 
 def test_reducible_input_reaches_sympy_factoring(monkeypatch):
