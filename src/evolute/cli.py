@@ -46,11 +46,10 @@ def _lazy_module(name: str):
     by its fallbacks alone, not when it loads).  The module is registered
     in `sys.modules` at once, where instrumentation looks for it.
 
-    The lazy load stays because it is worth memory: over 5 launches of
-    CPython 3.11 on Linux, a fresh `import evolute.cli` peaks at 16.7 MB of
-    `ru_maxrss` and at 19.5 MB once `evolute.oracle` is executed too.  The
-    2.9 MB difference is more than a tenth of the 27 MB peak of a 30 s
-    `perfbench` engine_sweep run, whose operations never reach the oracle.
+    The lazy load is worth memory: over 5 launches of CPython 3.11 on Linux
+    with no bytecode cache, `import evolute.cli` peaks at 16.7 MB of
+    `ru_maxrss`, 18.0 MB with the oracle and its two imports executed, and
+    a 30 s `perfbench` engine_sweep run, which never needs them, at 27 MB.
     """
     if name in sys.modules:
         return sys.modules[name]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import evolute
-from evolute import cli, oracle, pipelines
+from evolute import cli, oracle, pipelines, polyparse
 from evolute.cli import build_parser, main, render_json, render_sweep_csv
 from evolute.pipelines import (
     EnumerativeReport,
@@ -160,7 +160,7 @@ def test_oversized_integer_literal_exits_two_at_once(capsys):
     code, out, err = run(capsys, "oracle", "--poly", f"x**2 + 2*y**2 - {10**1300}")
     assert time.monotonic() - started < 10
     assert (code, out) == (2, "")
-    assert err == f"error: {oracle.TOO_LARGE}\n"
+    assert err == f"error: {polyparse.TOO_LARGE}\n"
 
 
 @pytest.mark.parametrize(
@@ -270,11 +270,13 @@ def test_parser_built_once(capsys):
     ids=lambda argv: argv[0],
 )
 def test_engine_subcommands_leave_sympy_unloaded(argv):
-    # a fresh interpreter: this one has long imported sympy; loading the
-    # oracle module does not import it either
+    # a fresh interpreter: this one has long imported sympy; the oracle's
+    # parser and univariate algebra stay unloaded with it, and loading the
+    # oracle module does not import sympy either
     script = (
         "import sys, evolute.cli as cli\n"
         f"cli.main({argv + ['--format', 'csv']!r})\n"
+        "print(sorted({'evolute.intpoly', 'evolute.polyparse'} & set(sys.modules)))\n"
         "print('sympy' in sys.modules, cli.oracle.PlaneCurve.__name__)\n"
         "print('sympy' in sys.modules)\n"
     )
@@ -282,7 +284,7 @@ def test_engine_subcommands_leave_sympy_unloaded(argv):
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.endswith("False PlaneCurve\nFalse\n")
+    assert out.endswith("[]\nFalse PlaneCurve\nFalse\n")
 
 
 # golden oracle cases that the integer certificates decide end to end

@@ -19,39 +19,41 @@ from sympy.polys.factortools import dup_factor_list
 from sympy.polys.galoistools import gf_from_int_poly, gf_irreducible_p
 from sympy.polys.sqfreetools import dup_sqf_list
 
-from evolute import oracle
+from evolute import intpoly, oracle, polyparse
+from evolute.intpoly import (
+    _CERTIFYING_PRIMES,
+    _gcd,
+    _irreducible_mod,
+    dup_resultant,
+    exquo,
+    interpolate,
+    irreducible,
+    pack,
+    sqf_list,
+    square_parts,
+    strip,
+    unpack,
+)
 from evolute.oracle import (
-    MAX_DEGREE,
-    MAX_POWER_BITS,
-    TOO_LARGE,
     DegenerateCurveError,
     InconclusiveEliminationError,
     PlaneCurve,
-    _CERTIFYING_PRIMES,
     _certified_irreducible,
     _discriminant,
     _discriminant_degree,
-    _exquo,
-    _gcd,
-    _interpolate,
     _integer_terms,
-    _irreducible,
-    _irreducible_mod,
     _is_isotropic_factor,
     _normal_resultant,
     _nothing_to_strip,
     _packing_bits,
     _simple_part,
-    _sqf_list,
-    _square_parts,
     _square_split,
     _strip_content,
     canonical_text,
     center_of_curvature_system,
-    dup_resultant,
     oracle_check,
-    parse_polynomial,
 )
+from evolute.polyparse import MAX_DEGREE, MAX_POWER_BITS, TOO_LARGE, parse_polynomial
 from evolute.pipelines import curve_report
 from evolute.selftest import check_oracle
 from evolute.varieties import CurveInvariants
@@ -421,7 +423,7 @@ def test_interpolate_recovers_integer_polynomial(coeffs, extra):
     expected = list(coeffs)
     while len(expected) > 1 and not expected[-1]:
         expected.pop()
-    result = _interpolate(nodes, samples)
+    result = interpolate(nodes, samples)
     assert result == expected
     assert all(type(c) is int for c in result)
 
@@ -429,7 +431,7 @@ def test_interpolate_recovers_integer_polynomial(coeffs, extra):
 def test_interpolate_rejects_non_integer_polynomial():
     # the parabola through (0, 0), (1, 1), (-1, 0) is (t + t**2)/2
     with pytest.raises(ArithmeticError):
-        _interpolate([0, 1, -1], [0, 1, 0])
+        interpolate([0, 1, -1], [0, 1, 0])
 
 
 @pytest.mark.parametrize(
@@ -663,6 +665,26 @@ def test_packed_term_beyond_the_degree_is_refused(monkeypatch):
         _normal_resultant(F, H)
 
 
+@st.composite
+def _packable(draw):
+    """(f, k): a list of balanced base-2**k digits, each in (-2**(k - 1),
+    2**(k - 1)], both ends and zero drawn often, leading zeros included."""
+    k = draw(st.integers(1, 80))
+    half = 1 << (k - 1)
+    digit = st.one_of(st.sampled_from([1 - half, 0, half]), st.integers(1 - half, half))
+    return draw(st.lists(digit, max_size=8)), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_packable())
+@example(([], 1))
+@example(([0, 0, 1, 0], 1))
+@example(([-3, 4, 0, 4], 3))  # both ends of the digit range
+def test_unpack_inverts_pack(case):
+    f, k = case
+    assert unpack(pack(f, k), k) == strip(f)
+
+
 def _content_by_gcd_fold(R):
     """R divided by the gcd of its X**a Y**b columns, with the log line."""
     columns = {}
@@ -712,12 +734,12 @@ def test_content_certificate_matches_gcd_fold(terms):
 def test_max_plus_bound_is_tight(F, degree, sylvester):
     # the bound is deg D on these curves; the Sylvester bound, which the
     # cost guard still uses, is looser on all but the circle
-    system = center_of_curvature_system(PlaneCurve(F, oracle._degree(F), 0, 0))
+    system = center_of_curvature_system(PlaneCurve(F, polyparse.degree(F), 0, 0))
     R = _strip_content(_normal_resultant(*system), [])
     m = max(i for i, _, _ in R)
     lead = max(a + b for i, a, b in R if i == m)
     assert (2 * m - 1) * max(a + b for _, a, b in R) - lead == sylvester
-    assert _discriminant_degree(R) == degree == oracle._degree(_discriminant(R))
+    assert _discriminant_degree(R) == degree == polyparse.degree(_discriminant(R))
 
 
 def _max_plus_sylvester_degree(R):
@@ -858,7 +880,7 @@ def test_square_parts_matches_yun(parts, scale):
     e, c, p, q = parts
     f = reduce(_times, (e, c, c, p, p, p, q, q, q, q), [scale])
     _, factors = dup_sqf_list(f, sp.ZZ)
-    split = _square_parts(f)
+    split = square_parts(f)
     assert (split is None) == any(mult > 1 and mult % 2 for _, mult in factors)
     if split is not None:
         simple = reduce(_times, (g for g, mult in factors if mult == 1), [1])
@@ -872,9 +894,9 @@ def test_square_parts_stops_at_odd_multiplicity(monkeypatch):
     # Yun's steps for multiplicities 1, 2 and 3 reach the triple root; the
     # part of multiplicity 6 would take two more gcds
     calls = []
-    monkeypatch.setattr(oracle, "_gcd", lambda f, g: calls.append(1) or _gcd(f, g))
+    monkeypatch.setattr(intpoly, "_gcd", lambda f, g: calls.append(1) or _gcd(f, g))
     f = reduce(_times, [[1, 0]] + [[1, -1]] * 3 + [[1, 1]] * 6)
-    assert _square_parts(f) is None
+    assert square_parts(f) is None
     assert len(calls) == 4
 
 
@@ -914,13 +936,13 @@ def test_plain_int_helpers_match_sympy(pair):
     f, g = pair
     assert _gcd(f, g) == tuple(dup_inner_gcd(f, g, sp.ZZ))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_HEURISTIC_POINTS", 0)
+        patch.setattr(intpoly, "_HEURISTIC_POINTS", 0)
         assert _gcd(f, g) == tuple(dup_rr_prs_gcd(f, g, sp.ZZ))
     if g:
         quotient, rem = dup_div(f, g, sp.ZZ)
-        assert _exquo(f, g) == (None if rem else quotient)
+        assert exquo(f, g) == (None if rem else quotient)
     for h in (f, g):
-        assert list(_sqf_list(h)) == dup_sqf_list(h, sp.ZZ)[1]
+        assert list(sqf_list(h)) == dup_sqf_list(h, sp.ZZ)[1]
 
 
 _NONCONSTANT = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda f: f[0])
@@ -934,16 +956,16 @@ def test_modular_certificate_refuses_products(a, b, p):
     # a product of two nonconstant integer polynomials is never certified,
     # and the test modulo p agrees with sympy's over F_p on both factors
     f = _times(a, b)
-    assert not _irreducible(f)
+    assert not irreducible(f)
     for h in (f, a, b):
         if h[0] % p:
             assert _irreducible_mod(h, p) == gf_irreducible_p(gf_from_int_poly(h, p), p, sp.ZZ)
 
 
-def test_sympy_is_imported_by_the_accessor_alone():
-    # nothing at module level (class bodies included) imports sympy, and the
-    # only function that does is the fallbacks' accessor
-    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+def _imports(module):
+    """(enclosing function or None, imported module) for every import in the
+    module's source."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imports: list[tuple[str | None, str]] = []
     stack = [(None, node) for node in tree.body]
     while stack:
@@ -955,8 +977,19 @@ def test_sympy_is_imported_by_the_accessor_alone():
         elif isinstance(node, ast.ImportFrom):
             imports.append((owner, node.module or ""))
         stack += [(owner, child) for child in ast.iter_child_nodes(node)]
-    assert (None, "ast") in imports  # the scan sees the module's own imports
-    assert {owner for owner, name in imports if name.split(".")[0] == "sympy"} == {"_sympy"}
+    return imports
+
+
+def test_sympy_is_imported_by_the_accessor_alone():
+    # nothing at module level (class bodies included) imports sympy, the
+    # only function of the oracle that does is the fallbacks' accessor, and
+    # the parser and the univariate algebra import it nowhere
+    for module, own, importers in (
+        (oracle, "dataclasses", {"_sympy"}), (polyparse, "ast", set()), (intpoly, "math", set())
+    ):
+        imports = _imports(module)
+        assert (None, own) in imports  # the scan sees the module's own imports
+        assert {owner for owner, name in imports if name.split(".")[0] == "sympy"} == importers
 
 
 def test_square_split_refuses_what_the_nodes_miss():
@@ -1067,7 +1100,7 @@ _LINEAR = st.tuples(st.integers(-5, 5).filter(bool), st.integers(-5, 5))
 @example([4, 0, -9])  # (2 x - 3)(2 x + 3)
 def test_quadratic_irreducibility_matches_factoring(f):
     _, factors = dup_factor_list(f, sp.ZZ)
-    assert _irreducible(f) == (len(factors) == 1 and factors[0][1] == 1)
+    assert irreducible(f) == (len(factors) == 1 and factors[0][1] == 1)
 
 
 _CONIC_COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
@@ -1215,7 +1248,7 @@ _SEED_CONIC = "-4*x**2 + 2*x*y - 4*x + 3*y**2 + y - 3"
 def test_square_split_node_counts(monkeypatch, text, calls):
     # the split finishes at the first node that adds nothing to C's image
     counts = []
-    monkeypatch.setattr(oracle, "_square_parts", lambda f: counts.append(1) or _square_parts(f))
+    monkeypatch.setattr(oracle, "square_parts", lambda f: counts.append(1) or square_parts(f))
     oracle_check(PlaneCurve.from_expr(text))
     assert len(counts) == calls
 
@@ -1227,7 +1260,7 @@ def test_square_split_goes_on_past_a_false_settling(monkeypatch):
     # and the nodes 2, -2 and 3 fix C, with no sympy fallback
     _forbid_sympy(monkeypatch)
     counts = []
-    monkeypatch.setattr(oracle, "_square_parts", lambda f: counts.append(1) or _square_parts(f))
+    monkeypatch.setattr(oracle, "square_parts", lambda f: counts.append(1) or square_parts(f))
     D = _integer_terms(sp.Poly((X**2 + Y + 1) * (X + Y**3 - Y) ** 2, X, Y))
     split = _simple_part(D, [])
     assert _proportional(_as_poly(split, X, Y), sp.Poly(X**2 + Y + 1, X, Y))
@@ -1247,9 +1280,10 @@ def test_reducible_input_reaches_sympy_factoring(monkeypatch):
 
 
 def _count_calls(monkeypatch):
-    oracle_names = ("dup_resultant", "_irreducible_mod", "_yun")
+    # the kernel through the oracle's global, the certificates inside intpoly
+    own = ((oracle, "dup_resultant"), (intpoly, "_irreducible_mod"), (intpoly, "_yun"))
     sympy_names = ("gcd", "factor_list", "sqf_list")
-    counts = dict.fromkeys(oracle_names + sympy_names, 0)
+    counts = dict.fromkeys([name for _, name in own] + list(sympy_names), 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -1258,8 +1292,8 @@ def _count_calls(monkeypatch):
 
         return counted
 
-    for name in oracle_names:
-        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    for module, name in own:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     proxy = types.SimpleNamespace(**vars(sp))
     for name in sympy_names:
         setattr(proxy, name, counting(name, getattr(sp, name)))
