@@ -30,7 +30,7 @@ from functools import cache
 from typing import Callable, Iterable
 
 from .bundle import BundleSpace
-from .chow import VarietyDescriptor, binomial, integrate
+from .chow import VarietyDescriptor, integrate
 from .ring import GradedClass
 from .thom import MAX_CODIMENSION, UnsupportedCodimensionError, thom_class
 from .varieties import (
@@ -38,6 +38,7 @@ from .varieties import (
     SurfaceChernNumbers,
     curve_geometry,
     hypersurface_geometry,
+    osculating_rank,
     surface_geometry,
 )
 
@@ -101,19 +102,18 @@ def _compiled_classes(kind: str, n: int) -> tuple[GradedClass, ...]:
 # --------------------------------------------------------------------------
 
 
-def curve_closed_forms(d: int, g: int, k0: int) -> tuple[int, int, int]:
-    """Envelope, cuspidal-edge and edge-cusp degrees for the normal-space
-    family of a degree-d genus-g curve with k0 weighted cusps:
+def curve_closed_forms(d: int, g: int, k0: int) -> tuple[int, int, int, int]:
+    """Degrees of the k-fold loci, k = 1..4, of the normal-space family of a
+    degree-d genus-g curve with k0 weighted cusps: the ranks of its normal
+    curve, of degree the ED degree 3d + 2g - 2 - k0 and genus g, with no
+    stationary index,
 
-        6(d+g-1) - 2 k0,   3(3d+4g-4-k0),   4(3d+5g-5-k0).
+        (k+1)(3d + 2g - 2 - k0 + k(g-1)).
 
-    The last value is meaningful only in ambient dimension >= 3.
+    The k-th value is meaningful only in ambient dimension >= k.
     """
-    return (
-        6 * (d + g - 1) - 2 * k0,
-        3 * (3 * d + 4 * g - 4 - k0),
-        4 * (3 * d + 5 * g - 5 - k0),
-    )
+    ed = 3 * d + 2 * g - 2 - k0
+    return tuple([osculating_rank(ed, g, (), k) for k in (1, 2, 3, 4)])
 
 
 def trifogli_degree(n: int, d: int) -> int:
@@ -229,8 +229,9 @@ CITE_ED_DEGREE = (
 )
 CITE_UMBILICS = "Salmon (1882, p. 263 footnote): umbilic count of a smooth surface"
 CITE_PLUCKER = (
-    "generalized Plucker formulas for osculating developables and stationary indices "
-    "of space curves"
+    "Piene (Numerical characters of a curve in projective n-space, Real and Complex "
+    "Singularities, Oslo 1976, 1977): rank formula for osculating developables and "
+    "stationary indices, applied to the normal curve at the ED degree"
 )
 NOTE_CYCLE_DEGREES = (
     "note: engine degrees are cycle-theoretic pushforward degrees of the singular "
@@ -407,7 +408,7 @@ def hypersurface_report(ambient: int, degree: int) -> EnumerativeReport:
     if ambient == 2:
         genus = (degree - 1) * (degree - 2) // 2
         companions = curve_closed_forms(degree, genus, 0)
-        citations.append(CITE_CURVE_FORMS)
+        citations.append(CITE_PLUCKER)
     elif ambient == 3:
         companions = surface_closed_forms(SurfaceChernNumbers.from_degree(degree))
         citations.append(CITE_SURFACE_FORMS)
@@ -428,42 +429,23 @@ def osculating_envelope_closed_form(inv: CurveInvariants) -> int:
     return 2 * (n * d + (n * n - n + 1) * (g - 1) - correction)
 
 
-def developable_closed_form(inv: CurveInvariants, m: int) -> int:
-    """Degree of the m-th osculating developable:
-    C(m+1,2)(2g-2) + (m+1)d - sum_{i<m} (m-i) k_i."""
-    d, g = inv.degree, inv.genus
-    correction = sum((m - i) * inv.stationary[i] for i in range(m))
-    return binomial(m + 1, 2) * (2 * g - 2) + (m + 1) * d - correction
-
-
 def osculating_report(inv: CurveInvariants) -> EnumerativeReport:
     """Osculating developables, dual degrees, and the envelope of osculating
     hyperplanes, with the decomposition identity
 
         envelope = developable(n-2) + hyperosculation index k_{n-1}.
     """
-    n = inv.ambient
+    n, d, g, ks = inv.ambient, inv.degree, inv.genus, inv.stationary
     geom = curve_geometry(inv)
 
     results = []
     dev_engine = {}
     for m in range(1, n):
-        sheaf = geom.osculating_sheaf(m)
-        value = integrate(geom.variety, sheaf.chern_part(1))
-        if value.denominator != 1:
-            raise InternalInconsistencyError(f"fractional developable degree {value}")
-        dev_engine[m] = int(value)
+        dev_engine[m] = _degree(geom.variety, geom.osculating_sheaf(m).chern_part(1), m)
         results.append(
-            _entry(
-                f"osculating developable D^{m}",
-                None,
-                dev_engine[m],
-                developable_closed_form(inv, m),
-            )
+            _entry(f"osculating developable D^{m}", None, dev_engine[m], osculating_rank(d, g, ks, m))
         )
-    results.append(
-        _entry("dual variety", None, dev_engine[1], 2 * inv.degree + 2 * inv.genus - 2 - inv.cusp_count)
-    )
+    results.append(_entry("dual variety", None, dev_engine[1], osculating_rank(d, g, ks, 1)))
 
     env_engine = sigma_degree(BundleSpace(geom.variety, geom.osculating_sheaf(n - 1)), 1)
     results.append(
@@ -476,7 +458,7 @@ def osculating_report(inv: CurveInvariants) -> EnumerativeReport:
     )
 
     # the 0th developable is the curve itself, so n = 2 falls back to its degree
-    dev_below = dev_engine[n - 2] if n >= 3 else inv.degree
+    dev_below = dev_engine[n - 2] if n >= 3 else d
     k_top = inv.hyperosculation_index
     results.append(_entry("hyperosculation index", None, env_engine - dev_below, k_top))
     results = tuple(results)
@@ -496,9 +478,9 @@ def osculating_report(inv: CurveInvariants) -> EnumerativeReport:
         input={
             "kind": "osculating",
             "ambient": n,
-            "degree": inv.degree,
-            "genus": inv.genus,
-            "stationary": list(inv.stationary),
+            "degree": d,
+            "genus": g,
+            "stationary": list(ks),
         },
         results=results,
         identities=identities,

@@ -77,11 +77,22 @@ class CurveInvariants:
 
     @property
     def hyperosculation_index(self) -> int:
-        """k_{n-1} = (n+1)(d + n(g-1)) - sum_{i<=n-2} (n-i) k_i."""
-        n, d, g = self.ambient, self.degree, self.genus
-        return (n + 1) * (d + n * (g - 1)) - sum(
-            (n - i) * k for i, k in enumerate(self.stationary)
-        )
+        """k_{n-1}: a curve in n-space has n-th rank 0, so k_{n-1} is that
+        rank taken over k_0..k_{n-2} alone."""
+        return osculating_rank(self.degree, self.genus, self.stationary, self.ambient)
+
+
+def osculating_rank(d: int, g: int, stationary: tuple[int, ...], m: int) -> int:
+    """The m-th rank of a degree-d genus-g curve with stationary indices
+    k_0, k_1, ... (Piene 1977), the degree of its m-th osculating
+    developable and, for m = 1, of its dual variety:
+
+        (m+1)(d + m(g-1)) - sum_{i<m} (m-i) k_i.
+    """
+    rank = (m + 1) * (d + m * (g - 1))
+    for i, k in enumerate(stationary[:m]):
+        rank -= (m - i) * k
+    return rank
 
 
 @dataclass(frozen=True)

@@ -1279,6 +1279,22 @@ def test_reducible_input_reaches_sympy_factoring(monkeypatch):
     }
 
 
+def test_uncertified_square_split_reaches_sympy_sqf_list(monkeypatch):
+    # the higher cusp y**2 = x**5: the square split certifies no E for its
+    # D, so one sqf_list gives the multiplicity-one part
+    system = center_of_curvature_system(PlaneCurve.from_expr("y**2 - x**5"))
+    D = _discriminant(_strip_content(_normal_resultant(*system), []))
+    assert _square_split(D) is None
+    counts = _count_calls(monkeypatch)
+    simple = _simple_part(D, [])
+    assert (counts["sqf_list"], counts["factor_list"]) == (1, 0)
+    assert polyparse.degree(simple) == 9
+    expected = sp.prod(
+        [f for f, mult in sp.sqf_list(_as_poly(D, X, Y))[1] if mult == 1], start=sp.Poly(1, X, Y)
+    )
+    assert simple == _integer_terms(expected)
+
+
 def _count_calls(monkeypatch):
     # the kernel through the oracle's global, the certificates inside intpoly
     own = ((oracle, "dup_resultant"), (intpoly, "_irreducible_mod"), (intpoly, "_yun"))

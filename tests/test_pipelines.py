@@ -36,6 +36,7 @@ from evolute.varieties import (
     CurveInvariants,
     SurfaceChernNumbers,
     curve_geometry,
+    osculating_rank,
     surface_geometry,
 )
 
@@ -180,10 +181,32 @@ def test_osculating_report_matches_uncompiled_engine(n, d, g, ks):
 
 
 def test_curve_closed_forms_examples():
-    assert curve_closed_forms(3, 0, 0) == (12, 15, 16)
-    assert curve_closed_forms(1, 0, 0) == (0, -3, -8)
+    assert curve_closed_forms(3, 0, 0) == (12, 15, 16, 15)
+    assert curve_closed_forms(1, 0, 0) == (0, -3, -8, -15)
     assert curve_closed_forms(2, 0, 0)[:2] == (6, 6)
-    assert curve_closed_forms(4, 1, 0) == (24, 36, 48)
+    assert curve_closed_forms(4, 1, 0) == (24, 36, 48, 60)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    d=st.integers(1, 8),
+    g=st.integers(0, 3),
+    k0=st.integers(0, 3),
+    k1=st.integers(0, 2),
+)
+def test_every_curve_row_matches_its_closed_form(n, d, g, k0, k1):
+    stationary = (k0,) if n == 2 else (k0, k1)
+    report = curve_report(CurveInvariants(n, d, g, stationary))
+    assert [r.match for r in report.results] == [True] * min(n, 4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(1, 10))
+def test_plane_hypersurface_is_the_smooth_plane_curve(d):
+    # a smooth plane curve of degree d has genus (d-1)(d-2)/2 and no cusps
+    curve = curve_report(CurveInvariants(2, d, (d - 1) * (d - 2) // 2))
+    assert _engine_degrees(hypersurface_report(2, d)) == _engine_degrees(curve)
 
 
 def test_trifogli_closed_form():
@@ -250,7 +273,7 @@ def test_curve_report_line_flagged():
 
 def test_curve_report_with_cusps():
     report = curve_report(CurveInvariants(3, 4, 0, (2,)))
-    assert _engine_degrees(report) == curve_closed_forms(4, 0, 2)
+    assert _engine_degrees(report) == curve_closed_forms(4, 0, 2)[:3]
 
 
 def test_curve_grid_against_closed_forms(battery_result):
@@ -325,14 +348,11 @@ def test_salmon_characters_twisted_cubic():
 def test_salmon_strict_dual_class_is_second_developable():
     # the strict dual's class n = (3m + n + theta) - 3m - theta, with m = d
     # and theta = k1, equals the degree of the second developable
-    from evolute.pipelines import developable_closed_form
-
     for d in (3, 5):
         for g in (0, 2):
             for ks in ((0, 0), (2, 1), (1, 3)):
-                inv = CurveInvariants(3, d, g, ks)
-                count1, _ = _salmon_counts(inv)
-                assert count1.lhs - 3 * d - ks[1] == developable_closed_form(inv, 2)
+                count1, _ = _salmon_counts(CurveInvariants(3, d, g, ks))
+                assert count1.lhs - 3 * d - ks[1] == osculating_rank(d, g, ks, 2)
 
 
 def test_salmon_identities_grid(battery_result):
