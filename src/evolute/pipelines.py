@@ -228,11 +228,12 @@ CITE_ED_DEGREE = (
     "Euclidean distance degree"
 )
 CITE_UMBILICS = "Salmon (1882, p. 263 footnote): umbilic count of a smooth surface"
-CITE_PLUCKER = (
+CITE_RANKS = (
     "Piene (Numerical characters of a curve in projective n-space, Real and Complex "
     "Singularities, Oslo 1976, 1977): rank formula for osculating developables and "
-    "stationary indices, applied to the normal curve at the ED degree"
+    "stationary indices"
 )
+CITE_NORMAL_RANKS = CITE_RANKS + ", applied to the normal curve at the ED degree"
 NOTE_CYCLE_DEGREES = (
     "note: engine degrees are cycle-theoretic pushforward degrees of the singular "
     "loci (any multiplicity of the locus-to-image map is included)"
@@ -318,23 +319,27 @@ def _require_reachable_evolute(base_dim: int, ambient: int) -> None:
         )
 
 
+def _curve_echo(kind: str, inv: CurveInvariants) -> dict:
+    return {
+        "kind": kind,
+        "ambient": inv.ambient,
+        "degree": inv.degree,
+        "genus": inv.genus,
+        "stationary": list(inv.stationary),
+    }
+
+
 def curve_report(inv: CurveInvariants) -> EnumerativeReport:
     """Full normal-space report for a curve: engine degrees of the k-fold
     loci against the closed forms, plus the n=3 consistency identities."""
-    n, d, g, k0 = inv.ambient, inv.degree, inv.genus, inv.cusp_count
+    n = inv.ambient
     _require_reachable_evolute(1, n)
     return _report(
-        {
-            "kind": "curve",
-            "ambient": n,
-            "degree": d,
-            "genus": g,
-            "stationary": list(inv.stationary),
-        },
+        _curve_echo("curve", inv),
         curve_geometry(inv).variety,
         _compiled_classes("curve", n),
-        curve_closed_forms(d, g, k0),
-        [CITE_CURVE_FORMS, CITE_PLUCKER],
+        curve_closed_forms(inv.degree, inv.genus, inv.cusp_count),
+        [CITE_CURVE_FORMS, CITE_NORMAL_RANKS],
         (lambda results: _space_curve_identities(inv, results)) if n == 3 else None,
     )
 
@@ -346,15 +351,14 @@ def _space_curve_identities(
     edge-cusp degrees of a curve in 3-space: the tangent-developable degree
     relation, and Salmon's two classical counts 3m + n + theta = envelope
     and 5m + alpha = evolute, with his characters in weighted form: m is the
-    degree, n = 3(m+2g-2)-2k0-k1 the strict dual class, theta = k1 counts
-    inflections and alpha = 2 theta + k2 hyperosculating planes, where
-    k2 = 4(m+3(g-1))-3k0-2k1."""
+    degree, n the strict dual class (the curve's second rank), theta = k1
+    counts inflections and alpha = 2 theta + k2 hyperosculating planes,
+    where k2 is the third rank, the hyperosculation index."""
     m, g = inv.degree, inv.genus
-    k0, theta = inv.stationary
+    theta = inv.stationary[1]
     env, cusp, kappa = (r.engine_degree for r in results)
-    strict_dual_class = 3 * (m + 2 * g - 2) - 2 * k0 - theta
-    k2 = 4 * (m + 3 * (g - 1)) - 3 * k0 - 2 * theta
-    alpha = 2 * theta + k2
+    strict_dual_class = osculating_rank(m, g, inv.stationary, 2)
+    alpha = 2 * theta + inv.hyperosculation_index
     return (
         _identity(
             "tangent-developable degree relation: envelope = 2*edge + 2g-2 - cusps",
@@ -408,7 +412,7 @@ def hypersurface_report(ambient: int, degree: int) -> EnumerativeReport:
     if ambient == 2:
         genus = (degree - 1) * (degree - 2) // 2
         companions = curve_closed_forms(degree, genus, 0)
-        citations.append(CITE_PLUCKER)
+        citations.append(CITE_NORMAL_RANKS)
     elif ambient == 3:
         companions = surface_closed_forms(SurfaceChernNumbers.from_degree(degree))
         citations.append(CITE_SURFACE_FORMS)
@@ -421,70 +425,44 @@ def hypersurface_report(ambient: int, degree: int) -> EnumerativeReport:
     )
 
 
-def osculating_envelope_closed_form(inv: CurveInvariants) -> int:
-    """Degree of the envelope of the osculating hyperplanes:
-    2(nd + (n^2-n+1)(g-1) - sum_{i<=n-2} (n-1-i) k_i)."""
-    n, d, g = inv.ambient, inv.degree, inv.genus
-    correction = sum((n - 1 - i) * k for i, k in enumerate(inv.stationary))
-    return 2 * (n * d + (n * n - n + 1) * (g - 1) - correction)
-
-
 def osculating_report(inv: CurveInvariants) -> EnumerativeReport:
     """Osculating developables, dual degrees, and the envelope of osculating
-    hyperplanes, with the decomposition identity
+    hyperplanes, each beside a rank of the curve itself (rank 0 is the
+    degree d of the curve, its 0th developable D^0, and rank n the
+    hyperosculation index k_{n-1}), with the decomposition identity
 
         envelope = developable(n-2) + hyperosculation index k_{n-1}.
     """
     n, d, g, ks = inv.ambient, inv.degree, inv.genus, inv.stationary
     geom = curve_geometry(inv)
-
-    results = []
-    dev_engine = {}
-    for m in range(1, n):
-        dev_engine[m] = _degree(geom.variety, geom.osculating_sheaf(m).chern_part(1), m)
-        results.append(
-            _entry(f"osculating developable D^{m}", None, dev_engine[m], osculating_rank(d, g, ks, m))
-        )
-    results.append(_entry("dual variety", None, dev_engine[1], osculating_rank(d, g, ks, 1)))
-
-    env_engine = sigma_degree(BundleSpace(geom.variety, geom.osculating_sheaf(n - 1)), 1)
-    results.append(
-        _entry(
-            "envelope of osculating hyperplanes",
-            1,
-            env_engine,
-            osculating_envelope_closed_form(inv),
-        )
+    rank = [osculating_rank(d, g, ks, m) for m in range(n + 1)]
+    dev = [d] + [
+        _degree(geom.variety, geom.osculating_sheaf(m).chern_part(1), m) for m in range(1, n)
+    ]
+    env = sigma_degree(BundleSpace(geom.variety, geom.osculating_sheaf(n - 1)), 1)
+    results = tuple(
+        [_entry(f"osculating developable D^{m}", None, dev[m], rank[m]) for m in range(1, n)]
+        + [
+            _entry("dual variety", None, dev[1], rank[1]),
+            _entry("envelope of osculating hyperplanes", 1, env, rank[n - 2] + rank[n]),
+            _entry("hyperosculation index", None, env - dev[n - 2], rank[n]),
+        ]
     )
-
-    # the 0th developable is the curve itself, so n = 2 falls back to its degree
-    dev_below = dev_engine[n - 2] if n >= 3 else d
-    k_top = inv.hyperosculation_index
-    results.append(_entry("hyperosculation index", None, env_engine - dev_below, k_top))
-    results = tuple(results)
-
     identities = (
         _identity(
             "envelope of osculating hyperplanes = developable(n-2) + hyperosculation index",
-            env_engine,
-            dev_below + k_top,
+            env,
+            dev[n - 2] + rank[n],
         ),
     )
-
     flags = [NOTE_CYCLE_DEGREES]
-    if k_top < 0:
+    if rank[n] < 0:
         flags.insert(0, "outside generic validity: negative hyperosculation index (input not realizable)")
     return EnumerativeReport(
-        input={
-            "kind": "osculating",
-            "ambient": n,
-            "degree": d,
-            "genus": g,
-            "stationary": list(ks),
-        },
+        input=_curve_echo("osculating", inv),
         results=results,
         identities=identities,
-        citations=(CITE_THOM_12, CITE_PLUCKER),
+        citations=(CITE_THOM_12, CITE_RANKS),
         flags=tuple(flags),
     )
 

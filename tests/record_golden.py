@@ -3,9 +3,10 @@
 Each named case of `golden/cases.json` runs through `cli.main` in-process,
 as `test_golden.py` replays it; its stdout goes to `golden/<name>.out` and
 its exit code and stderr into `cases.json`.  The names whose recording
-changed are printed.  With no names nothing is written, and every case
-whose output differs from its recording is listed.  A new case is added by
-giving its argv in `cases.json` first.
+changed are printed.  With no names nothing is written, every case whose
+output differs from its recording is listed, and the exit status is 1 if
+any is, 0 if none is, so the check can gate a commit or a CI job.  A new
+case is added by giving its argv in `cases.json` first.
 """
 
 import io
@@ -41,17 +42,19 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown cases: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    differ = False
     for name in names or sorted(cases):
         out, err, code = run(cases[name]["argv"])
         if (out, err, code) == recorded(name, cases[name]):
             continue
+        differ = True
         print(name)
         if names:
             (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
             cases[name].update(exit=code, stderr=err)
     if names:
         CASES_PATH.write_text(json.dumps(cases, indent=2) + "\n", encoding="utf-8")
-    return 0
+    return int(differ and not names)
 
 
 if __name__ == "__main__":

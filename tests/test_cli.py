@@ -250,6 +250,31 @@ def test_config_with_list_range(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 4  # header + three degrees
 
 
+@pytest.mark.parametrize("skip", [True, False])
+def test_config_boolean_is_a_flag(tmp_path, capsys, monkeypatch, skip):
+    # a true JSON boolean becomes its bare flag, a false one is left out
+    from evolute import selftest
+
+    calls = []
+
+    def battery(include_oracle=True):
+        calls.append(include_oracle)
+        return [("stub", True, "")]
+
+    monkeypatch.setattr(selftest, "run_battery", battery)
+    config = tmp_path / "selftest.json"
+    config.write_text(json.dumps({"subcommand": "selftest", "skip_oracle": skip, "format": "json"}))
+    code, out, _ = run(capsys, "--config", str(config))
+    assert (code, calls) == (0, [not skip])
+    assert json.loads(out) == {"checks": [{"name": "stub", "passed": True, "detail": ""}]}
+
+
+def test_bare_invocation_prints_help_and_exits_two(capsys):
+    code, out, err = run(capsys)
+    assert (code, err) == (2, "")
+    assert out.startswith("usage: ") and "selftest" in out
+
+
 def test_parser_built_once(capsys):
     assert build_parser() is build_parser()
     # parsing leaves the shared parser as it was

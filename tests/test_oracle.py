@@ -546,9 +546,8 @@ def _normal_system(terms):
     return center_of_curvature_system(_curve(F))
 
 
-# x**2 y + 2 y**2 + x - 1: H's head in y is 2 x, which vanishes at the node
-# x = 0 while H does not, so the samples there need the formal-degree
-# factor lc(F0)**delta = 2
+# x**2 y + 2 y**2 + x - 1: H's head in y is 2 x, which vanishes at x = 0
+# while H does not, so the x nodes avoid its zeros as well as lc_y(F)'s
 _HEAD_DROPS = {(2, 1): 1, (0, 2): 2, (1, 0): 1, (0, 0): -1}
 
 

@@ -11,7 +11,6 @@ from evolute.pipelines import (
     curve_report,
     hypersurface_report,
     locus_class,
-    osculating_envelope_closed_form,
     osculating_report,
     salmon_reference_report,
     salmon_surface_reference,
@@ -410,8 +409,29 @@ def test_osculating_realizable_matches_closed_form(n, extra, g, ks):
     report = osculating_report(inv)
     rows = {r.locus: r for r in report.results}
     envelope = rows["envelope of osculating hyperplanes"].engine_degree
-    assert envelope == osculating_envelope_closed_form(inv)
+    # the envelope's degree written out, independently of the rank formula
+    correction = sum((n - 1 - i) * k for i, k in enumerate(inv.stationary))
+    assert envelope == 2 * (n * inv.degree + (n * n - n + 1) * (g - 1) - correction)
     assert report.passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    d=st.integers(1, 20),
+    g=st.integers(0, 6),
+    ks=st.lists(st.integers(0, 3), max_size=8),
+)
+def test_osculating_closed_forms_are_ranks(n, d, g, ks):
+    inv = CurveInvariants(n, d, g, tuple(ks[: n - 1]))
+    rank = [osculating_rank(d, g, inv.stationary, m) for m in range(n + 1)]
+    rows = {r.locus: r.closed_form for r in osculating_report(inv).results}
+    assert rows == {
+        **{f"osculating developable D^{m}": rank[m] for m in range(1, n)},
+        "dual variety": rank[1],
+        "envelope of osculating hyperplanes": rank[n - 2] + rank[n],
+        "hyperosculation index": rank[n],
+    }
 
 
 def test_osculating_rational_normal_quartic_second_developable():
