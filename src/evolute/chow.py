@@ -14,7 +14,6 @@ pushforward of powers of the tautological class of a projectivized sheaf
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from .ring import Exponents, GeneratorTable, GradedClass, generator, unit
@@ -108,13 +107,14 @@ def segre(F: SheafData, i: int) -> GradedClass:
 @dataclass(frozen=True)
 class VarietyDescriptor:
     """The base variety: dimension, ambient dimension, generators, cotangent
-    sheaf, and the integration functional on top-degree monomials."""
+    sheaf, and the integration functional on top-degree monomials, whose
+    values are ints."""
 
     dim: int
     ambient_dim: int
     table: GeneratorTable
     cotangent: SheafData
-    integrals: Mapping[Exponents, Fraction | int] = field(default_factory=dict)
+    integrals: Mapping[Exponents, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0 < self.dim < self.ambient_dim:
@@ -123,6 +123,9 @@ class VarietyDescriptor:
             raise ValueError("generator table must truncate at the variety dimension")
         if self.cotangent.chern.table != self.table:
             raise ValueError("cotangent sheaf must live over the variety's generators")
+        wrong = [v for v in self.integrals.values() if not isinstance(v, int)]
+        if wrong:
+            raise TypeError(f"integrals are ints, got {wrong[0]!r}")
         covered = set(map(tuple, self.integrals))
         missing = [m for m in self.table.monomials(self.dim) if m not in covered]
         if missing:
@@ -134,16 +137,15 @@ class VarietyDescriptor:
         return generator(self.table, name)
 
 
-def integrate(X: VarietyDescriptor, a: GradedClass) -> Fraction:
+def integrate(X: VarietyDescriptor, a: GradedClass) -> int:
     """Evaluate the degree-dim part of a class against the integration table.
 
     Lower-degree terms contribute zero; a top-degree monomial absent from
-    the table raises IncompleteDescriptorError.  The sum stays an `int` for
-    integral classes and integrals and is returned as a Fraction.
+    the table raises IncompleteDescriptorError.
     """
     if a.table != X.table:
         raise ValueError("class does not live on this variety's generators")
-    total: Fraction | int = 0
+    total = 0
     for exps, coeff in a.terms.items():
         if X.table.degree(exps) != X.dim:
             continue
@@ -153,4 +155,4 @@ def integrate(X: VarietyDescriptor, a: GradedClass) -> Fraction:
             raise IncompleteDescriptorError(
                 f"integration table misses monomial {exps}"
             ) from None
-    return Fraction(total)
+    return total

@@ -8,8 +8,9 @@ parameter ranges; `selftest` reproduces the whole verification grid.
 Reports serialize to text tables, JSON (stable: sorted keys, two-space
 indent) or CSV.  Exit status: 0 when every engine value matches its closed
 form and every identity holds, 1 on any mismatch, 2 on input errors, 3 on
-an internal fault (a locus degree that is not an integer, an inexact
-interpolation, an inconclusive elimination, a failed internal lookup).
+an internal fault (a non-integer reaching the integral class engine, an
+inexact interpolation, an inconclusive elimination, a failed internal
+lookup).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .pipelines import (
 from .varieties import CurveInvariants, SurfaceChernNumbers
 
 INPUT_ERRORS = (ValueError, OSError)
-INTERNAL_ERRORS = (ArithmeticError, LookupError)
+INTERNAL_ERRORS = (ArithmeticError, LookupError, TypeError)
 
 
 def _lazy_module(name: str):

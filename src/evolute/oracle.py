@@ -65,7 +65,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import count, islice
 from math import comb, gcd, inf, lcm
+from typing import Iterator
 
 from .intpoly import (
     content,
@@ -349,19 +351,17 @@ def _integer_terms(poly) -> _IntTerms:
     return {m: int(c) for m, c in poly.clear_denoms(convert=True)[1].rep.to_dict().items()}
 
 
-def _grid(leads: list[list[int]], count: int) -> list[int]:
-    """The first `count` of the integers 0, 1, -1, 2, -2, ... at which none
-    of the univariate polynomials `leads` (descending lists) vanishes."""
-    points: list[int] = []
-    v = 0
-    while len(points) < count:
+def _grid(leads: list[list[int]]) -> Iterator[int]:
+    """The integers 0, 1, -1, 2, -2, ... at which none of the univariate
+    polynomials `leads` (descending lists) vanishes, one at a time.  A
+    nonzero lead vanishes at finitely many of them, so the nodes run out
+    only where a lead is zero, which raises at the first node."""
+    if not all(any(lead) for lead in leads):
+        raise InconclusiveEliminationError("could not find stable sample points")
+    for v in count():
         for cand in ((v,) if v == 0 else (v, -v)):
-            if len(points) < count and all(horner(lead, cand) for lead in leads):
-                points.append(cand)
-        v += 1
-        if v > 10 * count + 10:
-            raise InconclusiveEliminationError("could not find stable sample points")
-    return points
+            if all(horner(lead, cand) for lead in leads):
+                yield cand
 
 
 def _lower_set(rows: list[list[int]], us: list[int], vs: list[int]) -> dict[tuple[int, int], int]:
@@ -402,7 +402,7 @@ def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
     n = max(j for _, j, _, _ in h)
     f_in_x, h_in_x = _columns(f, 0), _columns(h, 0)
     h_head = min((col for (j, _, _), col in h_in_x.items() if j == n), key=len)
-    xs = _grid([f_in_x[(p,)], h_head], d * d + 1)
+    xs = list(islice(_grid([f_in_x[(p,)], h_head]), d * d + 1))
     at_x: list[dict[tuple[int, int], int]] = []
     for x0 in xs:
         f0 = [[horner(f_in_x.get((j,), []), x0)] for j in range(p, -1, -1)]
@@ -545,7 +545,7 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
 
     # at the X nodes, lc_x(R) stays a nonzero polynomial in Y, of degree top
     top = max(b for i, b in in_x if i == m)
-    us = _grid([in_x[m, top]], T + 1)
+    us = list(islice(_grid([in_x[m, top]]), T + 1))
     in_y = {u0: [at(u0, i, e) for i in range(m, -1, -1)] for u0 in us}  # descending in x
     pairs = [  # R0 and R0', with coefficients in Z[Y]
         (r0, [[(m - k) * c for c in coeffs] for k, coeffs in enumerate(r0[:-1])])
@@ -567,7 +567,7 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
             column = [s[b] if b < len(s) else 0 for s in at_u[: T + 1 - b]]
             D.update({(i, b): c for i, c in enumerate(interpolate(us, column)) if c})
     else:
-        vs = _grid([at(u0, m, top) for u0 in us], T + 1)
+        vs = list(islice(_grid([at(u0, m, top) for u0 in us]), T + 1))
         rows = []
         for a, r in enumerate(in_y.values()):
             rows.append([])
@@ -670,9 +670,8 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
     # difference table and its Newton coefficients
     tables: list[tuple[list[int], list[int]]] = []
     simple = -1
-    grid = _grid([rows[0]], 2 * top + 2)  # out of nodes is inconclusive, not a refusal
     try:
-        for v0 in grid:
+        for v0 in islice(_grid([rows[0]]), 2 * top + 2):
             d0 = [horner(row, v0) for row in rows]
             parts = square_parts(d0)
             if parts is None or len(parts[0]) < simple:
@@ -693,6 +692,8 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
                 E = divided_out(_primitive([monomials(nodes, dd)[::-1] for _, dd in tables])[1])
                 if E is not None or len(nodes) > top:
                     return E
+    except InconclusiveEliminationError:  # out of nodes is inconclusive, not a refusal
+        raise
     except ArithmeticError:  # the kept images are not those of integer polynomials
         pass
     return None

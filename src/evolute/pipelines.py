@@ -43,10 +43,6 @@ from .varieties import (
 )
 
 
-class InternalInconsistencyError(ArithmeticError):
-    """An integral that must be an integer came out fractional."""
-
-
 # --------------------------------------------------------------------------
 # engine path
 # --------------------------------------------------------------------------
@@ -67,18 +63,9 @@ def locus_class(space: BundleSpace, k: int) -> GradedClass:
     return space.pushforward(tp * space.zeta ** (n - k))
 
 
-def _degree(variety: VarietyDescriptor, cls: GradedClass, k: int) -> int:
-    value = integrate(variety, cls)
-    if value.denominator != 1:
-        raise InternalInconsistencyError(
-            f"non-integer locus degree {value} (order {k})"
-        )
-    return int(value)
-
-
 def sigma_degree(space: BundleSpace, k: int) -> int:
     """Degree of the image of the k-fold corank-1 locus of the family map."""
-    return _degree(space.base, locus_class(space, k), k)
+    return integrate(space.base, locus_class(space, k))
 
 
 @cache
@@ -296,7 +283,7 @@ def _report(
         _entry(
             _locus_label(r, n, k),
             k,
-            _degree(variety, cls, k),
+            integrate(variety, cls),
             closed[k - 1] if k <= len(closed) else None,
         )
         for k, cls in enumerate(classes, 1)
@@ -437,7 +424,7 @@ def osculating_report(inv: CurveInvariants) -> EnumerativeReport:
     geom = curve_geometry(inv)
     rank = [osculating_rank(d, g, ks, m) for m in range(n + 1)]
     dev = [d] + [
-        _degree(geom.variety, geom.osculating_sheaf(m).chern_part(1), m) for m in range(1, n)
+        integrate(geom.variety, geom.osculating_sheaf(m).chern_part(1)) for m in range(1, n)
     ]
     env = sigma_degree(BundleSpace(geom.variety, geom.osculating_sheaf(n - 1)), 1)
     results = tuple(
@@ -475,7 +462,7 @@ def vertices_count(inv: CurveInvariants) -> int:
         raise UnsupportedCodimensionError(
             f"vertex counts available for ambient dimension 2..{MAX_CODIMENSION}"
         )
-    return _degree(curve_geometry(inv).variety, _compiled_classes("curve", n)[n - 1], n)
+    return integrate(curve_geometry(inv).variety, _compiled_classes("curve", n)[n - 1])
 
 
 def salmon_reference_report(d: int) -> EnumerativeReport:

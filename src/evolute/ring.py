@@ -1,6 +1,6 @@
 """Exact arithmetic for graded cohomology-class expressions.
 
-A class is a sparse polynomial over exact rationals in a fixed list of named
+A class is a sparse polynomial over the integers in a fixed list of named
 generators, each generator carrying a positive integer degree.  Monomials
 whose weighted degree exceeds the table's truncation bound are dropped by
 every operation, so products behave like classes on a space of that
@@ -20,23 +20,21 @@ homogeneous ideal, hence truncating by it is a ring homomorphism: sums,
 products, powers, series inverses, sign alternation and homogeneous parts
 give exactly the truncation of what the total bound alone would give.
 
-Coefficients are exact, never floats.  Every class the engine builds is
-integral (Chern and Segre classes, the corank-1 Thom polynomials and their
-pushforwards), and a coefficient stays a Python `int` while every input to
-an operation is an `int`; a `fractions.Fraction` appears only where a
-Fraction coefficient or scalar enters.  An `int` and the Fraction of the
-same value compare and print alike.  The zero class stores no terms.
-Values are immutable after construction and safe to share.
+Coefficients are Python `int`s, never floats or rationals: every class the
+engine builds is integral (Chern and Segre classes of integral data, the
+corank-1 Thom polynomials and their pushforwards; Fulton, *Intersection
+Theory*, ch. 3), and sums, products and series inverses of constant term 1
+keep it so.  A coefficient or scalar that is not an `int` raises TypeError.
+The zero class stores no terms.  Values are immutable after construction
+and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Mapping
 
 Exponents = tuple[int, ...]
-Coefficient = Fraction | int
 
 
 class TableMismatchError(ValueError):
@@ -153,32 +151,32 @@ class GeneratorTable:
 
 
 class GradedClass:
-    """Sparse polynomial over int or Fraction coefficients, graded and truncated.
+    """Sparse polynomial over int coefficients, graded and truncated.
 
-    Supports +, -, * and integer powers; scalars (int or Fraction) coerce to
-    multiples of the unit class.  Integral input keeps `int` coefficients
-    through every operation.  No zero coefficients are stored, and no
-    monomial beyond either table bound survives any operation.
+    Supports +, -, * and integer powers; int scalars coerce to multiples of
+    the unit class.  No zero coefficients are stored, and no monomial
+    beyond either table bound survives any operation.
     """
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: GeneratorTable, terms: Mapping[Exponents, Coefficient] | None = None):
-        cleaned: dict[Exponents, Coefficient] = {}
+    def __init__(self, table: GeneratorTable, terms: Mapping[Exponents, int] | None = None):
+        cleaned: dict[Exponents, int] = {}
         for exps, value in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != len(table):
                 raise ValueError(f"exponent vector {exps} does not fit table of size {len(table)}")
-            coeff = int(value) if isinstance(value, int) else Fraction(value)
-            if coeff == 0 or not table.admissible(exps):
+            if not isinstance(value, int):
+                raise TypeError(f"class coefficients are ints, got {value!r}")
+            if value == 0 or not table.admissible(exps):
                 continue
-            cleaned[exps] = coeff
+            cleaned[exps] = int(value)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
-    def _unchecked(cls, table: GeneratorTable, terms: dict[Exponents, Coefficient]) -> "GradedClass":
-        # internal fast path: terms already pruned, admissible and int or Fraction
+    def _unchecked(cls, table: GeneratorTable, terms: dict[Exponents, int]) -> "GradedClass":
+        # internal fast path: terms already pruned, admissible and int
         obj = object.__new__(cls)
         object.__setattr__(obj, "table", table)
         object.__setattr__(obj, "terms", terms)
@@ -194,12 +192,9 @@ class GradedClass:
         return not self.terms
 
     @property
-    def constant_term(self) -> Coefficient:
+    def constant_term(self) -> int:
         zero = (0,) * len(self.table)
         return self.terms.get(zero, 0)
-
-    def coefficient(self, exps: Exponents) -> Coefficient:
-        return self.terms.get(tuple(exps), 0)
 
     def homogeneous_part(self, k: int) -> GradedClass:
         """Sum of the monomials of weighted degree exactly k."""
@@ -216,7 +211,7 @@ class GradedClass:
             if other.table != self.table:
                 raise TableMismatchError("classes live over different generator tables")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return GradedClass(self.table, {(0,) * len(self.table): other})
         return NotImplemented  # type: ignore[return-value]
 
@@ -259,7 +254,7 @@ class GradedClass:
         bound, base_bound = table.bound, table.base_bound
         deg, base_deg = table.degree, table.base_degree
         bitems = [(eb, cb, deg(eb), base_deg(eb)) for eb, cb in other.terms.items()]
-        out: dict[Exponents, Coefficient] = {}
+        out: dict[Exponents, int] = {}
         for ea, ca in self.terms.items():
             da, ba = deg(ea), base_deg(ea)
             for eb, cb, db, bb in bitems:
@@ -303,7 +298,7 @@ class GradedClass:
                     continue
                 acc = acc + parts[i] * inverse[k - i]
             inverse.append(-acc)
-        total: dict[Exponents, Coefficient] = {}
+        total: dict[Exponents, int] = {}
         for piece in inverse:
             total.update(piece.terms)
         return GradedClass._unchecked(table, total)
@@ -319,7 +314,7 @@ class GradedClass:
     # -- comparison and display --------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self._coerce(other)
         if not isinstance(other, GradedClass):
             return NotImplemented

@@ -9,7 +9,6 @@ The random-instance generators are shared with the test suite.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import product
 
 from .bundle import BundleSpace
@@ -53,7 +52,7 @@ def random_graded_class(
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = rng.choice(exps_pool)
-        terms[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        terms[exps] = rng.randint(-4, 4) * rng.randint(1, 3)
     return GradedClass(table, terms)
 
 
@@ -62,7 +61,7 @@ def random_positive_class(rng: random.Random, table: GeneratorTable, degree: int
     out = GradedClass(table)
     for exps in table.monomials(degree):
         if rng.random() < 0.7:
-            out = out + GradedClass(table, {exps: Fraction(rng.randint(-3, 3))})
+            out = out + GradedClass(table, {exps: rng.randint(-3, 3)})
     return out
 
 

@@ -226,7 +226,14 @@ def test_integrate_requires_matching_table():
         integrate(variety, unit(foreign) + generator(foreign, "K"))
 
 
-def test_integrate_returns_fraction():
+def test_integrate_returns_int():
     geom = curve_geometry(CurveInvariants(3, 3, 0))
-    value = integrate(geom.variety, Fraction(1, 2) * geom.variety.generator("H"))
-    assert value == Fraction(3, 2)
+    value = integrate(geom.variety, 5 * geom.variety.generator("H"))
+    assert type(value) is int and value == 15
+
+
+def test_non_int_integral_rejected(surface_table):
+    cot = SheafData(2, unit(surface_table))
+    integrals = {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1, (0, 0, 1): Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        VarietyDescriptor(2, 3, surface_table, cot, integrals)

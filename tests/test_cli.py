@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import evolute
-from evolute import cli, oracle, pipelines, polyparse
+from evolute import cli, oracle, pipelines, polyparse, thom
 from evolute.cli import build_parser, main, render_json, render_sweep_csv
 from evolute.pipelines import (
     EnumerativeReport,
@@ -296,12 +296,14 @@ def test_parser_built_once(capsys):
 )
 def test_engine_subcommands_leave_sympy_unloaded(argv):
     # a fresh interpreter: this one has long imported sympy; the oracle's
-    # parser and univariate algebra stay unloaded with it, and loading the
+    # parser and univariate algebra stay unloaded with it, the integral
+    # engine never imports `fractions` (the parser does), and loading the
     # oracle module does not import sympy either
     script = (
         "import sys, evolute.cli as cli\n"
         f"cli.main({argv + ['--format', 'csv']!r})\n"
         "print(sorted({'evolute.intpoly', 'evolute.polyparse'} & set(sys.modules)))\n"
+        "print('fractions' in sys.modules)\n"
         "print('sympy' in sys.modules, cli.oracle.PlaneCurve.__name__)\n"
         "print('sympy' in sys.modules)\n"
     )
@@ -309,7 +311,7 @@ def test_engine_subcommands_leave_sympy_unloaded(argv):
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.endswith("[]\nFalse PlaneCurve\nFalse\n")
+    assert out.endswith("[]\nFalse\nFalse PlaneCurve\nFalse\n")
 
 
 # golden oracle cases that the integer certificates decide end to end
@@ -344,10 +346,13 @@ def test_oracle_common_path_leaves_sympy_unloaded():
 
 
 def test_non_integer_locus_degree_exits_three(capsys, monkeypatch):
-    monkeypatch.setattr(pipelines, "integrate", lambda variety, cls: Fraction(1, 2))
+    # the class ring holds ints only, so a rational Thom coefficient is
+    # refused where it enters the engine, not carried into a degree
+    monkeypatch.setitem(thom.COEFFICIENTS, 1, (((1, 0, 0, 0), Fraction(1, 2)),))
+    pipelines._compiled_classes.cache_clear()
     code, out, err = run(capsys, "curve", "--d", "3")
     assert (code, out) == (3, "")
-    assert err == "internal error: non-integer locus degree 1/2 (order 1)\n"
+    assert err == "internal error: unsupported operand type(s) for *: 'Fraction' and 'GradedClass'\n"
 
 
 def test_inexact_interpolation_exits_three(capsys, monkeypatch):

@@ -1003,7 +1003,8 @@ def test_square_split_out_of_nodes_is_inconclusive(monkeypatch):
     # InconclusiveEliminationError is an ArithmeticError, which the split
     # takes for images that are not integer polynomials; running out of
     # nodes must still reach the caller, not fall back to sqf_list
-    def exhausted(leads, count):
+    def exhausted(leads):
+        yield 0
         raise InconclusiveEliminationError("could not find stable sample points")
 
     monkeypatch.setattr(oracle, "_grid", exhausted)
@@ -1138,6 +1139,56 @@ def test_generic_cubic_oracle_agrees_with_engine(terms):
     (evolute_row,) = [row for row in report.results if "[evolute]" in row.locus]
     result = oracle_check(curve)
     assert result.degree == evolute_row.engine_degree == 18
+    assert result.match is True
+
+
+T = sp.Symbol("t")
+_SMALL_INT = st.integers(-3, 3)
+
+
+@st.composite
+def _rational_cubics(draw):
+    """(P, k0): random integer cubics P = (P0 : P1 : P2) in t, a nodal
+    cubic where no cusp is drawn (k0 = 0), or (1 : t**2 : t**3) under a
+    random integer 3 x 3 matrix, a cuspidal cubic (k0 = 1) with no flex on
+    the line at infinity, where an affine image of y**2 = x**3 has one."""
+    if draw(st.booleans()):
+        return [sum(draw(_SMALL_INT) * T**k for k in range(4)) for _ in range(3)], 0
+    rows = draw(st.lists(st.lists(_SMALL_INT, min_size=3, max_size=3), min_size=3, max_size=3))
+    return [a + b * T**2 + c * T**3 for a, b, c in rows], 1
+
+
+def _cusp_count(P):
+    """The weighted cusp count k0 of a proper cubic parametrization: the
+    zeros on the parameter line of the 2 x 2 minors of (P, P'), quartics
+    once homogenized, so 4 - (their top degree) of them lie at t = oo."""
+    dP = [sp.diff(p, T) for p in P]
+    minors = [sp.Poly(P[i] * dP[j] - P[j] * dP[i], T) for i, j in ((0, 1), (0, 2), (1, 2))]
+    minors = [m for m in minors if not m.is_zero]
+    return reduce(sp.Poly.gcd, minors).degree() + 4 - max(m.degree() for m in minors)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_rational_cubics())
+def test_singular_cubic_oracle_agrees_with_engine(drawn):
+    # the implicit equation of a rational cubic, whose one singular point is
+    # a node or a cusp: the oracle strips it from R and still finds the
+    # evolute degree 6(d + g - 1) - 2 k0 with g = 0
+    P, k0 = drawn
+    F = sp.Poly(sp.resultant(P[0] * x - P[1], P[0] * y - P[2], T), x, y)
+    assume(not F.is_zero and F.total_degree() == 3)
+    _, factors = sp.factor_list(F)
+    assume(len(factors) == 1 and factors[0][1] == 1)  # a proper parametrization
+    assume(_cusp_count(P) == k0)
+    try:
+        curve = PlaneCurve.from_expr(str(F.as_expr()), genus=0, cusps=k0)
+    except ValueError:  # a guard refusal
+        assume(False)
+    assume(not curve.genericity_flags())
+    report = curve_report(CurveInvariants(2, 3, 0, (k0,)))
+    (evolute_row,) = [row for row in report.results if "[evolute]" in row.locus]
+    result = oracle_check(curve)
+    assert result.degree == evolute_row.engine_degree == 12 - 2 * k0
     assert result.match is True
 
 
