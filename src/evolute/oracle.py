@@ -36,13 +36,15 @@ evolutes, and a D whose split is not a square.
 Both R and D are sampled at integer nodes and interpolated exactly in
 integer arithmetic (Collins' evaluation-interpolation scheme): each sample
 is one univariate resultant over the integers, computed by a subresultant
-PRS on plain ints (`dup_resultant`).  A sample's coefficients in (X, Y)
-are packed into one integer by Kronecker substitution, at a power of two
-that Hadamard's bound makes large enough to read them back off its digits:
+PRS on plain ints (`dup_resultant`).  The variables (X, Y) are packed into
+one integer by Kronecker substitution at t = 2**k, one k per stage, which
+Hadamard's bound makes large enough for every coefficient of the result:
 X = t and Y = t**(p + 1) for R, whose total degree in (X, Y) is at most
 p = deg_y F, one resultant per x node; Y = t for D, one resultant per X
-node, while the packed samples stay within `_PACKED_BITS`.  A larger D is
-sampled on the lower set of total degree T of a tensor grid, which fixes a
+node, while the packed samples stay within `_PACKED_BITS`.  The packed
+samples are Newton-interpolated as they are, and each interpolated
+coefficient is read back off its base-t digits.  A larger D is sampled on
+the lower set of total degree T of a tensor grid, which fixes a
 polynomial of total degree T (Dyn and Floater, J. Approx. Theory 177,
 2014).  For D, T is read off the Newton polygon of R in x, from the
 degrees of its coefficients and the growth of its roots.  The work is
@@ -390,62 +392,87 @@ def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
 
     With p and n the degrees of F and H in y, R is homogeneous of degree p
     in the coefficients of H, which are linear in (X, Y), so p bounds its
-    total degree in (X, Y); Bezout bounds its degree in x by d**2.  It is
-    sampled at d**2 + 1 x nodes that avoid the zeros of lc_y(F) and of one
-    coefficient of the head of H in y, so that F0 and H0 keep their degrees
-    p and n, one `dup_resultant` per node with X = t and Y = t**(p + 1)
-    packed into one integer (`_packed_resultant`): the exponent
+    total degree in (X, Y); Bezout bounds its degree in x by d**2.  F and H
+    are packed once, with X = t and Y = t**(p + 1) at t = 2**k for
+    k = `_normal_width(F, H)`, and R(x; t, t**(p + 1)) is sampled, one
+    `dup_resultant` per node, at d**2 + 1 x nodes that avoid the zeros of
+    lc_y(F) and of H's head in y at t, where F and H keep their degrees p
+    and n.  The samples are Newton-interpolated once, and the coefficient
+    of x**i in R is read back off the balanced base-2**k digits of that of
+    R(x; t, t**(p + 1)) (Kronecker substitution): the exponent
     a + (p + 1) b of t is X**a Y**b's alone for a + b <= p, and a digit
-    beyond that raises `ArithmeticError`."""
+    beyond that raises `ArithmeticError`.
+
+    Every coefficient of R is below 2**(k - 1) in size, so the digits are
+    its coefficients.  So is every coefficient of H when p > 0, since
+    Hadamard's bound is then at least the 1-norm of each entry of H's p
+    rows of the Sylvester matrix, and H's head at t is a nonzero polynomial
+    in x: the nodes exist.  When p = 0, H's head in y is Fx, free of
+    (X, Y)."""
     d = degree(f)
     p = max(j for _, j in f)
     n = max(j for _, j, _, _ in h)
-    f_in_x, h_in_x = _columns(f, 0), _columns(h, 0)
-    h_head = min((col for (j, _, _), col in h_in_x.items() if j == n), key=len)
-    xs = list(islice(_grid([f_in_x[(p,)], h_head]), d * d + 1))
-    at_x: list[dict[tuple[int, int], int]] = []
-    for x0 in xs:
-        f0 = [[horner(f_in_x.get((j,), []), x0)] for j in range(p, -1, -1)]
-        # H at x0, descending in y: coefficients c + c' X + c'' Y, descending in t
-        h0 = [[0] * (p + 2) for _ in range(n + 1)]
-        for (j, a, b), col in h_in_x.items():
-            h0[n - j][p + 1 - a - (p + 1) * b] = horner(col, x0)
-        sample = {}
-        for e, c in enumerate(reversed(_packed_resultant(f0, h0, _packing_bits(f0, h0)))):
-            if c:
-                a, b = e % (p + 1), e // (p + 1)
-                if a + b > p:
-                    raise ArithmeticError("packed resultant has a term beyond its degree")
-                sample[a, b] = c
-        at_x.append(sample)
+    k = _normal_width(f, h)
+    # F and H at t, descending in y, then in x
+    f_rows = [[0] * (d + 1) for _ in range(p + 1)]
+    for (i, j), c in f.items():
+        f_rows[p - j][d - i] = c
+    h_rows = [[0] * (d + 1) for _ in range(n + 1)]
+    for (i, j, a, b), c in h.items():
+        h_rows[n - j][d - i] += c << k * (a + (p + 1) * b)
+    xs = list(islice(_grid([f_rows[0], h_rows[0]]), d * d + 1))
+    values = [
+        dup_resultant([horner(row, x0) for row in f_rows], [horner(row, x0) for row in h_rows])
+        for x0 in xs
+    ]
     R: _IntTerms = {}
-    for a, b in sorted(set().union(*at_x)):
-        for i, c in enumerate(interpolate(xs, [s.get((a, b), 0) for s in at_x])):
-            if c:
-                R[(i, a, b)] = c
+    for i, e, c in _unpacked(xs, values, k):
+        a, b = e % (p + 1), e // (p + 1)
+        if a + b > p:
+            raise ArithmeticError("packed resultant has a term beyond its degree")
+        R[(i, a, b)] = c
     if not R:
         raise InconclusiveEliminationError("resultant in y vanished identically")
     return R
 
 
-def _packing_bits(f: list[list[int]], g: list[list[int]]) -> int:
-    """k such that every coefficient of Res(f, g) in t is below 2**(k - 1)
-    in size, for f and g in one variable with coefficients in Z[t]
-    (descending lists of descending lists).  On |t| = 1 an entry of their
-    Sylvester matrix is at most the 1-norm of its coefficients, so Hadamard's
-    bound with those norms bounds the determinant there, and with it each of
-    its coefficients (Cauchy's estimate)."""
-    f_rows, g_rows = (sum(sum(map(abs, c)) ** 2 for c in poly) for poly in (f, g))
-    square = f_rows ** (len(g) - 1) * g_rows ** (len(f) - 1)
+def _hadamard_bits(f: list[int], g: list[int]) -> int:
+    """k such that every coefficient of Res(f, g) is below 2**(k - 1) in
+    size, for f and g in one variable whose coefficients are polynomials
+    with the 1-norms `f` and `g` (descending lists, heads included).  On the
+    torus, where every other variable has modulus 1, an entry of their
+    Sylvester matrix is at most its 1-norm, so Hadamard's bound with those
+    norms bounds the determinant there, and with it each of its
+    coefficients (Cauchy's estimate)."""
+    square = sum(c * c for c in f) ** (len(g) - 1) * sum(c * c for c in g) ** (len(f) - 1)
     return (square.bit_length() + 1) // 2 + 1
 
 
-def _packed_resultant(f: list[list[int]], g: list[list[int]], k: int) -> list[int]:
-    """Res(f, g) of `_packing_bits`'s f and g, with nonzero heads, as a
-    descending list in t, from one `dup_resultant` at t = 2**k (Kronecker
-    substitution), k = `_packing_bits(f, g)`, read back by `unpack`."""
-    value = dup_resultant([pack(c, k) for c in f], [pack(c, k) for c in g])
-    return unpack(value, k)
+def _norms(terms: _IntTerms, var: int) -> list[int]:
+    """The 1-norms of the coefficients of each power of the variable at
+    position `var`, descending from its degree."""
+    top = max(m[var] for m in terms)
+    norms = [0] * (top + 1)
+    for m, c in terms.items():
+        norms[top - m[var]] += abs(c)
+    return norms
+
+
+def _normal_width(f: _IntTerms, h: _IntTerms) -> int:
+    """`_hadamard_bits` of F and H in y, whose coefficients are polynomials
+    in (x, X, Y): every coefficient of R = Res_y(F, H) is below 2**(k - 1)
+    in size."""
+    return _hadamard_bits(_norms(f, 1), _norms(h, 1))
+
+
+def _unpacked(nodes: list[int], values: list[int], k: int) -> Iterator[tuple[int, int, int]]:
+    """(i, e, c) for each nonzero balanced base-2**k digit c, at t**e, of
+    the coefficient of x**i of the integer polynomial that takes `values`
+    at the integer `nodes` (Newton interpolation, then `unpack`)."""
+    for i, packed in enumerate(interpolate(nodes, values)):
+        for e, c in enumerate(reversed(unpack(packed, k))):
+            if c:
+                yield i, e, c
 
 
 def _columns(terms: _IntTerms, var: int) -> dict[tuple[int, ...], list[int]]:
@@ -515,61 +542,76 @@ def _discriminant_degree(R: _IntTerms) -> float:
 
 # the largest packed sample, in bits, of `_discriminant`'s one resultant per
 # X node; above it CPython's quadratic long division makes those resultants
-# slower than the lower-set grid's many small ones: the crossover on conics
-# is near 2 800 bits, and the generic cubic's 15 400-bit samples take D 175
-# ms against 46 ms on the grid
-_PACKED_BITS = 2048
+# slower than the lower-set grid's many small ones.  D's time packed against
+# on the grid (best of 3): 0.5 on 8-bit conics (2 900-3 000 bits), about 1
+# near 5 500 bits on conics and near 5 700 on the folium's shape (x**3 +
+# y**3 - c x y: 0.73 at 4 743 bits, 1.4 at 7 192), 3.5 on the generic cubic
+# (12 126 bits)
+_PACKED_BITS = 5000
 
 
 def _discriminant(R: _IntTerms) -> _IntTerms:
     """disc_x(R) = Res_x(R, dR/dx) / lc_x(R) in (X, Y), up to sign.
 
     Its total degree is at most T = `_discriminant_degree(R)`, so its
-    coefficient of Y**b has degree at most T - b in X, and it is sampled at
-    T + 1 X nodes that avoid the zeros of lc_x(R).  At each node u0, one
-    `dup_resultant(R0, R0')` with Y = t packed into one integer
-    (`_packed_resultant`) gives Res_x(R, dR/dx)(u0, Y), divided exactly by
-    lc_x(R)(u0, Y) in Z[Y]; each power Y**b is interpolated in X over the
-    first T + 1 - b nodes.  When a packed sample would exceed `_PACKED_BITS`,
-    D is sampled instead on the lower set of total degree T of a grid, one
-    `dup_resultant(R0, R0')` per node, each divided exactly by lc(R0)."""
+    coefficient of X**i has degree at most T - i in Y.  R is packed in Y
+    once, at Y = 2**k for k = `_discriminant_width(R, T)`, and sampled at
+    T + 1 X nodes that avoid the zeros of its packed lc_x(R): at each node
+    u0, one `dup_resultant(R0, R0')` gives Res_x(R, dR/dx)(u0, 2**k),
+    divided exactly by lc_x(R)(u0, 2**k) as one integer.  The quotients,
+    D(u0, 2**k), are Newton-interpolated once, and each coefficient of X**i
+    is read back off its balanced base-2**k digits: a digit beyond Y**(T - i)
+    raises `ArithmeticError`.
+
+    Every digit is below 2**(k - 1) in size: `_hadamard_bits` of R and
+    dR/dx in x bounds every coefficient of Res_x(R, dR/dx) on the torus, and
+    D, a factor of it in Z[X, Y], has partial degrees at most T, so by
+    Mignotte's bound (see `_square_split`) its 1-norm is at most 2**(2 T)
+    times that bound.  The packed lc_x(R) is a nonzero polynomial in X,
+    since its coefficients are below that bound too, so the nodes exist, and
+    R0 and R0' keep the degrees m and m - 1 in x at each of them.
+
+    When the packed samples, of about k (deg_Y lc_x(R) + T + 1) bits, would
+    exceed `_PACKED_BITS`, D is sampled instead on the lower set of total
+    degree T of a grid, one `dup_resultant(R0, R0')` per node, each divided
+    exactly by lc(R0)."""
     T = _discriminant_degree(R)
     if T < 0:  # x**2 divides R, and D = 0
         raise DegenerateCurveError(ZERO_CURVATURE)
     m = max(i for i, _, _ in R)
-    in_x = _columns(R, 1)
-    e = max(b for _, b in in_x)  # deg_Y R
-
-    def at(u0: int, i: int, top: int) -> list[int]:  # x**i's coefficient, descending in Y
-        return [horner(in_x.get((i, b), []), u0) for b in range(top, -1, -1)]
-
-    # at the X nodes, lc_x(R) stays a nonzero polynomial in Y, of degree top
-    top = max(b for i, b in in_x if i == m)
-    us = list(islice(_grid([in_x[m, top]]), T + 1))
-    in_y = {u0: [at(u0, i, e) for i in range(m, -1, -1)] for u0 in us}  # descending in x
-    pairs = [  # R0 and R0', with coefficients in Z[Y]
-        (r0, [[(m - k) * c for c in coeffs] for k, coeffs in enumerate(r0[:-1])])
-        for r0 in in_y.values()
-    ]
-    bits = [_packing_bits(r0, dr0) for r0, dr0 in pairs]
-    # Res_x(R0, R0') has degree at most top + T in Y
-    if max(bits) * (top + T + 1) <= _PACKED_BITS:
-        D: _IntTerms = {}
-        at_u = []
-        for (r0, dr0), k in zip(pairs, bits):
-            sample = exquo(_packed_resultant(r0, dr0, k), strip(r0[0]))
-            if sample is None:
+    top = max(b for i, _, b in R if i == m)  # deg_Y lc_x(R)
+    k = _discriminant_width(R, T)
+    D: _IntTerms = {}
+    if k * (top + T + 1) <= _PACKED_BITS:
+        deg_X = max(a for _, a, _ in R)
+        rows = [[0] * (deg_X + 1) for _ in range(m + 1)]  # descending in x, then in X
+        for (i, a, b), c in R.items():
+            rows[m - i][deg_X - a] += c << k * b
+        us = list(islice(_grid([rows[0]]), T + 1))
+        quotients = []
+        for u0 in us:
+            r0 = [horner(row, u0) for row in rows]
+            q, rem = divmod(dup_resultant(r0, derivative(r0)), r0[0])
+            if rem:
                 raise ArithmeticError("discriminant sample not divisible by lc(R0)")
-            if len(sample) > T + 1:
-                raise ArithmeticError("discriminant sample beyond its degree bound")
-            at_u.append(sample[::-1])  # ascending in Y
-        for b in range(T + 1):
-            column = [s[b] if b < len(s) else 0 for s in at_u[: T + 1 - b]]
-            D.update({(i, b): c for i, c in enumerate(interpolate(us, column)) if c})
+            quotients.append(q)
+        for i, b, c in _unpacked(us, quotients, k):
+            if i + b > T:
+                raise ArithmeticError("packed discriminant has a term beyond its degree")
+            D[(i, b)] = c
     else:
+        in_x = _columns(R, 1)
+        e = max(b for _, b in in_x)  # deg_Y R
+
+        def at(u0: int, i: int, top: int) -> list[int]:  # x**i's coefficient, descending in Y
+            return [horner(in_x.get((i, b), []), u0) for b in range(top, -1, -1)]
+
+        # at the X nodes, lc_x(R) stays a nonzero polynomial in Y, of degree top
+        us = list(islice(_grid([in_x[m, top]]), T + 1))
         vs = list(islice(_grid([at(u0, m, top) for u0 in us]), T + 1))
         rows = []
-        for a, r in enumerate(in_y.values()):
+        for a, u0 in enumerate(us):
+            r = [at(u0, i, e) for i in range(m, -1, -1)]  # descending in x
             rows.append([])
             for v0 in vs[: T + 1 - a]:
                 r0 = [horner(coeffs, v0) for coeffs in r]
@@ -583,6 +625,15 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
         # meets the curve twice at one x: a pair of horizontal lines
         raise DegenerateCurveError(ZERO_CURVATURE)
     return D
+
+
+def _discriminant_width(R: _IntTerms, T: int) -> int:
+    """k such that every coefficient of disc_x(R), of total degree at most
+    T, is below 2**(k - 1) in size: `_hadamard_bits` of R and dR/dx in x,
+    whose coefficients are polynomials in (X, Y), plus 2 T bits for
+    Mignotte's bound on a factor of their resultant."""
+    norms = _norms(R, 0)
+    return _hadamard_bits(norms, derivative(norms)) + 2 * T
 
 
 def _simple_part(D: _IntTerms, log: list[str]) -> _IntTerms:

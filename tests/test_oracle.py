@@ -41,11 +41,12 @@ from evolute.oracle import (
     _certified_irreducible,
     _discriminant,
     _discriminant_degree,
+    _discriminant_width,
     _integer_terms,
     _is_isotropic_factor,
     _normal_resultant,
+    _normal_width,
     _nothing_to_strip,
-    _packing_bits,
     _simple_part,
     _square_split,
     _strip_content,
@@ -600,7 +601,7 @@ def test_total_degree_bound_holds(terms):
     # the T + 1 X nodes of total degree T = `_discriminant_degree(R)`, at
     # most the Sylvester bound (2m - 1) e - deg lc_x(R), fix the
     # discriminant, which the samples reproduce on the lower-set grid and
-    # packed alike
+    # packed, as the same D
     R = _as_poly(terms)
     m = R.degree(x)
     assume(m > 0)
@@ -609,59 +610,102 @@ def test_total_degree_bound_holds(terms):
     reference = sp.Poly(sp.discriminant(R.as_expr(), x), X, Y)
     if not reference.is_zero:
         assert reference.total_degree() <= _discriminant_degree(terms) <= (2 * m - 1) * e - lead
+    paths = []
     for bits in _D_PATHS:
         with _packed_bits(bits):
             if reference.is_zero:
                 with pytest.raises(DegenerateCurveError):
                     _discriminant(terms)
             else:
-                assert _proportional(_as_poly(_discriminant(terms), X, Y), reference)
+                paths.append(_discriminant(terms))
+                assert _proportional(_as_poly(paths[-1], X, Y), reference)
+    assert paths[1:] == paths[:-1]
 
 
-def _coefficients_in_t(poly, *gens):
-    """A Poly in one variable over Z[gens] as `_packing_bits` takes it: a
-    descending list of its coefficients' coefficient lists."""
-    return [[int(a) for a in sp.Poly(c, *gens).coeffs()] for c in poly.all_coeffs()]
-
-
-def _below_packing_bound(f, g, *gens):
-    """Whether every coefficient of Res(f, g) in `gens` is below
-    2**(k - 1) in size, for `_packing_bits`'s k: its balanced base-2**k
-    digits decode it exactly."""
-    k = _packing_bits(_coefficients_in_t(f, *gens), _coefficients_in_t(g, *gens))
-    reference = sp.Poly(sp.resultant(f.as_expr(), g.as_expr(), f.gen), *gens)
+def _below_width(reference, k):
+    """Whether every coefficient of the Poly `reference` is below
+    2**(k - 1) in size: its balanced base-2**k digits decode it exactly."""
     return all(abs(c) < 2 ** (k - 1) for c in reference.coeffs())
 
 
 @settings(max_examples=40, deadline=None)
-@given(_CURVE_TERMS, st.integers(-4, 4))
-def test_packing_bound_covers_normal_resultant(terms, x0):
-    # F0 = F(x0, y) with integer coefficients and H0 = H(x0, y) with
-    # coefficients linear in (X, Y), at an x node that keeps deg_y F
+@given(_CURVE_TERMS)
+@example(_HEAD_DROPS)
+def test_normal_width_covers_normal_resultant(terms):
+    # every coefficient of R = Res_y(F, H) in (x, X, Y), not only those of
+    # one x node's sample, is within `_normal_resultant`'s one width
     F, H = _normal_system(terms)
-    F0 = sp.Poly(_as_poly(F, x, y).as_expr().subs(x, x0), y)
-    H0 = sp.Poly(_as_poly(H, x, y, X, Y).as_expr().subs(x, x0), y)
-    assume(F0.degree() == max(j for _, j in F) and not H0.is_zero)
-    assert _below_packing_bound(F0, H0, X, Y)
+    F_expr, H_expr = _as_poly(F, x, y).as_expr(), _as_poly(H, x, y, X, Y).as_expr()
+    reference = sp.Poly(sp.resultant(F_expr, H_expr, y), x, X, Y)
+    assert _below_width(reference, _normal_width(F, H))
 
 
 @settings(max_examples=60, deadline=None)
-@given(_R_TERMS, st.integers(-4, 4))
-def test_packing_bound_covers_discriminant_resultant(terms, u0):
-    # R0 = R(x, u0, Y) and R0' at an X node that keeps deg_x R
+@given(_R_TERMS)
+@example({(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 2): 1})
+@example({(1, 1, 0): 2, (0, 0, 1): 1})  # m = 1
+def test_discriminant_width_covers_discriminant(terms):
+    # every coefficient of disc_x(R) in (X, Y) is within the packed path's
+    # one width, Hadamard's bound on Res_x(R, R') plus 2 T bits
     R = _as_poly(terms)
-    R0 = sp.Poly(R.as_expr().subs(X, u0), x)
-    assume(R.degree(x) > 0 and R0.degree() == R.degree(x))
-    assert _below_packing_bound(R0, R0.diff(x), Y)
+    T = _discriminant_degree(terms)
+    assume(R.degree(x) > 0 and T >= 0)
+    reference = sp.Poly(sp.discriminant(R.as_expr(), x), X, Y)
+    assert _below_width(reference, _discriminant_width(terms, T))
+
+
+@st.composite
+def _wide_conics(draw):
+    """The text of a conic whose six coefficients have up to 1..40 bits."""
+    bits = draw(st.integers(1, 40))
+    coefficient = st.integers(-(2**bits), 2**bits)
+    terms = {(i, j): draw(coefficient) for i in range(3) for j in range(3 - i)}
+    return " + ".join(f"({c})*x**{i}*y**{j}" for (i, j), c in terms.items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(_wide_conics())
+# 20 bits, on the grid by default
+@example("1048573*x**2 - 987651*x*y + 654321*y**2 + 876543*x - 1000003*y + 777777")
+@example("137*x**2 - 201*x*y + 89*y**2 + 173*x - 255*y + 97")  # 8 bits, packed
+def test_oracle_report_is_the_same_on_both_discriminant_paths(text):
+    # conics of about 16 bits and more take the packed path only when it is
+    # forced
+    try:
+        curve = PlaneCurve.from_expr(text)
+    except ValueError:
+        assume(False)
+    assume(curve.degree == 2)
+    reports = []
+    for bits in _D_PATHS:
+        with _packed_bits(bits):
+            try:
+                reports.append(oracle_check(curve).to_dict())
+            except (DegenerateCurveError, InconclusiveEliminationError) as error:
+                reports.append(repr(error))
+    assert reports[0] == reports[1]
 
 
 def test_packed_term_beyond_the_degree_is_refused(monkeypatch):
     # R has total degree at most deg_y F = 2 in (X, Y): the digit of t**9,
     # X**0 Y**3 with Y = t**3, cannot come from a sample
     F, H = center_of_curvature_system(PlaneCurve.from_expr(ELLIPSE))
-    monkeypatch.setattr(oracle, "_packed_resultant", lambda f, g, k: [1] + [0] * 9)
+    k = _normal_width(F, H)
+    monkeypatch.setattr(oracle, "dup_resultant", lambda f, g: 1 << 9 * k)
     with pytest.raises(ArithmeticError, match="beyond its degree"):
         _normal_resultant(F, H)
+
+
+def test_packed_discriminant_term_beyond_the_degree_is_refused(monkeypatch):
+    # the ellipse's D has total degree at most T = 10: a quotient 2**(11 k)
+    # at every X node interpolates to the digit of X**0 Y**11
+    system = center_of_curvature_system(PlaneCurve.from_expr(ELLIPSE))
+    R = _strip_content(_normal_resultant(*system), [])
+    T = _discriminant_degree(R)
+    k = _discriminant_width(R, T)
+    monkeypatch.setattr(oracle, "dup_resultant", lambda f, g: f[0] << k * (T + 1))
+    with _packed_bits(_D_PATHS[1]), pytest.raises(ArithmeticError, match="beyond its degree"):
+        _discriminant(R)
 
 
 @st.composite
@@ -1252,10 +1296,13 @@ _CERTIFICATE_CALLS = {
         # Res(f, f') of f(t) = LF(1, t) for the transversality flag
         (ELLIPSE, None, 5 + 11 + 1, 0),
         # R: 10 x nodes; the gcd fold strips a content of degree 2 (the
-        # node); then m = 7 and total degree 30, whose packed samples exceed
-        # `_PACKED_BITS`: the lower set of total degree 30, 496 samples; one
-        # transversality resultant
-        ("x**3 + y**3 - 3*x*y", 0, 10 + 496 + 1, 0),
+        # node); then m = 7 and total degree 30, whose packed samples stay
+        # within `_PACKED_BITS`: one packed resultant at each of 31 X nodes;
+        # one transversality resultant
+        ("x**3 + y**3 - 3*x*y", 0, 10 + 31 + 1, 0),
+        # the same with the packed path shut: 496 discriminant samples on the
+        # lower set of total degree 30 of the grid
+        pytest.param("x**3 + y**3 - 3*x*y", 0, 10 + 496 + 1, 0, marks=pytest.mark.packed_bits(0)),
         # R: 10 nodes; 946 discriminant samples on the grid (total degree
         # 42); one transversality resultant
         (CUBIC, None, 10 + 946 + 1, 0),
@@ -1265,11 +1312,14 @@ _CERTIFICATE_CALLS = {
         ("x**2 + y**2 - 1", None, 5 + 5 + 1, 1),
     ],
 )
-def test_oracle_work_counts(monkeypatch, text, genus, kernel_calls, factor_calls):
+def test_oracle_work_counts(request, monkeypatch, text, genus, kernel_calls, factor_calls):
     # the kernel and the certificates are reached by name, through the module
     # globals that instrumentation wraps, and sympy through `_sympy`; no gcd
     # of two Polys is left, and sympy factors only what the integer
     # certificates leave undecided
+    marker = request.node.get_closest_marker("packed_bits")
+    if marker:
+        monkeypatch.setattr(oracle, "_PACKED_BITS", *marker.args)
     counts = _count_calls(monkeypatch)
     oracle_check(PlaneCurve.from_expr(text, genus=genus))
     modular, decompositions = _CERTIFICATE_CALLS[text]
