@@ -13,10 +13,17 @@ pushforward of powers of the tautological class of a projectivized sheaf
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Mapping
 
-from .ring import Exponents, GeneratorTable, GradedClass, generator, unit
+from .ring import (
+    Exponents,
+    GeneratorTable,
+    GradedClass,
+    Record,
+    TableMismatchError,
+    generator,
+    unit,
+)
 
 
 class IncompleteDescriptorError(ValueError):
@@ -34,14 +41,14 @@ def binomial(n: int, k: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class SheafData:
+class SheafData(Record):
     """A locally free sheaf: rank and total Chern class (constant term 1)."""
 
-    rank: int
-    chern: GradedClass
+    __slots__ = _fields = ("rank", "chern")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rank: int, chern: GradedClass) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "chern", chern)
         if self.rank < 1:
             raise ValueError("sheaf rank must be at least 1")
         if self.chern.constant_term != 1:
@@ -104,19 +111,26 @@ def segre(F: SheafData, i: int) -> GradedClass:
     return segre_series(F).homogeneous_part(i)
 
 
-@dataclass(frozen=True)
-class VarietyDescriptor:
+class VarietyDescriptor(Record):
     """The base variety: dimension, ambient dimension, generators, cotangent
     sheaf, and the integration functional on top-degree monomials, whose
     values are ints."""
 
-    dim: int
-    ambient_dim: int
-    table: GeneratorTable
-    cotangent: SheafData
-    integrals: Mapping[Exponents, int] = field(default_factory=dict)
+    __slots__ = _fields = ("dim", "ambient_dim", "table", "cotangent", "integrals")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        dim: int,
+        ambient_dim: int,
+        table: GeneratorTable,
+        cotangent: SheafData,
+        integrals: Mapping[Exponents, int],
+    ) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "cotangent", cotangent)
+        object.__setattr__(self, "integrals", integrals)
         if not 0 < self.dim < self.ambient_dim:
             raise ValueError("need 0 < dim < ambient dimension")
         if self.table.bound != self.dim:
@@ -141,10 +155,11 @@ def integrate(X: VarietyDescriptor, a: GradedClass) -> int:
     """Evaluate the degree-dim part of a class against the integration table.
 
     Lower-degree terms contribute zero; a top-degree monomial absent from
-    the table raises IncompleteDescriptorError.
+    the table raises IncompleteDescriptorError, and a class over another
+    table TableMismatchError.
     """
     if a.table != X.table:
-        raise ValueError("class does not live on this variety's generators")
+        raise TableMismatchError("class does not live on this variety's generators")
     total = 0
     for exps, coeff in a.terms.items():
         if X.table.degree(exps) != X.dim:

@@ -8,22 +8,25 @@ parameter ranges; `selftest` reproduces the whole verification grid.
 Reports serialize to text tables, JSON (stable: sorted keys, two-space
 indent) or CSV.  Exit status: 0 when every engine value matches its closed
 form and every identity holds, 1 on any mismatch, 2 on input errors, 3 on
-an internal fault (a non-integer reaching the integral class engine, an
-inexact interpolation, an inconclusive elimination, a failed internal
-lookup).
+an internal fault (a non-integer reaching the integral class engine, a
+broken engine invariant, an inexact interpolation, an inconclusive
+elimination, a failed internal lookup).  The engine's invariant errors,
+`TableMismatchError`, `NotInvertibleError` and `IncompleteDescriptorError`,
+are `ValueError`s that no input raises, so they exit 3, not 2.  The CSV
+renderers import `csv` themselves, so no other format loads it.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
 import io
 import json
 import sys
+from collections.abc import Sequence
 from functools import cache
-from typing import Sequence
 
+from .chow import IncompleteDescriptorError
 from .pipelines import (
     EnumerativeReport,
     curve_report,
@@ -33,10 +36,19 @@ from .pipelines import (
     surface_report,
     surface_report_from_degree,
 )
+from .ring import NotInvertibleError, TableMismatchError
 from .varieties import CurveInvariants, SurfaceChernNumbers
 
 INPUT_ERRORS = (ValueError, OSError)
-INTERNAL_ERRORS = (ArithmeticError, LookupError, TypeError)
+# tested first: the engine's own invariant errors are ValueErrors too
+INTERNAL_ERRORS = (
+    TableMismatchError,
+    NotInvertibleError,
+    IncompleteDescriptorError,
+    ArithmeticError,
+    LookupError,
+    TypeError,
+)
 
 
 def _lazy_module(name: str):
@@ -47,10 +59,11 @@ def _lazy_module(name: str):
     by its fallbacks alone, not when it loads).  The module is registered
     in `sys.modules` at once, where instrumentation looks for it.
 
-    The lazy load is worth memory: over 5 launches of CPython 3.11 on Linux
-    with no bytecode cache, `import evolute.cli` peaks at 16.7 MB of
-    `ru_maxrss`, 18.0 MB with the oracle and its two imports executed, and
-    a 30 s `perfbench` engine_sweep run, which never needs them, at 27 MB.
+    The lazy load is worth memory: over 7 launches of CPython 3.11 on Linux
+    with no bytecode cache, `import evolute.cli` peaks at 15.1 MB of
+    `ru_maxrss`, 16.5 MB with the oracle and its two imports executed, and
+    a 30 s `perfbench` engine_sweep run, which never needs them, at
+    28-30 MB.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -115,6 +128,8 @@ def _flat_input(report: EnumerativeReport) -> dict:
 
 def render_report_csv(report: EnumerativeReport) -> str:
     """Long form: one row per locus."""
+    import csv
+
     buffer = io.StringIO()
     base = _flat_input(report)
     writer = csv.writer(buffer, lineterminator="\n")
@@ -131,6 +146,8 @@ def render_report_csv(report: EnumerativeReport) -> str:
 
 def render_sweep_csv(reports: list[EnumerativeReport]) -> str:
     """Wide form: one row per parameter point."""
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     input_keys: list[str] = []
@@ -171,6 +188,8 @@ def render_oracle_text(result: oracle.EvoluteResult) -> str:
 
 
 def render_oracle_csv(result: oracle.EvoluteResult) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["degree", "expected_degree", "match", "flags", "polynomial"])
@@ -453,12 +472,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.print_help()
             return 2
         return _dispatch(args)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -65,11 +65,10 @@ paths cross-check each other through the closed-form target
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import reduce
 from itertools import count, islice
 from math import comb, gcd, inf, lcm
-from typing import Iterator
 
 from .intpoly import (
     content,
@@ -124,8 +123,32 @@ class InconclusiveEliminationError(ArithmeticError):
     """Elimination collapsed (zero resultant or empty hypersurface part)."""
 
 
-@dataclass(frozen=True)
-class PlaneCurve:
+class _Value:
+    """Immutable slotted value, equal to a value of its class whose slots
+    hold equal fields; unhashable unless a subclass says how to hash.  The
+    engine's records are alike, but the oracle shares no code with it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PlaneCurve(_Value):
     """An implicit plane curve F(x, y) = 0, as integer terms (exponents
     (i, j) of x**i y**j -> nonzero coefficient, denominators cleared), with
     its declared numerical invariants.
@@ -134,10 +157,17 @@ class PlaneCurve:
     weighted cusp count k0 to 0; both only feed the expected-degree target.
     """
 
-    terms: _IntTerms = field(hash=False)  # a dict: curves hash by their invariants
-    degree: int
-    genus: int
-    cusps: int
+    __slots__ = ("terms", "degree", "genus", "cusps")
+
+    def __init__(self, terms: _IntTerms, degree: int, genus: int, cusps: int) -> None:
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "cusps", cusps)
+
+    def __hash__(self) -> int:
+        # the terms are a dict: curves hash by their invariants
+        return hash((self.degree, self.genus, self.cusps))
 
     @classmethod
     def from_expr(cls, text: str, genus: int | None = None, cusps: int = 0) -> "PlaneCurve":
@@ -283,17 +313,26 @@ def _certified_irreducible(f: _IntTerms) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class EvoluteResult:
+class EvoluteResult(_Value):
     """Squarefree, content-free defining polynomial of the evolute, as
     integer terms in (X, Y), the closed-form target, and the elimination
     log."""
 
-    terms: _IntTerms
-    expected_degree: int
-    match: bool | None
-    flags: tuple[str, ...]
-    log: tuple[str, ...]
+    __slots__ = ("terms", "expected_degree", "match", "flags", "log")
+
+    def __init__(
+        self,
+        terms: _IntTerms,
+        expected_degree: int,
+        match: bool | None,
+        flags: tuple[str, ...],
+        log: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "expected_degree", expected_degree)
+        object.__setattr__(self, "match", match)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "log", log)
 
     @property
     def degree(self) -> int:

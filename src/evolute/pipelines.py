@@ -25,13 +25,12 @@ and the Thom-polynomial citations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from functools import cache
-from typing import Callable, Iterable
 
 from .bundle import BundleSpace
 from .chow import VarietyDescriptor, integrate
-from .ring import GradedClass
+from .ring import GradedClass, Record
 from .thom import MAX_CODIMENSION, UnsupportedCodimensionError, thom_class
 from .varieties import (
     CurveInvariants,
@@ -151,30 +150,50 @@ def salmon_surface_reference(d: int) -> tuple[int, int, int]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocusResult:
-    locus: str
-    k: int | None
-    engine_degree: int
-    closed_form: int | None
-    match: bool | None
+class LocusResult(Record):
+    __slots__ = _fields = ("locus", "k", "engine_degree", "closed_form", "match")
+
+    def __init__(
+        self,
+        locus: str,
+        k: int | None,
+        engine_degree: int,
+        closed_form: int | None,
+        match: bool | None,
+    ) -> None:
+        object.__setattr__(self, "locus", locus)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "engine_degree", engine_degree)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "match", match)
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    lhs: int
-    rhs: int
-    holds: bool
+class IdentityResult(Record):
+    __slots__ = _fields = ("name", "lhs", "rhs", "holds")
+
+    def __init__(self, name: str, lhs: int, rhs: int, holds: bool) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "holds", holds)
 
 
-@dataclass(frozen=True)
-class EnumerativeReport:
-    input: dict
-    results: tuple[LocusResult, ...]
-    identities: tuple[IdentityResult, ...]
-    citations: tuple[str, ...]
-    flags: tuple[str, ...]
+class EnumerativeReport(Record):
+    __slots__ = _fields = ("input", "results", "identities", "citations", "flags")
+
+    def __init__(
+        self,
+        input: dict,
+        results: tuple[LocusResult, ...],
+        identities: tuple[IdentityResult, ...],
+        citations: tuple[str, ...],
+        flags: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "results", results)
+        object.__setattr__(self, "identities", identities)
+        object.__setattr__(self, "citations", citations)
+        object.__setattr__(self, "flags", flags)
 
     @property
     def passed(self) -> bool:
@@ -186,9 +205,9 @@ class EnumerativeReport:
         """The fields, with each result and identity as a dict of its fields
         (JSON serializes the tuples as lists)."""
         return {
-            **vars(self),
-            "results": [dict(vars(r)) for r in self.results],
-            "identities": [dict(vars(i)) for i in self.identities],
+            **self.as_dict(),
+            "results": [r.as_dict() for r in self.results],
+            "identities": [i.as_dict() for i in self.identities],
         }
 
 

@@ -31,8 +31,8 @@ and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
+from operator import attrgetter
 
 Exponents = tuple[int, ...]
 
@@ -45,8 +45,50 @@ class NotInvertibleError(ValueError):
     """Series inverse requested for a class whose constant term is not 1."""
 
 
-@dataclass(frozen=True)
-class GeneratorTable:
+class Record:
+    """Immutable value with named fields, compared and hashed by them.
+
+    A subclass names its fields, two or more, in `_fields` and keeps them in
+    slots of the same names; its `__slots__` may add private memo slots,
+    which nothing compares.  Its `__init__` sets each field through
+    `object.__setattr__` and then checks them, as `GradedClass` does.  Two
+    records are equal when they are of one class with equal fields, and the
+    hash is that of the fields, so a record with an unhashable field (a
+    dict, a `GradedClass`) is unhashable.  The repr is
+    `Name(field=value, ...)`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # one C call reads every field, where a loop of getattr would not
+        cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def as_dict(self) -> dict:
+        """The fields by name, in declaration order."""
+        return dict(zip(self._fields, self._values(self)))
+
+
+class GeneratorTable(Record):
     """Named generators with cohomological degrees and truncation bounds.
 
     The bound is the dimension of the space the classes live on; it must be
@@ -57,13 +99,22 @@ class GeneratorTable:
     `extended` sets both for a projective bundle over this table.
     """
 
-    names: tuple[str, ...]
-    degrees: tuple[int, ...]
-    bound: int
-    base_size: int = 0
-    base_bound: int = 0
+    _fields = ("names", "degrees", "bound", "base_size", "base_bound")
+    __slots__ = _fields + ("_degree_cache", "_base_degree_cache", "_admissible_cache")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        degrees: tuple[int, ...],
+        bound: int,
+        base_size: int = 0,
+        base_bound: int = 0,
+    ) -> None:
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "base_size", base_size)
+        object.__setattr__(self, "base_bound", base_bound)
         if len(self.names) != len(self.degrees):
             raise ValueError("one degree per generator name required")
         if len(set(self.names)) != len(self.names):

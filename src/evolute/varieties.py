@@ -27,7 +27,6 @@ normal bundle O(d-1) (+) O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .chow import (
@@ -39,11 +38,10 @@ from .chow import (
     kernel_from_trivial,
     twist_by_line,
 )
-from .ring import GeneratorTable, generator, unit
+from .ring import GeneratorTable, Record, generator, unit
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(Record):
     """Numerical data of a curve in projective space.
 
     `stationary` holds the weighted indices (k_0, ..., k_{n-2}); shorter
@@ -51,20 +49,22 @@ class CurveInvariants:
     the lower data and exposed as `hyperosculation_index`.
     """
 
-    ambient: int
-    degree: int
-    genus: int
-    stationary: tuple[int, ...] = ()
+    __slots__ = _fields = ("ambient", "degree", "genus", "stationary")
 
-    def __post_init__(self) -> None:
-        n = self.ambient
+    def __init__(
+        self, ambient: int, degree: int, genus: int, stationary: tuple[int, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "genus", genus)
+        n = ambient
         if n < 2:
             raise ValueError("curves need ambient dimension at least 2")
         if self.degree < 1:
             raise ValueError("curve degree must be at least 1")
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
-        ks = tuple(self.stationary)
+        ks = tuple(stationary)
         if len(ks) > n - 1:
             raise ValueError(f"at most {n - 1} stationary indices for ambient {n}")
         if any(k < 0 for k in ks):
@@ -95,15 +95,23 @@ def osculating_rank(d: int, g: int, stationary: tuple[int, ...], m: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class CurveGeometry:
+class CurveGeometry(Record):
     """Descriptor plus the sheaf catalog of a curve: osculating images
     P^1..P^{n-1} (index m-1) and the Euclidean normal bundle."""
 
-    invariants: CurveInvariants
-    variety: VarietyDescriptor
-    osculating: tuple[SheafData, ...]
-    normal_bundle: SheafData
+    __slots__ = _fields = ("invariants", "variety", "osculating", "normal_bundle")
+
+    def __init__(
+        self,
+        invariants: CurveInvariants,
+        variety: VarietyDescriptor,
+        osculating: tuple[SheafData, ...],
+        normal_bundle: SheafData,
+    ) -> None:
+        object.__setattr__(self, "invariants", invariants)
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "osculating", osculating)
+        object.__setattr__(self, "normal_bundle", normal_bundle)
 
     def osculating_sheaf(self, m: int) -> SheafData:
         if not 1 <= m <= self.invariants.ambient - 1:
@@ -147,15 +155,17 @@ def curve_geometry(inv: CurveInvariants) -> CurveGeometry:
     return CurveGeometry(inv, variety, osculating, normal)
 
 
-@dataclass(frozen=True)
-class SurfaceChernNumbers:
+class SurfaceChernNumbers(Record):
     """The four integrals a surface pipeline needs: int K^2, int c_2,
     int K.H and int H^2."""
 
-    K2: int
-    c2: int
-    KH: int
-    H2: int
+    __slots__ = _fields = ("K2", "c2", "KH", "H2")
+
+    def __init__(self, K2: int, c2: int, KH: int, H2: int) -> None:
+        object.__setattr__(self, "K2", K2)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "KH", KH)
+        object.__setattr__(self, "H2", H2)
 
     @classmethod
     def from_degree(cls, d: int) -> "SurfaceChernNumbers":

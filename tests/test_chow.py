@@ -15,7 +15,7 @@ from evolute.chow import (
     segre_series,
     twist_by_line,
 )
-from evolute.ring import GeneratorTable, generator, unit, zero
+from evolute.ring import GeneratorTable, TableMismatchError, generator, unit, zero
 from evolute.varieties import (
     CurveInvariants,
     SurfaceChernNumbers,
@@ -222,7 +222,7 @@ def test_incomplete_descriptor_rejected(surface_table):
 def test_integrate_requires_matching_table():
     variety, _ = surface_geometry(3, SurfaceChernNumbers.from_degree(2))
     foreign = GeneratorTable(("K", "H"), (1, 1), bound=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TableMismatchError):
         integrate(variety, unit(foreign) + generator(foreign, "K"))
 
 

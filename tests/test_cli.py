@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import evolute
-from evolute import cli, oracle, pipelines, polyparse, thom
+from evolute import chow, cli, oracle, pipelines, polyparse, ring, thom
 from evolute.cli import build_parser, main, render_json, render_sweep_csv
 from evolute.pipelines import (
     EnumerativeReport,
@@ -386,6 +386,42 @@ def test_internal_lookup_error_exits_three(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "curve_report", lookup_fault)
     assert run(capsys, "curve", "--d", "3") == (3, "", "internal error: (1, 0)\n")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ring.TableMismatchError, ring.NotInvertibleError, chow.IncompleteDescriptorError],
+    ids=lambda error: error.__name__,
+)
+def test_engine_invariant_errors_exit_three(capsys, monkeypatch, error):
+    # ValueErrors that only a broken engine invariant raises: a fault, not bad input
+    def fault(inv):
+        raise error("broken invariant")
+
+    monkeypatch.setattr(cli, "curve_report", fault)
+    assert run(capsys, "curve", "--d", "3") == (3, "", "internal error: broken invariant\n")
+
+
+COLD_START_CHECK = """
+import sys
+import evolute.cli as cli
+print(sorted({"dataclasses", "inspect", "dis", "tokenize", "ast", "csv"} & set(sys.modules)))
+cli.main(["oracle", "--poly", "x**2/4 + y**2 - 1"])
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_cold_start_imports():
+    # a fresh interpreter, without `site` (whose .pth files may import any
+    # of these): importing the command line loads none of the modules that
+    # `dataclasses` and `csv` pulled in, and the oracle's common path adds
+    # only the parser's `ast`
+    env = {**os.environ, "PYTHONPATH": str(Path(evolute.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_START_CHECK],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert (out[0], out[-1]) == ("[]", "[]")
 
 
 def test_config_and_subcommand_conflict(capsys):

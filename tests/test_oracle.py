@@ -1028,7 +1028,7 @@ def test_sympy_is_imported_by_the_accessor_alone():
     # only function of the oracle that does is the fallbacks' accessor, and
     # the parser and the univariate algebra import it nowhere
     for module, own, importers in (
-        (oracle, "dataclasses", {"_sympy"}), (polyparse, "ast", set()), (intpoly, "math", set())
+        (oracle, "functools", {"_sympy"}), (polyparse, "ast", set()), (intpoly, "math", set())
     ):
         imports = _imports(module)
         assert (None, own) in imports  # the scan sees the module's own imports
