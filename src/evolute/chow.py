@@ -13,17 +13,7 @@ pushforward of powers of the tautological class of a projectivized sheaf
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
-from .ring import (
-    Exponents,
-    GeneratorTable,
-    GradedClass,
-    Record,
-    TableMismatchError,
-    generator,
-    unit,
-)
+from .ring import GradedClass, Record, TableMismatchError, generator, unit
 
 
 class IncompleteDescriptorError(ValueError):
@@ -46,9 +36,7 @@ class SheafData(Record):
 
     __slots__ = _fields = ("rank", "chern")
 
-    def __init__(self, rank: int, chern: GradedClass) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "chern", chern)
+    def _post_init(self) -> None:
         if self.rank < 1:
             raise ValueError("sheaf rank must be at least 1")
         if self.chern.constant_term != 1:
@@ -118,19 +106,7 @@ class VarietyDescriptor(Record):
 
     __slots__ = _fields = ("dim", "ambient_dim", "table", "cotangent", "integrals")
 
-    def __init__(
-        self,
-        dim: int,
-        ambient_dim: int,
-        table: GeneratorTable,
-        cotangent: SheafData,
-        integrals: Mapping[Exponents, int],
-    ) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "cotangent", cotangent)
-        object.__setattr__(self, "integrals", integrals)
+    def _post_init(self) -> None:
         if not 0 < self.dim < self.ambient_dim:
             raise ValueError("need 0 < dim < ambient dimension")
         if self.table.bound != self.dim:

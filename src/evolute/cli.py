@@ -316,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=("curve", "surface", "hypersurface"))
     p.add_argument("--n", default="3", help="ambient dimension or range, e.g. 3 or 3..5")
     p.add_argument("--d", required=True, help="degree or range, e.g. 2..10")
-    p.add_argument("--g", default="0", help="genus or range (curves)")
-    p.add_argument("--k0", default="0", help="cusp count or range (curves)")
+    p.add_argument("--g", help="genus or range (curves only; default 0)")
+    p.add_argument("--k0", help="cusp count or range (curves only; default 0)")
     _add_output_options(p)
 
     p = sub.add_parser("selftest", help="reproduce the full verification grid")
@@ -360,7 +360,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
     ns, ds = _parse_range("--n", args.n), _parse_range("--d", args.d)
     reports: list[EnumerativeReport]
     if args.target == "curve":
-        gs, k0s = _parse_range("--g", args.g), _parse_range("--k0", args.k0)
+        gs = _parse_range("--g", "0" if args.g is None else args.g)
+        k0s = _parse_range("--k0", "0" if args.k0 is None else args.k0)
         reports = [
             curve_report(CurveInvariants(n, d, g, (k0,)))
             for n in ns
@@ -368,6 +369,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
             for g in gs
             for k0 in k0s
         ]
+    elif args.g is not None or args.k0 is not None:
+        raise ValueError(f"--g and --k0 describe curves, not a {args.target} sweep")
     elif args.target == "surface":
         _require_three_space(ns)
         reports = [surface_report_from_degree(d) for _ in ns for d in ds]

@@ -58,9 +58,12 @@ by the three fallbacks (the curve's `factor_list`, D's `sqf_list` and the
 evolute's `factor_list`), through `_sympy`; they build its `Poly`, and
 `_integer_terms` converts their results back.
 
-This module shares no code with the intersection-theoretic engine; the two
-paths cross-check each other through the closed-form target
-6(d + g - 1) - 2 k0.
+This module shares no algebra with the intersection-theoretic engine, so
+the two paths cross-check each other through the closed-form target
+6(d + g - 1) - 2 k0.  It shares only the record base `ring.Record`: its
+two values, `PlaneCurve` and `EvoluteResult`, name their fields in
+`_fields`, and `Record`'s one constructor binds them; neither has
+`_defaults` or a `_post_init` check.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ from .intpoly import (
     unpack,
 )
 from .polyparse import degree, parse_polynomial
+from .ring import Record
 
 
 def _sympy():
@@ -123,47 +127,19 @@ class InconclusiveEliminationError(ArithmeticError):
     """Elimination collapsed (zero resultant or empty hypersurface part)."""
 
 
-class _Value:
-    """Immutable slotted value, equal to a value of its class whose slots
-    hold equal fields; unhashable unless a subclass says how to hash.  The
-    engine's records are alike, but the oracle shares no code with it."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
-        return f"{type(self).__qualname__}({fields})"
-
-
-class PlaneCurve(_Value):
+class PlaneCurve(Record):
     """An implicit plane curve F(x, y) = 0, as integer terms (exponents
     (i, j) of x**i y**j -> nonzero coefficient, denominators cleared), with
     its declared numerical invariants.
 
     The genus defaults to the smooth plane-curve value (d-1)(d-2)/2 and the
     weighted cusp count k0 to 0; both only feed the expected-degree target.
+    `from_expr` refuses g + k0 > (d-1)(d-2)/2, which no degree-d curve has:
+    g = (d-1)(d-2)/2 - sum delta, and a branch of multiplicity m has
+    delta >= m(m-1)/2 >= m - 1, its weight in k0.
     """
 
-    __slots__ = ("terms", "degree", "genus", "cusps")
-
-    def __init__(self, terms: _IntTerms, degree: int, genus: int, cusps: int) -> None:
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "cusps", cusps)
+    __slots__ = _fields = ("terms", "degree", "genus", "cusps")
 
     def __hash__(self) -> int:
         # the terms are a dict: curves hash by their invariants
@@ -181,6 +157,14 @@ class PlaneCurve(_Value):
         d = degree(F)
         if not d:
             raise ValueError("constant input is not a curve")
+        bound = (d - 1) * (d - 2) // 2
+        if genus is None:
+            genus = bound
+        if genus + cusps > bound:
+            raise ValueError(
+                f"genus {genus} plus cusp count {cusps} exceeds (d-1)(d-2)/2 = {bound}, "
+                f"which bounds g + k0 for a curve of degree {d}"
+            )
         # before the irreducibility check, whose sympy fallback can cost
         # more than the elimination for large coefficients
         work, samples, bits = predicted_work(F)
@@ -196,8 +180,6 @@ class PlaneCurve(_Value):
                 raise ValueError("curve polynomial must be squarefree")
             if len(factors) > 1:
                 raise DegenerateCurveError("curve polynomial must be irreducible over Q")
-        if genus is None:
-            genus = (d - 1) * (d - 2) // 2
         return cls(F, d, int(genus), cusps)
 
     @property
@@ -313,26 +295,12 @@ def _certified_irreducible(f: _IntTerms) -> bool:
     return False
 
 
-class EvoluteResult(_Value):
+class EvoluteResult(Record):
     """Squarefree, content-free defining polynomial of the evolute, as
     integer terms in (X, Y), the closed-form target, and the elimination
-    log."""
+    log; unhashable, since the terms are a dict."""
 
-    __slots__ = ("terms", "expected_degree", "match", "flags", "log")
-
-    def __init__(
-        self,
-        terms: _IntTerms,
-        expected_degree: int,
-        match: bool | None,
-        flags: tuple[str, ...],
-        log: tuple[str, ...],
-    ) -> None:
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "expected_degree", expected_degree)
-        object.__setattr__(self, "match", match)
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "log", log)
+    __slots__ = _fields = ("terms", "expected_degree", "match", "flags", "log")
 
     @property
     def degree(self) -> int:
@@ -627,13 +595,7 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
         for (i, a, b), c in R.items():
             rows[m - i][deg_X - a] += c << k * b
         us = list(islice(_grid([rows[0]]), T + 1))
-        quotients = []
-        for u0 in us:
-            r0 = [horner(row, u0) for row in rows]
-            q, rem = divmod(dup_resultant(r0, derivative(r0)), r0[0])
-            if rem:
-                raise ArithmeticError("discriminant sample not divisible by lc(R0)")
-            quotients.append(q)
+        quotients = [_discriminant_sample([horner(row, u0) for row in rows]) for u0 in us]
         for i, b, c in _unpacked(us, quotients, k):
             if i + b > T:
                 raise ArithmeticError("packed discriminant has a term beyond its degree")
@@ -651,19 +613,24 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
         rows = []
         for a, u0 in enumerate(us):
             r = [at(u0, i, e) for i in range(m, -1, -1)]  # descending in x
-            rows.append([])
-            for v0 in vs[: T + 1 - a]:
-                r0 = [horner(coeffs, v0) for coeffs in r]
-                q, rem = divmod(dup_resultant(r0, derivative(r0)), r0[0])
-                if rem:
-                    raise ArithmeticError("discriminant sample not divisible by lc(R0)")
-                rows[-1].append(q)
+            samples = ([horner(coeffs, v0) for coeffs in r] for v0 in vs[: T + 1 - a])
+            rows.append([_discriminant_sample(r0) for r0 in samples])
         D = _lower_set(rows, us, vs)
     if not D:
         # two roots of R share x at every centre only when each normal
         # meets the curve twice at one x: a pair of horizontal lines
         raise DegenerateCurveError(ZERO_CURVATURE)
     return D
+
+
+def _discriminant_sample(r0: list[int]) -> int:
+    """Res(r0, r0') / lc(r0), the discriminant of the univariate sample r0
+    up to sign, by one `dup_resultant` and one exact division: a remainder
+    raises `ArithmeticError`."""
+    q, rem = divmod(dup_resultant(r0, derivative(r0)), r0[0])
+    if rem:
+        raise ArithmeticError("discriminant sample not divisible by lc(R0)")
+    return q
 
 
 def _discriminant_width(R: _IntTerms, T: int) -> int:

@@ -153,47 +153,13 @@ def salmon_surface_reference(d: int) -> tuple[int, int, int]:
 class LocusResult(Record):
     __slots__ = _fields = ("locus", "k", "engine_degree", "closed_form", "match")
 
-    def __init__(
-        self,
-        locus: str,
-        k: int | None,
-        engine_degree: int,
-        closed_form: int | None,
-        match: bool | None,
-    ) -> None:
-        object.__setattr__(self, "locus", locus)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "engine_degree", engine_degree)
-        object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "match", match)
-
 
 class IdentityResult(Record):
     __slots__ = _fields = ("name", "lhs", "rhs", "holds")
 
-    def __init__(self, name: str, lhs: int, rhs: int, holds: bool) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "holds", holds)
-
 
 class EnumerativeReport(Record):
     __slots__ = _fields = ("input", "results", "identities", "citations", "flags")
-
-    def __init__(
-        self,
-        input: dict,
-        results: tuple[LocusResult, ...],
-        identities: tuple[IdentityResult, ...],
-        citations: tuple[str, ...],
-        flags: tuple[str, ...],
-    ) -> None:
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "results", results)
-        object.__setattr__(self, "identities", identities)
-        object.__setattr__(self, "citations", citations)
-        object.__setattr__(self, "flags", flags)
 
     @property
     def passed(self) -> bool:

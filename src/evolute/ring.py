@@ -50,8 +50,12 @@ class Record:
 
     A subclass names its fields, two or more, in `_fields` and keeps them in
     slots of the same names; its `__slots__` may add private memo slots,
-    which nothing compares.  Its `__init__` sets each field through
-    `object.__setattr__` and then checks them, as `GradedClass` does.  Two
+    which nothing compares.  This class's `__init__` is the one constructor:
+    it binds the fields by position or by name in `_fields` order, takes an
+    omitted trailing field from the class's `_defaults` dict, sets each
+    through `object.__setattr__`, and then runs `_post_init`, where a
+    subclass checks its fields or fills its memo slots.  A missing field,
+    an unknown or repeated name or an extra value raises TypeError.  Two
     records are equal when they are of one class with equal fields, and the
     hash is that of the fields, so a record with an unhashable field (a
     dict, a `GradedClass`) is unhashable.  The repr is
@@ -60,11 +64,35 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...]
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # one C call reads every field, where a loop of getattr would not
         cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(args)}")
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        if kwargs or len(args) < len(fields):
+            for field in fields[len(args) :]:
+                if field in kwargs:
+                    value = kwargs.pop(field)
+                elif field in self._defaults:
+                    value = self._defaults[field]
+                else:
+                    raise TypeError(f"{type(self).__name__} missing field {field!r}")
+                object.__setattr__(self, field, value)
+            if kwargs:
+                field = next(iter(kwargs))
+                raise TypeError(f"{type(self).__name__} got an unknown or repeated field {field!r}")
+        self._post_init()
+
+    def _post_init(self) -> None:
+        """Checks of the bound fields; a record without checks has none."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -101,20 +129,9 @@ class GeneratorTable(Record):
 
     _fields = ("names", "degrees", "bound", "base_size", "base_bound")
     __slots__ = _fields + ("_degree_cache", "_base_degree_cache", "_admissible_cache")
+    _defaults = {"base_size": 0, "base_bound": 0}
 
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        degrees: tuple[int, ...],
-        bound: int,
-        base_size: int = 0,
-        base_bound: int = 0,
-    ) -> None:
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "base_size", base_size)
-        object.__setattr__(self, "base_bound", base_bound)
+    def _post_init(self) -> None:
         if len(self.names) != len(self.degrees):
             raise ValueError("one degree per generator name required")
         if len(set(self.names)) != len(self.names):

@@ -50,21 +50,17 @@ class CurveInvariants(Record):
     """
 
     __slots__ = _fields = ("ambient", "degree", "genus", "stationary")
+    _defaults = {"stationary": ()}
 
-    def __init__(
-        self, ambient: int, degree: int, genus: int, stationary: tuple[int, ...] = ()
-    ) -> None:
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "genus", genus)
-        n = ambient
+    def _post_init(self) -> None:
+        n = self.ambient
         if n < 2:
             raise ValueError("curves need ambient dimension at least 2")
         if self.degree < 1:
             raise ValueError("curve degree must be at least 1")
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
-        ks = tuple(stationary)
+        ks = tuple(self.stationary)
         if len(ks) > n - 1:
             raise ValueError(f"at most {n - 1} stationary indices for ambient {n}")
         if any(k < 0 for k in ks):
@@ -100,18 +96,6 @@ class CurveGeometry(Record):
     P^1..P^{n-1} (index m-1) and the Euclidean normal bundle."""
 
     __slots__ = _fields = ("invariants", "variety", "osculating", "normal_bundle")
-
-    def __init__(
-        self,
-        invariants: CurveInvariants,
-        variety: VarietyDescriptor,
-        osculating: tuple[SheafData, ...],
-        normal_bundle: SheafData,
-    ) -> None:
-        object.__setattr__(self, "invariants", invariants)
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "osculating", osculating)
-        object.__setattr__(self, "normal_bundle", normal_bundle)
 
     def osculating_sheaf(self, m: int) -> SheafData:
         if not 1 <= m <= self.invariants.ambient - 1:
@@ -160,12 +144,6 @@ class SurfaceChernNumbers(Record):
     int K.H and int H^2."""
 
     __slots__ = _fields = ("K2", "c2", "KH", "H2")
-
-    def __init__(self, K2: int, c2: int, KH: int, H2: int) -> None:
-        object.__setattr__(self, "K2", K2)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "KH", KH)
-        object.__setattr__(self, "H2", H2)
 
     @classmethod
     def from_degree(cls, d: int) -> "SurfaceChernNumbers":

@@ -126,6 +126,15 @@ def test_sweep_range_error_names_the_flag(capsys, flag, value):
     )
 
 
+@pytest.mark.parametrize("target", ["surface", "hypersurface"])
+@pytest.mark.parametrize("flag", ["--g", "--k0"])
+def test_sweep_refuses_curve_options_elsewhere(capsys, target, flag):
+    # they were ignored, and the g = 0 rows came back with exit 0
+    assert run(capsys, "sweep", target, "--n", "3", "--d", "2", flag, "0") == (
+        2, "", f"error: --g and --k0 describe curves, not a {target} sweep\n"
+    )
+
+
 def test_oracle_cli(capsys):
     code, out, _ = run(capsys, "oracle", "--poly", "x**2/4 + y**2 - 1", "--format", "json")
     assert code == 0
@@ -137,6 +146,27 @@ def test_oracle_cli_degenerate_input(capsys):
     code, _, err = run(capsys, "oracle", "--poly", "x")
     assert code == 2
     assert "curvature" in err
+
+
+@pytest.mark.parametrize(
+    ("poly", "flags", "g", "k0", "d"),
+    [
+        ("x**2/4 + y**2 - 1", ("--g", "5"), 5, 0, 2),
+        ("x**2/4 + y**2 - 1", ("--k0", "9"), 0, 9, 2),
+        # the smooth default genus leaves no room for a cusp
+        ("x**3 + y**3 + x*y + x - 2*y + 1", ("--k0", "1"), 1, 1, 3),
+    ],
+)
+def test_oracle_refuses_invariants_beyond_the_genus_bound(capsys, poly, flags, g, k0, d):
+    # g + k0 <= (d-1)(d-2)/2 for every degree-d curve; beyond it the oracle
+    # reported a mismatch with exit 1
+    bound = (d - 1) * (d - 2) // 2
+    assert run(capsys, "oracle", "--poly", poly, *flags) == (
+        2,
+        "",
+        f"error: genus {g} plus cusp count {k0} exceeds (d-1)(d-2)/2 = {bound}, "
+        f"which bounds g + k0 for a curve of degree {d}\n",
+    )
 
 
 @pytest.mark.parametrize(

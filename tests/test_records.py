@@ -1,13 +1,14 @@
-"""The value records of the engine and the oracle: built with keywords and
-defaults as their callers build them, equal and hashed by their fields, and
-immutable."""
+"""The value records of the engine and the oracle: built by `Record`'s one
+constructor with keywords and defaults as their callers build them, equal
+and hashed by their fields, and immutable."""
 
 import pytest
 
+import evolute.cli  # noqa: F401  with the oracle, loads every module that defines a record
 from evolute.chow import SheafData, VarietyDescriptor
 from evolute.oracle import EvoluteResult, PlaneCurve
 from evolute.pipelines import EnumerativeReport, IdentityResult, LocusResult, curve_report
-from evolute.ring import GeneratorTable, generator, unit
+from evolute.ring import GeneratorTable, Record, generator, unit
 from evolute.varieties import CurveGeometry, CurveInvariants, SurfaceChernNumbers, curve_geometry
 
 TABLE = GeneratorTable(("K", "H"), (1, 1), bound=1)
@@ -83,3 +84,35 @@ def test_report_dict_keeps_the_field_order():
     assert payload["input"] is report.input
     assert payload["results"][0]["engine_degree"] == report.results[0].engine_degree
     assert payload["citations"] == report.citations and payload["flags"] == report.flags
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_rebuilds_from_its_fields(cls):
+    record = RECORDS[cls][0](1)
+    fields = record.as_dict()
+    assert cls(**fields) == record
+    assert cls(*fields.values()) == record
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_constructor_refuses_wrong_fields(cls):
+    fields = RECORDS[cls][0](1).as_dict()
+    first = next(iter(fields))
+    with pytest.raises(TypeError, match=f"missing field {first!r}"):
+        cls(**{name: value for name, value in fields.items() if name != first})
+    with pytest.raises(TypeError, match="unknown or repeated field 'extra'"):
+        cls(**fields, extra=1)
+    with pytest.raises(TypeError, match="unknown or repeated field"):
+        cls(*fields.values(), **{first: fields[first]})
+    with pytest.raises(TypeError, match=f"takes {len(fields)} fields, got {len(fields) + 1}"):
+        cls(*fields.values(), None)
+
+
+def test_record_is_the_only_constructor():
+    found, stack = set(), [Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            found.add(sub)
+            stack.append(sub)
+    assert found == set(RECORDS)
+    assert [cls.__name__ for cls in found if "__init__" in vars(cls)] == []
