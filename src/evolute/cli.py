@@ -308,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="plane-curve evolute by resultant elimination")
     p.add_argument("--poly", required=True, help="curve polynomial in x and y, e.g. 'x**2/4 + y**2 - 1'")
-    p.add_argument("--g", type=int, help="declared genus (default: smooth plane-curve genus)")
-    p.add_argument("--k0", type=int, default=0, help="declared weighted cusp count")
     _add_output_options(p)
 
     p = sub.add_parser("sweep", help="run a pipeline over parameter ranges")
@@ -410,8 +408,7 @@ def _checks_text(results: list[tuple[str, bool, str]]) -> str:
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
-    curve = oracle.PlaneCurve.from_expr(args.poly, genus=args.g, cusps=args.k0)
-    result = oracle.oracle_check(curve)
+    result = oracle.oracle_check(oracle.PlaneCurve.from_expr(args.poly))
     _write(args, result, oracle.EvoluteResult.to_dict, render_oracle_text, render_oracle_csv)
     return 0 if result.match is not False else 1
 

@@ -10,10 +10,11 @@ The point (X, Y) lies on the normal at (x, y) when
 
 so R(x; X, Y) = Res_y(F, H) vanishes at the x-coordinates of the critical
 points of the distance from (X, Y).  Its content in x (the singular
-points, a root at every centre) is removed, and D = disc_x(R) vanishes
-where two critical points meet (the evolute) and where two distinct ones
-share their x (the x-coincidence locus).  The second kind comes in pairs,
-so D is the evolute times the square of that locus, and the evolute is the
+points, a root at every centre) is removed, and its multiplicities count
+the nodes and the ordinary cusps.  D = disc_x(R) vanishes where two
+critical points meet (the evolute) and where two distinct ones share their
+x (the x-coincidence locus).  The second kind comes in pairs, so D is the
+evolute times the square of that locus, and the evolute is the
 multiplicity-one part of D.  One elimination order suffices: the gcd with
 the other order's discriminant can keep a common factor of both
 coincidence loci that is not on the evolute.  Univariate and isotropic
@@ -58,12 +59,10 @@ by the three fallbacks (the curve's `factor_list`, D's `sqf_list` and the
 evolute's `factor_list`), through `_sympy`; they build its `Poly`, and
 `_integer_terms` converts their results back.
 
-This module shares no algebra with the intersection-theoretic engine, so
-the two paths cross-check each other through the closed-form target
-6(d + g - 1) - 2 k0.  It shares only the record base `ring.Record`: its
-two values, `PlaneCurve` and `EvoluteResult`, name their fields in
-`_fields`, and `Record`'s one constructor binds them; neither has
-`_defaults` or a `_post_init` check.
+This module shares no algebra with the intersection-theoretic engine, only
+the record base `ring.Record`, so the two paths cross-check each other
+through the closed-form target 6(d + g - 1) - 2 k0, with the genus g and
+the cusp count k0 read off the curve.
 """
 
 from __future__ import annotations
@@ -128,43 +127,23 @@ class InconclusiveEliminationError(ArithmeticError):
 
 
 class PlaneCurve(Record):
-    """An implicit plane curve F(x, y) = 0, as integer terms (exponents
-    (i, j) of x**i y**j -> nonzero coefficient, denominators cleared), with
-    its declared numerical invariants.
+    """An implicit plane curve F(x, y) = 0 and its degree, as integer terms
+    (exponents (i, j) of x**i y**j -> nonzero coefficient, denominators cleared)."""
 
-    The genus defaults to the smooth plane-curve value (d-1)(d-2)/2 and the
-    weighted cusp count k0 to 0; both only feed the expected-degree target.
-    `from_expr` refuses g + k0 > (d-1)(d-2)/2, which no degree-d curve has:
-    g = (d-1)(d-2)/2 - sum delta, and a branch of multiplicity m has
-    delta >= m(m-1)/2 >= m - 1, its weight in k0.
-    """
-
-    __slots__ = _fields = ("terms", "degree", "genus", "cusps")
+    __slots__ = _fields = ("terms", "degree")
 
     def __hash__(self) -> int:
-        # the terms are a dict: curves hash by their invariants
-        return hash((self.degree, self.genus, self.cusps))
+        # the terms are a dict: curves hash by their degree
+        return hash(self.degree)
 
     @classmethod
-    def from_expr(cls, text: str, genus: int | None = None, cusps: int = 0) -> "PlaneCurve":
-        if genus is not None and genus < 0:
-            raise ValueError("genus must be nonnegative")
-        if cusps < 0:
-            raise ValueError("cusp count must be nonnegative")
+    def from_expr(cls, text: str) -> "PlaneCurve":
         terms = parse_polynomial(text)
         scale = lcm(*(c.denominator for c in terms.values()))
         F = {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
         d = degree(F)
         if not d:
             raise ValueError("constant input is not a curve")
-        bound = (d - 1) * (d - 2) // 2
-        if genus is None:
-            genus = bound
-        if genus + cusps > bound:
-            raise ValueError(
-                f"genus {genus} plus cusp count {cusps} exceeds (d-1)(d-2)/2 = {bound}, "
-                f"which bounds g + k0 for a curve of degree {d}"
-            )
         # before the irreducibility check, whose sympy fallback can cost
         # more than the elimination for large coefficients
         work, samples, bits = predicted_work(F)
@@ -180,11 +159,7 @@ class PlaneCurve(Record):
                 raise ValueError("curve polynomial must be squarefree")
             if len(factors) > 1:
                 raise DegenerateCurveError("curve polynomial must be irreducible over Q")
-        return cls(F, d, int(genus), cusps)
-
-    @property
-    def expected_evolute_degree(self) -> int:
-        return 6 * (self.degree + self.genus - 1) - 2 * self.cusps
+        return cls(F, d)
 
     def through_circular_points(self) -> bool:
         """Whether the projective closure meets the circular points at
@@ -207,16 +182,15 @@ class PlaneCurve(Record):
     def genericity_flags(self) -> list[str]:
         flags = []
         if self.through_circular_points():
-            flags.append(
-                "genericity violated: curve passes through the circular points "
-                "at infinity; degree comparison suspended"
-            )
+            flags.append(_suspended("curve passes through the circular points at infinity"))
         if not self.meets_infinity_transversally():
-            flags.append(
-                "genericity violated: curve is tangent to the line at infinity; "
-                "degree comparison suspended"
-            )
+            flags.append(_suspended("curve is tangent to the line at infinity"))
         return flags
+
+
+def _suspended(reason: str) -> str:
+    """The flag of a genericity violation, which suspends the comparison."""
+    return f"genericity violated: {reason}; degree comparison suspended"
 
 
 ZERO_CURVATURE = "zero curvature along the curve (line components)"
@@ -494,23 +468,41 @@ def _columns(terms: _IntTerms, var: int) -> dict[tuple[int, ...], list[int]]:
     }
 
 
-def _strip_content(R: _IntTerms, log: list[str]) -> _IntTerms:
+def _strip_content(R: _IntTerms, log: list[str]) -> tuple[_IntTerms, dict[int, int]]:
     """R without its content in x, the gcd of its columns (the coefficients
-    of each X**a Y**b): the x-coordinates of the singular points, which are
-    roots of R at every centre (X, Y).  Vertical lines leave no x."""
-    m = max(i for i, _, _ in R)
+    of each X**a Y**b), and the content's multiplicities -> the degree of
+    the part of each (`sqf_list`); vertical lines leave no x.
+
+    H = Fx Gy - Fy Gx, the Jacobian of F and the squared distance to the
+    centre G = ((x - X)**2 + (y - Y)**2) / 2.  When the leading form LF is
+    squarefree (else flagged), F or H has a constant head in y: F's when
+    y**d is in LF, else H's, F's coefficient of x y**(d - 1).  So no root
+    in y escapes to infinity, the order of R at x0 for a generic centre is
+    the sum of I_p(F, H) over the points p of F on x = x0, and lc_y(F)
+    adds no root: x*y - 1 and x*y**2 - x**3 - 1 have constant content.
+    I_p = 0 at a smooth p, where H(p) != 0.  At a singular p, of Milnor
+    number mu_p and multiplicity m_p, G - G(p) has a generic differential,
+    so I_p(F, G - G(p)) = m_p and the Le-Greuel formula (Le, Funct. Anal.
+    Appl. 8, 1974; Greuel, Math. Ann. 214, 1975) gives
+    I_p(F, H) = mu_p + m_p - 1: 2 at a node, 3 at an ordinary cusp, at
+    least 4 at any other point (A_k gives k + 1; m_p >= 3 gives
+    mu_p >= (m_p - 1)**2) and on any line through two singular points.
+    Singular points at infinity are flagged: a squarefree LF has d smooth."""
     columns = _columns(R, 0)
     common = content(columns.values())
+    singular = {mult: len(part) - 1 for part, mult in sqf_list(common)}
     if len(common) > 1:
-        log.append(f"removed content of degree {len(common) - 1} in x (singular points)")
-        m -= len(common) - 1
+        log.append(
+            f"removed content of degree {len(common) - 1} in x (singular points: "
+            f"nodes {singular.get(2, 0)}, cusps {singular.get(3, 0)})"
+        )
         R = {}
         for (a, b), col in columns.items():
             quotient = exquo(col, common)[::-1]
             R.update({(i, a, b): c for i, c in enumerate(quotient) if c})
-    if m == 0:
+    if max(i for i, _, _ in R) == 0:
         raise DegenerateCurveError(ZERO_CURVATURE)
-    return R
+    return R, singular
 
 
 def _discriminant_degree(R: _IntTerms) -> float:
@@ -774,16 +766,16 @@ def _primitive(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 # --------------------------------------------------------------------------
 
 
-def eliminate(system: tuple[_IntTerms, _IntTerms]) -> tuple[_IntTerms, list[str]]:
+def eliminate(system: tuple[_IntTerms, _IntTerms]) -> tuple[_IntTerms, list[str], dict[int, int]]:
     """Project the normal system (F, H) to the ED discriminant in (X, Y):
     R = Res_y(F, H) without its content in x, D = disc_x(R), the
     multiplicity-one part of D, and the extraneous-factor policy.  Returns
-    the evolute polynomial in (X, Y) and the log."""
+    the evolute in (X, Y), the log and `_strip_content`'s reading of R."""
     log: list[str] = []
-    R = _strip_content(_normal_resultant(*system), log)
+    R, singular = _strip_content(_normal_resultant(*system), log)
     evolute = _simple_part(_discriminant(R), log)
     if _nothing_to_strip(evolute):
-        return _normalize_sign(evolute), log
+        return _normalize_sign(evolute), log, singular
 
     # sp.factor_list sorts the factors, which fixes the order of the log
     sp = _sympy()
@@ -809,7 +801,7 @@ def eliminate(system: tuple[_IntTerms, _IntTerms]) -> tuple[_IntTerms, list[str]
     if not kept:
         raise InconclusiveEliminationError("every factor was extraneous")
 
-    return _normalize_sign(_integer_terms(sp.prod(kept))), log
+    return _normalize_sign(_integer_terms(sp.prod(kept))), log, singular
 
 
 def _nothing_to_strip(P: _IntTerms) -> bool:
@@ -845,24 +837,29 @@ def _normalize_sign(P: _IntTerms) -> _IntTerms:
 
 def oracle_check(curve: PlaneCurve) -> EvoluteResult:
     """Full oracle pipeline: build the curvature system, eliminate, and
-    compare the evolute degree with the closed-form target.  Isotropic
-    factors stripped from the ED discriminant of a curve that avoids the
-    circular points (isotropic tangents of higher contact, as on
-    x**3 - 3 x y**2 + 1) suspend the comparison as well: the closed form
-    may count them."""
+    compare the evolute degree with 6(d + g - 1) - 2 k0, with the nodes and
+    the cusps k0 read off R's content and g = (d - 1)(d - 2)/2 - nodes - k0.
+    Other singular points suspend the comparison, as do isotropic factors
+    stripped from the ED discriminant of a curve that avoids the circular
+    points (isotropic tangents of higher contact, as on
+    x**3 - 3 x y**2 + 1): the closed form may count them."""
     flags = curve.genericity_flags()
-    evolute, log = eliminate(center_of_curvature_system(curve))
+    evolute, log, singular = eliminate(center_of_curvature_system(curve))
+    unread = ", ".join(str(k) for k in sorted(singular) if k not in (2, 3))
+    if unread:
+        flags.append(_suspended("a singular point other than a node or an ordinary cusp, or two "
+                                f"on one vertical line (content multiplicity {unread} in x)"))
     stripped = any(line.startswith(STRIPPED_ISOTROPIC) for line in log)
     if stripped and not curve.through_circular_points():
-        flags.append(
-            "genericity violated: isotropic-line factors of the ED discriminant were "
-            "stripped from the evolute; degree comparison suspended"
-        )
-    match = degree(evolute) == curve.expected_evolute_degree if not flags else None
+        flags.append(_suspended("isotropic-line factors of the ED discriminant were stripped "
+                                "from the evolute"))
+    d, nodes, cusps = curve.degree, singular.get(2, 0), singular.get(3, 0)
+    genus = (d - 1) * (d - 2) // 2 - nodes - cusps
+    expected = 6 * (d + genus - 1) - 2 * cusps
     return EvoluteResult(
         terms=evolute,
-        expected_degree=curve.expected_evolute_degree,
-        match=match,
+        expected_degree=expected,
+        match=degree(evolute) == expected if not flags else None,
         flags=tuple(flags),
         log=tuple(log),
     )

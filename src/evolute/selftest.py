@@ -325,7 +325,12 @@ def check_oracle() -> tuple[str, bool, str]:
     ok &= cubic.degree == 18 and cubic.match is True
     ok &= any("extraneity" in entry for entry in cubic.log)
 
-    return ("elimination oracle: ellipse sextic, circle flag, cubic degree 18", ok, ", ".join(details))
+    folium = oracle_check(PlaneCurve.from_expr("x**3 + y**3 - 3*x*y"))  # one node: genus 0
+    details.append(f"folium degree {folium.degree}")
+    ok &= folium.degree == folium.expected_degree == 12 and folium.match is True
+    ok &= "nodes 1, cusps 0" in folium.log[0]
+
+    return ("elimination oracle: ellipse, circle flag, cubic 18, nodal folium 12", ok, ", ".join(details))
 
 
 BATTERY = (

@@ -148,25 +148,14 @@ def test_oracle_cli_degenerate_input(capsys):
     assert "curvature" in err
 
 
-@pytest.mark.parametrize(
-    ("poly", "flags", "g", "k0", "d"),
-    [
-        ("x**2/4 + y**2 - 1", ("--g", "5"), 5, 0, 2),
-        ("x**2/4 + y**2 - 1", ("--k0", "9"), 0, 9, 2),
-        # the smooth default genus leaves no room for a cusp
-        ("x**3 + y**3 + x*y + x - 2*y + 1", ("--k0", "1"), 1, 1, 3),
-    ],
-)
-def test_oracle_refuses_invariants_beyond_the_genus_bound(capsys, poly, flags, g, k0, d):
-    # g + k0 <= (d-1)(d-2)/2 for every degree-d curve; beyond it the oracle
-    # reported a mismatch with exit 1
-    bound = (d - 1) * (d - 2) // 2
-    assert run(capsys, "oracle", "--poly", poly, *flags) == (
-        2,
-        "",
-        f"error: genus {g} plus cusp count {k0} exceeds (d-1)(d-2)/2 = {bound}, "
-        f"which bounds g + k0 for a curve of degree {d}\n",
-    )
+@pytest.mark.parametrize("flag, value", [("--g", "0"), ("--k0", "1")])
+def test_oracle_refuses_declared_invariants(capsys, flag, value):
+    # the genus and the cusps are read off the curve: the options are gone
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "--poly", "x**3 + y**3 - 3*x*y", flag, value])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag} {value}" in err_text
 
 
 @pytest.mark.parametrize(

@@ -72,8 +72,7 @@ RATIONAL_CUBIC = "x**3/2 + y**3/3 + x*y/5 + x - 2*y + 1"
 
 def test_plane_curve_validation():
     curve = PlaneCurve.from_expr(ELLIPSE)
-    assert curve.degree == 2 and curve.genus == 0 and curve.cusps == 0
-    assert curve.expected_evolute_degree == 6
+    assert PlaneCurve._fields == ("terms", "degree") and curve.degree == 2
     with pytest.raises(ValueError):
         PlaneCurve.from_expr("x**2")  # not squarefree
     with pytest.raises(ValueError):
@@ -228,16 +227,12 @@ def test_integer_literals_are_capped():
             parse_polynomial(f"x**2 + 2*y**2 - {literal}")
 
 
-def test_negative_invariants_rejected():
-    with pytest.raises(ValueError, match="^genus must be nonnegative$"):
-        PlaneCurve.from_expr(ELLIPSE, genus=-3)
-    with pytest.raises(ValueError, match="^cusp count must be nonnegative$"):
-        PlaneCurve.from_expr(ELLIPSE, cusps=-1)
-
-
-def test_cubic_default_genus():
-    assert PlaneCurve.from_expr(CUBIC).genus == 1
-    assert PlaneCurve.from_expr(CUBIC).expected_evolute_degree == 18
+def test_cubic_default_genus(shared_oracle_check):
+    # a smooth cubic: R's content is constant, so the genus is the smooth 1
+    # and the target 6(3 + 1 - 1) = 18
+    result = shared_oracle_check(PlaneCurve.from_expr(CUBIC))
+    assert result.expected_degree == 18
+    assert not any("removed content" in line for line in result.log)
 
 
 def test_circular_point_detection():
@@ -262,8 +257,8 @@ def _as_poly(terms, *gens):
 
 
 def _curve(F):
-    """The integer curve of a Poly F in (x, y), with placeholder invariants."""
-    return PlaneCurve(_integer_terms(F), F.total_degree(), 0, 0)
+    """The integer curve of a Poly F in (x, y)."""
+    return PlaneCurve(_integer_terms(F), F.total_degree())
 
 
 def test_system_ellipse_vertex_center():
@@ -384,16 +379,17 @@ def test_cubic_evolute_degree(battery_result):
     # extraneity log line; the acceptance criterion shares this elimination
     name, ok, detail = battery_result(check_oracle)
     assert ok, f"{name}: {detail}"
-    assert "cubic degree 18" in detail
+    assert "cubic degree 18" in detail and "folium degree 12" in detail
 
 
 def test_nodal_cubic_in_general_position():
-    # the folium has one node (geometric genus 0) and a squarefree,
-    # non-isotropic leading form; the weighted-invariant target
-    # 6(d+g-1)-2k0 = 12 is met on the honest elimination
-    folium = PlaneCurve.from_expr("x**3 + y**3 - 3*x*y", genus=0, cusps=0)
+    # the folium has one node, read off R's content (geometric genus 0), and
+    # a squarefree, non-isotropic leading form; the weighted-invariant
+    # target 6(d+g-1)-2k0 = 12 is met on the honest elimination
+    folium = PlaneCurve.from_expr("x**3 + y**3 - 3*x*y")
     result = oracle_check(folium)
-    assert result.degree == 12
+    assert result.log[0] == "removed content of degree 2 in x (singular points: nodes 1, cusps 0)"
+    assert result.degree == result.expected_degree == 12
     assert result.match is True
 
 
@@ -401,7 +397,7 @@ def test_nodal_cubic_tangent_to_infinity_exploratory():
     # y^2 = x^2(x+1) is tangent to the line at infinity (leading form -x^3),
     # violating general position; the comparison is suspended, the
     # elimination itself stays exact and deterministic
-    nodal = PlaneCurve.from_expr("y**2 - x**2*(x+1)", genus=0, cusps=0)
+    nodal = PlaneCurve.from_expr("y**2 - x**2*(x+1)")
     assert not nodal.meets_infinity_transversally()
     result = oracle_check(nodal)
     assert result.match is None
@@ -462,7 +458,7 @@ def test_grid_resultant_matches_direct_resultant(conic):
     assert _proportional(_as_poly(R), sp.Poly(direct, x, X, Y))
     disc = sp.Poly(sp.discriminant(direct, x), X, Y)
     assert disc.total_degree() > 0
-    assert _proportional(_as_poly(_discriminant(_strip_content(R, [])), X, Y), disc)
+    assert _proportional(_as_poly(_discriminant(_strip_content(R, [])[0]), X, Y), disc)
 
 
 def _sylvester_determinant(f, g):
@@ -700,7 +696,7 @@ def test_packed_discriminant_term_beyond_the_degree_is_refused(monkeypatch):
     # the ellipse's D has total degree at most T = 10: a quotient 2**(11 k)
     # at every X node interpolates to the digit of X**0 Y**11
     system = center_of_curvature_system(PlaneCurve.from_expr(ELLIPSE))
-    R = _strip_content(_normal_resultant(*system), [])
+    R = _strip_content(_normal_resultant(*system), [])[0]
     T = _discriminant_degree(R)
     k = _discriminant_width(R, T)
     monkeypatch.setattr(oracle, "dup_resultant", lambda f, g: f[0] << k * (T + 1))
@@ -729,15 +725,20 @@ def test_unpack_inverts_pack(case):
 
 
 def _content_by_gcd_fold(R):
-    """R divided by the gcd of its X**a Y**b columns, with the log line."""
+    """R divided by the gcd of its X**a Y**b columns, with the log line and
+    the content's multiplicities -> degrees, by sympy's `sqf_list`."""
     columns = {}
     for (i, a, b), c in R.items():
         columns.setdefault((a, b), {})[(i,)] = c
     content = reduce(lambda f, g: f.gcd(g), (sp.Poly.from_dict(c, x) for c in columns.values()))
     if content.degree() <= 0:
-        return _as_poly(R), []
-    log = [f"removed content of degree {content.degree()} in x (singular points)"]
-    return _as_poly(R).exquo(sp.Poly(content.as_expr(), x, X, Y)), log
+        return _as_poly(R), [], {}
+    singular = {mult: part.degree() for part, mult in content.sqf_list()[1]}
+    log = [
+        f"removed content of degree {content.degree()} in x (singular points: "
+        f"nodes {singular.get(2, 0)}, cusps {singular.get(3, 0)})"
+    ]
+    return _as_poly(R).exquo(sp.Poly(content.as_expr(), x, X, Y)), log, singular
 
 
 # both have a node, so R has content of degree 2 in x (their golden logs)
@@ -754,14 +755,47 @@ def test_content_certificate_matches_gcd_fold(terms):
         R = _normal_resultant(*_normal_system(terms))
     except InconclusiveEliminationError:
         assume(False)
-    expected, expected_log = _content_by_gcd_fold(R)
+    expected, expected_log, expected_singular = _content_by_gcd_fold(R)
     log = []
     if expected.degree(x) == 0:
         with pytest.raises(DegenerateCurveError):
             _strip_content(R, log)
         return
-    assert _as_poly(_strip_content(R, log)) == expected
-    assert log == expected_log
+    stripped, singular = _strip_content(R, log)
+    assert _as_poly(stripped) == expected
+    assert (log, singular) == (expected_log, expected_singular)
+
+
+@pytest.mark.parametrize(
+    "text, multiplicity",
+    [
+        ("x**3 + y**3 - 3*x*y", 2),  # one node
+        ("y**2 - x**3 + x**4 + y**4", 3),  # one ordinary cusp
+        ("y**2 - x**4 + x**6 + y**6", 4),  # a tacnode
+        ("y**2 - x**5", 5),  # an A4 point
+        ("x**3 - 3*x*y**2 + x**4 + y**4", 6),  # an ordinary triple point
+        ("x**4 + x**3 - 2*x**2 + y**4 - 2*y**2 + 1", 4),  # two nodes on x = 0
+    ],
+)
+def test_content_multiplicity_is_mu_plus_m_minus_one(text, multiplicity):
+    # one x in R's content, of multiplicity mu_p + m_p - 1 summed over the
+    # singular points p on its vertical line; R only, since the guard
+    # refuses the sextic
+    F = _cleared(text)
+    R = _normal_resultant(*center_of_curvature_system(PlaneCurve(F, polyparse.degree(F))))
+    assert _strip_content(R, [])[1] == {multiplicity: 1}
+
+
+def test_triple_point_suspends_the_comparison():
+    # the content reads no node and no cusp, so the target would take the
+    # smooth genus 3 (36 against the evolute's 18): the flag suspends it
+    result = oracle_check(PlaneCurve.from_expr("x**3 - 3*x*y**2 + x**4 + y**4"))
+    assert result.flags == (
+        "genericity violated: a singular point other than a node or an ordinary cusp, "
+        "or two on one vertical line (content multiplicity 6 in x); degree comparison "
+        "suspended",
+    )
+    assert (result.degree, result.expected_degree, result.match) == (18, 36, None)
 
 
 @pytest.mark.parametrize(
@@ -777,8 +811,8 @@ def test_content_certificate_matches_gcd_fold(terms):
 def test_max_plus_bound_is_tight(F, degree, sylvester):
     # the bound is deg D on these curves; the Sylvester bound, which the
     # cost guard still uses, is looser on all but the circle
-    system = center_of_curvature_system(PlaneCurve(F, polyparse.degree(F), 0, 0))
-    R = _strip_content(_normal_resultant(*system), [])
+    system = center_of_curvature_system(PlaneCurve(F, polyparse.degree(F)))
+    R = _strip_content(_normal_resultant(*system), [])[0]
     m = max(i for i, _, _ in R)
     lead = max(a + b for i, a, b in R if i == m)
     assert (2 * m - 1) * max(a + b for _, a, b in R) - lead == sylvester
@@ -818,7 +852,7 @@ def test_newton_polygon_degree_is_max_plus_sylvester(terms):
 def _split(F):
     """The multiplicity-one part of disc_x(Res_y(F, H)) of the curve F."""
     system = center_of_curvature_system(_curve(F))
-    D = _discriminant(_strip_content(_normal_resultant(*system), []))
+    D = _discriminant(_strip_content(_normal_resultant(*system), [])[0])
     return _as_poly(_simple_part(D, []), X, Y)
 
 
@@ -862,7 +896,7 @@ def test_single_order_split_matches_other_order(terms):
 @example({(2, 0): -3, (1, 1): 2, (1, 0): 2, (0, 2): -2, (0, 1): 3, (0, 0): -2})
 def test_square_split_matches_sqf_list(terms):
     try:
-        R = _strip_content(_normal_resultant(*_normal_system(terms)), [])
+        R = _strip_content(_normal_resultant(*_normal_system(terms)), [])[0]
         with _packed_bits(_D_PATHS[0]):
             D = _discriminant(R)
     except (DegenerateCurveError, InconclusiveEliminationError):
@@ -1089,7 +1123,7 @@ def _curves_at_infinity(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_curves_at_infinity())
-@example(PlaneCurve({(1, 0): 1}, 1, 0, 0))
+@example(PlaneCurve({(1, 0): 1}, 1))
 def test_flags_match_gcd_definitions(curve):
     # the leading form LF, the terms of total degree d
     LF = _as_poly({m: c for m, c in curve.terms.items() if sum(m) == curve.degree}, x, y)
@@ -1203,21 +1237,24 @@ def _rational_cubics(draw):
 
 
 def _cusp_count(P):
-    """The weighted cusp count k0 of a proper cubic parametrization: the
-    zeros on the parameter line of the 2 x 2 minors of (P, P'), quartics
-    once homogenized, so 4 - (their top degree) of them lie at t = oo."""
+    """The weighted cusp count k0 of a proper parametrization of degree n:
+    the zeros on the parameter line of the 2 x 2 minors of (P, P'), forms
+    of degree 2n - 2 once homogenized, so 2n - 2 - (their top degree) of
+    them lie at t = oo.  A branch of multiplicity m is a zero of order
+    m - 1."""
+    n = max(sp.degree(p, T) for p in P)
     dP = [sp.diff(p, T) for p in P]
     minors = [sp.Poly(P[i] * dP[j] - P[j] * dP[i], T) for i, j in ((0, 1), (0, 2), (1, 2))]
     minors = [m for m in minors if not m.is_zero]
-    return reduce(sp.Poly.gcd, minors).degree() + 4 - max(m.degree() for m in minors)
+    return reduce(sp.Poly.gcd, minors).degree() + 2 * n - 2 - max(m.degree() for m in minors)
 
 
 @settings(max_examples=20, deadline=None)
 @given(_rational_cubics())
 def test_singular_cubic_oracle_agrees_with_engine(drawn):
     # the implicit equation of a rational cubic, whose one singular point is
-    # a node or a cusp: the oracle strips it from R and still finds the
-    # evolute degree 6(d + g - 1) - 2 k0 with g = 0
+    # a node or a cusp: the oracle reads it off R's content, strips it, and
+    # finds the evolute degree 6(d + g - 1) - 2 k0 with g = 0
     P, k0 = drawn
     F = sp.Poly(sp.resultant(P[0] * x - P[1], P[0] * y - P[2], T), x, y)
     assume(not F.is_zero and F.total_degree() == 3)
@@ -1225,15 +1262,57 @@ def test_singular_cubic_oracle_agrees_with_engine(drawn):
     assume(len(factors) == 1 and factors[0][1] == 1)  # a proper parametrization
     assume(_cusp_count(P) == k0)
     try:
-        curve = PlaneCurve.from_expr(str(F.as_expr()), genus=0, cusps=k0)
+        curve = PlaneCurve.from_expr(str(F.as_expr()))
     except ValueError:  # a guard refusal
         assume(False)
     assume(not curve.genericity_flags())
     report = curve_report(CurveInvariants(2, 3, 0, (k0,)))
     (evolute_row,) = [row for row in report.results if "[evolute]" in row.locus]
     result = oracle_check(curve)
-    assert result.degree == evolute_row.engine_degree == 12 - 2 * k0
+    cusps = _cusp_count(P)
+    assert result.log[0].endswith(f"(singular points: nodes {1 - cusps}, cusps {cusps})")
+    assert result.degree == evolute_row.engine_degree == result.expected_degree == 12 - 2 * k0
     assert result.match is True
+
+
+@st.composite
+def _rational_quartics(draw):
+    """(P, k0): random integer quartics P = (P0 : P1 : P2) in t, with three
+    nodes where no cusp is drawn (k0 = 0), or with P'(0) = 0, a cusp at
+    t = 0 beside two nodes (k0 = 1)."""
+    cusp = draw(st.booleans())
+    powers = (0, 2, 3, 4) if cusp else range(5)
+    return [sum(draw(_SMALL_INT) * T**k for k in powers) for _ in range(3)], int(cusp)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_rational_quartics())
+@example(([1 + T + T**4, T**2 - T**3, T + 2 * T**4], 0))
+@example(([2 + T**4, T**2 + T**3, 1 + T**3 + T**4], 1))
+def test_rational_quartic_singular_points_are_read(drawn):
+    # R and its content only: the guard refuses these quartics (~1e11).
+    # Each singular point p adds mu_p + m_p - 1 = 2 delta_p + m_p - r_p to
+    # R's content (Le-Greuel and Milnor's mu = 2 delta - r + 1, with r_p
+    # branches), and on a rational quartic, whose points at infinity are
+    # smooth when unflagged, the delta_p add up to the genus drop 3 and the
+    # m_p - r_p to the weighted cusp count k0: the content has degree
+    # 6 + k0 in all.  Where it reads only nodes and ordinary cusps, they
+    # are the 3 - k0 nodes and the k0 cusps of the parametrization
+    P, k0 = drawn
+    F = sp.Poly(sp.resultant(P[0] * x - P[1], P[0] * y - P[2], T), x, y)
+    assume(not F.is_zero and F.total_degree() == 4)
+    _, factors = sp.factor_list(F)
+    assume(len(factors) == 1 and factors[0][1] == 1)  # a proper parametrization
+    assume(_cusp_count(P) == k0)
+    curve = _curve(F)
+    assume(not curve.genericity_flags())
+    log = []
+    _, singular = _strip_content(_normal_resultant(*center_of_curvature_system(curve)), log)
+    assert sum(mult * part for mult, part in singular.items()) == 6 + k0
+    if set(singular) <= {2, 3}:
+        assert (singular.get(2, 0), singular.get(3, 0)) == (3 - k0, k0)
+        assert log == [f"removed content of degree {6 + k0} in x (singular points: "
+                       f"nodes {3 - k0}, cusps {k0})"]
 
 
 def test_canonical_text_deterministic():
@@ -1276,17 +1355,20 @@ def test_canonical_text_round_trip(terms):
 # modulo a prime, and `_yun` squarefree decompositions.  The conics'
 # quadratics are decided by their discriminants; the folium's x**3 at
 # y0 = 0 fails at all 15 primes and x**3 - 3 x + 1 at y0 = 1 is irreducible
-# modulo 2.  One decomposition per node where a root of multiplicity above
+# modulo 2.  One decomposition of R's content where it is not a constant
+# (only the folium's), one per node where a root of multiplicity above
 # 2 leaves the one-gcd split a remainder, and one of mu(Y) in the split of
 # D unless it is a constant (only the ellipse's is not): none of the
 # ellipse's nodes (its split is certified at the nodes 1 and -1, before its
 # multiplicity-4 nodes 3 and -3), two of the folium's (7 and 6) and the
 # circle's node 0, where D(X, 0) = X**4
 _CERTIFICATE_CALLS = {
-    ELLIPSE: (0, 1), "x**3 + y**3 - 3*x*y": (16, 2), CUBIC: (1, 0), "x**2 + y**2 - 1": (0, 1)
+    ELLIPSE: (0, 1), "x**3 + y**3 - 3*x*y": (16, 3), CUBIC: (1, 0), "x**2 + y**2 - 1": (0, 1)
 }
 
 
+# `genus` is the genus read off R's content, None where the content is
+# constant and the smooth genus (d - 1)(d - 2)/2 holds
 @pytest.mark.parametrize(
     "text, genus, kernel_calls, factor_calls",
     [
@@ -1321,7 +1403,12 @@ def test_oracle_work_counts(request, monkeypatch, text, genus, kernel_calls, fac
     if marker:
         monkeypatch.setattr(oracle, "_PACKED_BITS", *marker.args)
     counts = _count_calls(monkeypatch)
-    oracle_check(PlaneCurve.from_expr(text, genus=genus))
+    curve = PlaneCurve.from_expr(text)
+    result = oracle_check(curve)
+    d = curve.degree
+    assert any("removed content" in line for line in result.log) is (genus is not None)
+    g = (d - 1) * (d - 2) // 2 if genus is None else genus
+    assert result.expected_degree == 6 * (d + g - 1)
     modular, decompositions = _CERTIFICATE_CALLS[text]
     assert counts == {
         "dup_resultant": kernel_calls, "gcd": 0, "factor_list": factor_calls, "sqf_list": 0,
@@ -1383,7 +1470,7 @@ def test_uncertified_square_split_reaches_sympy_sqf_list(monkeypatch):
     # the higher cusp y**2 = x**5: the square split certifies no E for its
     # D, so one sqf_list gives the multiplicity-one part
     system = center_of_curvature_system(PlaneCurve.from_expr("y**2 - x**5"))
-    D = _discriminant(_strip_content(_normal_resultant(*system), []))
+    D = _discriminant(_strip_content(_normal_resultant(*system), [])[0])
     assert _square_split(D) is None
     counts = _count_calls(monkeypatch)
     simple = _simple_part(D, [])

@@ -29,7 +29,7 @@ RECORDS = {
     LocusResult: (lambda v: LocusResult("envelope", 1, v, v, True), True),
     IdentityResult: (lambda v: IdentityResult("relation", v, v, True), True),
     EnumerativeReport: (lambda v: curve_report(CurveInvariants(3, v + 1, 0)), False),
-    PlaneCurve: (lambda v: PlaneCurve({(2, 0): 1, (0, 2): v, (0, 0): -1}, 2, 0, 0), True),
+    PlaneCurve: (lambda v: PlaneCurve({(2, 0): 1, (0, 2): v, (0, 0): -1}, 2), True),
     EvoluteResult: (lambda v: EvoluteResult({(2, 0): v, (0, 0): -1}, 6, None, (), ("log",)), False),
 }
 
