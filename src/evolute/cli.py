@@ -13,7 +13,7 @@ broken engine invariant, an inexact interpolation, an inconclusive
 elimination, a failed internal lookup).  The engine's invariant errors,
 `TableMismatchError`, `NotInvertibleError` and `IncompleteDescriptorError`,
 are `ValueError`s that no input raises, so they exit 3, not 2.  The CSV
-renderers import `csv` themselves, so no other format loads it.
+renderers import `csv` (through `_csv`), so no other format loads it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import sys
 from collections.abc import Sequence
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .chow import IncompleteDescriptorError
 from .pipelines import (
@@ -86,7 +87,55 @@ oracle = _lazy_module(f"{__package__}.oracle")
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(payload, indent=2, sort_keys=True)` and a newline, written
+    directly: with an indent, `json.dumps` leaves its C encoder for a pure
+    Python one, about twice as slow on a report.
+
+    A payload holds dicts with str keys, lists, tuples, str, int, bool and
+    None; any other value, a float included, raises TypeError.  Strings go
+    through json's own (C) ASCII escaper, so the text is byte-identical.
+    """
+    pieces: list[str] = []
+    _write_json(payload, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write_json(value, newline: str, pieces: list[str]) -> None:
+    """Append the JSON text of `value`, indented after each `newline`."""
+    if isinstance(value, str):
+        pieces.append(encode_basestring_ascii(value))
+    elif value is None:
+        pieces.append("null")
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        inner, separator = newline + "  ", "["
+        for item in value:
+            pieces.append(separator + inner)
+            _write_json(item, inner, pieces)
+            separator = ","
+        pieces.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        inner, separator = newline + "  ", "{"
+        for key, item in sorted(value.items()):
+            # the escaper raises TypeError on a key that is not a str
+            pieces.append(separator + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, pieces)
+            separator = ","
+        pieces.append(newline + "}")
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__} value")
 
 
 def render_report_text(report: EnumerativeReport) -> str:
@@ -126,51 +175,41 @@ def _flat_input(report: EnumerativeReport) -> dict:
     return flat
 
 
-def render_report_csv(report: EnumerativeReport) -> str:
-    """Long form: one row per locus."""
+def _csv(rows: list[list]) -> str:
+    """The rows as CSV text; the writer writes None as an empty field."""
     import csv
 
     buffer = io.StringIO()
-    base = _flat_input(report)
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(base) + ["locus", "k", "engine_degree", "closed_form", "match"])
-    for r in report.results:
-        writer.writerow(
-            list(base.values())
-            + [r.locus, r.k if r.k is not None else "", r.engine_degree,
-               r.closed_form if r.closed_form is not None else "",
-               "" if r.match is None else r.match]
-        )
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
+
+
+def render_report_csv(report: EnumerativeReport) -> str:
+    """Long form: one row per locus."""
+    base = _flat_input(report)
+    header = list(base) + ["locus", "k", "engine_degree", "closed_form", "match"]
+    return _csv(
+        [header]
+        + [list(base.values()) + [r.locus, r.k, r.engine_degree, r.closed_form, r.match]
+           for r in report.results]
+    )
 
 
 def render_sweep_csv(reports: list[EnumerativeReport]) -> str:
     """Wide form: one row per parameter point."""
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    input_keys: list[str] = []
-    for report in reports:
-        for key in _flat_input(report):
-            if key not in input_keys:
-                input_keys.append(key)
-    max_k = max((r.k or 0) for report in reports for r in report.results)
-    value_keys = []
-    for k in range(1, max_k + 1):
-        value_keys += [f"k{k}_engine", f"k{k}_closed"]
-    writer.writerow(input_keys + value_keys + ["all_match"])
+    input_keys = list(dict.fromkeys(key for report in reports for key in _flat_input(report)))
+    ks = range(1, max((r.k or 0) for report in reports for r in report.results) + 1)
+    rows = [input_keys + [f"k{k}_{column}" for k in ks for column in ("engine", "closed")]
+            + ["all_match"]]
     for report in reports:
         flat = _flat_input(report)
-        row = [flat.get(key, "") for key in input_keys]
-        by_k = {r.k: r for r in report.results if r.k is not None}
-        for k in range(1, max_k + 1):
+        row = [flat.get(key) for key in input_keys]
+        by_k = {r.k: r for r in report.results}
+        for k in ks:
             r = by_k.get(k)
-            row += ["" if r is None else r.engine_degree,
-                    "" if r is None or r.closed_form is None else r.closed_form]
-        row.append(report.passed)
-        writer.writerow(row)
-    return buffer.getvalue()
+            row += [None, None] if r is None else [r.engine_degree, r.closed_form]
+        rows.append(row + [report.passed])
+    return _csv(rows)
 
 
 def render_oracle_text(result: oracle.EvoluteResult) -> str:
@@ -188,25 +227,10 @@ def render_oracle_text(result: oracle.EvoluteResult) -> str:
 
 
 def render_oracle_csv(result: oracle.EvoluteResult) -> str:
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["degree", "expected_degree", "match", "flags", "polynomial"])
-    writer.writerow(
-        [result.degree, result.expected_degree,
-         "" if result.match is None else result.match,
-         ";".join(result.flags), result.text]
-    )
-    return buffer.getvalue()
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    return _csv([
+        ["degree", "expected_degree", "match", "flags", "polynomial"],
+        [result.degree, result.expected_degree, result.match, ";".join(result.flags), result.text],
+    ])
 
 
 def _write(args: argparse.Namespace, value, payload, text, table=None) -> None:
@@ -218,7 +242,11 @@ def _write(args: argparse.Namespace, value, payload, text, table=None) -> None:
         rendered = table(value)
     else:
         rendered = text(value)
-    _emit(rendered, args.out)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(rendered)
+    else:
+        sys.stdout.write(rendered)
 
 
 # --------------------------------------------------------------------------
@@ -245,19 +273,10 @@ def _parse_range(flag: str, text: str) -> list[int]:
 
 
 def _stationary(args: argparse.Namespace) -> tuple[int, ...]:
-    ks = []
-    for i in range(5):
-        ks.append(getattr(args, f"k{i}", 0) or 0)
+    ks = [getattr(args, f"k{i}") for i in range(5)]
     while ks and ks[-1] == 0:
         ks.pop()
     return tuple(ks)
-
-
-def _add_output_options(
-    parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "csv")
-) -> None:
-    parser.add_argument("--format", choices=formats, default="text")
-    parser.add_argument("--out", metavar="PATH", help="write the report to a file")
 
 
 def _add_curve_options(parser: argparse.ArgumentParser) -> None:
@@ -279,10 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="read a run description from JSON")
     sub = parser.add_subparsers(dest="subcommand")
+    # each subcommand's own parser, by name, for `main`'s one-pass parse
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("curve", help="normal-space family of a curve")
     _add_curve_options(p)
-    _add_output_options(p)
 
     p = sub.add_parser("surface", help="normal-space family of a surface")
     p.add_argument("--n", type=int, default=3)
@@ -291,24 +311,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=int, help="integral of c2 of the cotangent sheaf")
     p.add_argument("--KH", type=int, help="integral of K.H")
     p.add_argument("--H2", type=int, help="integral of H^2")
-    _add_output_options(p)
 
     p = sub.add_parser("hypersurface", help="normal lines of a hypersurface")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    _add_output_options(p)
 
     p = sub.add_parser("osculating", help="osculating developables and dual degrees of a curve")
     _add_curve_options(p)
-    _add_output_options(p)
 
     p = sub.add_parser("salmon", help="centro-surface reference values for a surface in 3-space")
     p.add_argument("--d", type=int, required=True)
-    _add_output_options(p)
 
     p = sub.add_parser("oracle", help="plane-curve evolute by resultant elimination")
     p.add_argument("--poly", required=True, help="curve polynomial in x and y, e.g. 'x**2/4 + y**2 - 1'")
-    _add_output_options(p)
 
     p = sub.add_parser("sweep", help="run a pipeline over parameter ranges")
     p.add_argument("target", choices=("curve", "surface", "hypersurface"))
@@ -316,12 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, help="degree or range, e.g. 2..10")
     p.add_argument("--g", help="genus or range (curves only; default 0)")
     p.add_argument("--k0", help="cusp count or range (curves only; default 0)")
-    _add_output_options(p)
 
     p = sub.add_parser("selftest", help="reproduce the full verification grid")
     p.add_argument("--skip-oracle", action="store_true", help="skip the elimination checks")
-    _add_output_options(p, ("text", "json"))
 
+    for name, p in sub.choices.items():
+        # selftest has no CSV renderer
+        formats = ("text", "json") if name == "selftest" else ("text", "json", "csv")
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--out", metavar="PATH", help="write the report to a file")
     return parser
 
 
@@ -415,17 +433,14 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.subcommand
-    if cmd == "curve":
-        inv = CurveInvariants(args.n, args.d, args.g, _stationary(args))
-        return _run_report(curve_report(inv), args)
+    if cmd in ("curve", "osculating"):
+        report = curve_report if cmd == "curve" else osculating_report
+        return _run_report(report(CurveInvariants(args.n, args.d, args.g, _stationary(args))), args)
     if cmd == "surface":
         numbers, degree = _surface_numbers(args)
         return _run_report(surface_report(args.n, numbers, degree), args)
     if cmd == "hypersurface":
         return _run_report(hypersurface_report(args.n, args.d), args)
-    if cmd == "osculating":
-        inv = CurveInvariants(args.n, args.d, args.g, _stationary(args))
-        return _run_report(osculating_report(inv), args)
     if cmd == "salmon":
         return _run_report(salmon_reference_report(args.d), args)
     if cmd == "oracle":
@@ -460,9 +475,25 @@ def _argv_from_config(path: str) -> list[str]:
     return argv
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """`parser.parse_args(argv)`, with one pass where argv opens with a
+    subcommand's name: the top-level parser would classify every token, then
+    hand all of them to that subcommand's parser, which raises the same
+    errors itself.  A leftover token gets the top-level parser's own error."""
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(
+        argv[1:], argparse.Namespace(config=None, subcommand=argv[0])
+    )
+    if extra:
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
     try:
         if args.config:
             if args.subcommand:

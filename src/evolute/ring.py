@@ -53,7 +53,7 @@ class Record:
     which nothing compares.  This class's `__init__` is the one constructor:
     it binds the fields by position or by name in `_fields` order, takes an
     omitted trailing field from the class's `_defaults` dict, sets each
-    through `object.__setattr__`, and then runs `_post_init`, where a
+    through its slot's descriptor, and then runs `_post_init`, where a
     subclass checks its fields or fills its memo slots.  A missing field,
     an unknown or repeated name or an extra value raises TypeError.  Two
     records are equal when they are of one class with equal fields, and the
@@ -70,22 +70,24 @@ class Record:
         super().__init_subclass__(**kwargs)
         # one C call reads every field, where a loop of getattr would not
         cls._values = attrgetter(*cls._fields)
+        # the slots' own setters, which skip `__setattr__` and its lookup
+        cls._setters = tuple(getattr(cls, field).__set__ for field in cls._fields)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields
         if len(args) > len(fields):
             raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(args)}")
-        for field, value in zip(fields, args):
-            object.__setattr__(self, field, value)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
         if kwargs or len(args) < len(fields):
-            for field in fields[len(args) :]:
+            for field, setter in zip(fields[len(args) :], self._setters[len(args) :]):
                 if field in kwargs:
                     value = kwargs.pop(field)
                 elif field in self._defaults:
                     value = self._defaults[field]
                 else:
                     raise TypeError(f"{type(self).__name__} missing field {field!r}")
-                object.__setattr__(self, field, value)
+                setter(self, value)
             if kwargs:
                 field = next(iter(kwargs))
                 raise TypeError(f"{type(self).__name__} got an unknown or repeated field {field!r}")
@@ -128,7 +130,12 @@ class GeneratorTable(Record):
     """
 
     _fields = ("names", "degrees", "bound", "base_size", "base_bound")
-    __slots__ = _fields + ("_degree_cache", "_base_degree_cache", "_admissible_cache")
+    __slots__ = _fields + (
+        "_degree_cache",
+        "_base_degree_cache",
+        "_admissible_cache",
+        "_monomials_cache",
+    )
     _defaults = {"base_size": 0, "base_bound": 0}
 
     def _post_init(self) -> None:
@@ -149,6 +156,7 @@ class GeneratorTable(Record):
         object.__setattr__(self, "_degree_cache", {})
         object.__setattr__(self, "_base_degree_cache", {})
         object.__setattr__(self, "_admissible_cache", {})
+        object.__setattr__(self, "_monomials_cache", {})
 
     def __len__(self) -> int:
         return len(self.names)
@@ -203,19 +211,23 @@ class GeneratorTable(Record):
             base_bound=self.bound,
         )
 
-    def monomials(self, degree: int) -> Iterator[Exponents]:
-        """All exponent vectors of the given weighted degree."""
+    def monomials(self, degree: int) -> tuple[Exponents, ...]:
+        """All exponent vectors of the given weighted degree (memoized: every
+        `VarietyDescriptor` over a cached table checks its top degree)."""
+        found = self._monomials_cache.get(degree)
+        if found is None:
 
-        def rec(pos: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[Exponents]:
-            if pos == len(self.degrees):
-                if remaining == 0:
-                    yield prefix
-                return
-            step = self.degrees[pos]
-            for e in range(remaining // step + 1):
-                yield from rec(pos + 1, remaining - e * step, prefix + (e,))
+            def rec(pos: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[Exponents]:
+                if pos == len(self.degrees):
+                    if remaining == 0:
+                        yield prefix
+                    return
+                step = self.degrees[pos]
+                for e in range(remaining // step + 1):
+                    yield from rec(pos + 1, remaining - e * step, prefix + (e,))
 
-        yield from rec(0, degree, ())
+            found = self._monomials_cache[degree] = tuple(rec(0, degree, ()))
+        return found
 
 
 class GradedClass:

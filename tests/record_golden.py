@@ -2,7 +2,9 @@
 
 Each named case of `golden/cases.json` runs through `cli.main` in-process,
 as `test_golden.py` replays it; its stdout goes to `golden/<name>.out` and
-its exit code and stderr into `cases.json`.  The names whose recording
+its exit code and stderr into `cases.json`.  An argparse exit (`-h`, a usage
+error) is caught and its `SystemExit` code recorded as the exit code; help
+is wrapped at 80 columns, whatever the terminal.  The names whose recording
 changed are printed.  With no names nothing is written, every case whose
 output differs from its recording is listed, and the exit status is 1 if
 any is, 0 if none is, so the check can gate a commit or a CI job.  A new
@@ -11,6 +13,7 @@ case is added by giving its argv in `cases.json` first.
 
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -24,9 +27,13 @@ CASES_PATH = GOLDEN / "cases.json"
 
 
 def run(argv: list[str]) -> tuple[str, str, int]:
+    os.environ["COLUMNS"] = "80"
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return out.getvalue(), err.getvalue(), code
 
 

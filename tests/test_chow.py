@@ -219,6 +219,14 @@ def test_incomplete_descriptor_rejected(surface_table):
         VarietyDescriptor(2, 3, surface_table, cot, {(2, 0, 0): 1})
 
 
+def test_incomplete_descriptor_rejected_over_a_checked_table(surface_table):
+    # the table's top-degree monomials are memoized by the first check
+    cot = SheafData(2, unit(surface_table))
+    VarietyDescriptor(2, 3, surface_table, cot, dict.fromkeys(surface_table.monomials(2), 1))
+    with pytest.raises(IncompleteDescriptorError, match=r"\(0, 2, 0\)"):
+        VarietyDescriptor(2, 3, surface_table, cot, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): 1})
+
+
 def test_integrate_requires_matching_table():
     variety, _ = surface_geometry(3, SurfaceChernNumbers.from_degree(2))
     foreign = GeneratorTable(("K", "H"), (1, 1), bound=2)

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evolute
 from evolute import chow, cli, oracle, pipelines, polyparse, ring, thom
@@ -419,6 +421,55 @@ def test_engine_invariant_errors_exit_three(capsys, monkeypatch, error):
 
     monkeypatch.setattr(cli, "curve_report", fault)
     assert run(capsys, "curve", "--d", "3") == (3, "", "internal error: broken invariant\n")
+
+
+_JSON_TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f", "é", "\u2028", "\U0001f600"]
+)
+_JSON_PAYLOADS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**600), max_value=2**600)
+    | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_render_json_is_json_dumps(payload):
+    assert render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+BAD_PAYLOADS = {"float": {"a": [0.5]}, "int key": {"a": {1: "b"}}, "set": {"a": {1, 2}}}
+
+
+@pytest.mark.parametrize("payload", BAD_PAYLOADS.values(), ids=BAD_PAYLOADS)
+def test_render_json_refuses_other_values(capsys, monkeypatch, payload):
+    with pytest.raises(TypeError):
+        render_json(payload)
+    monkeypatch.setattr(EnumerativeReport, "to_dict", lambda report: payload)
+    code, out, err = run(capsys, "curve", "--d", "3", "--format", "json")
+    assert (code, out) == (3, "") and err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--n=4", "--d", "5", "--k0", "-1", "--format", "json"],
+        ["surface", "--n", "4", "--K2=8", "--c2=4", "--KH=2", "--H2=1"],
+        ["sweep", "curve", "--d", "2..4", "--g", "0,1"],
+        ["selftest", "--skip-oracle"],
+        ["oracle", "--poly", "-x**2 + y**2 - 1"],
+    ],
+)
+def test_subcommand_first_argv_parses_as_before(argv):
+    # `main` hands a subcommand-first argv straight to that subcommand's parser
+    parser = build_parser()
+    assert cli._parse(parser, argv) == parser.parse_args(argv)
 
 
 COLD_START_CHECK = """

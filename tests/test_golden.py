@@ -1,7 +1,8 @@
 """Replay fixed CLI invocations against their recorded stdout, stderr and exit code.
 
 `golden/cases.json` maps each case name to its argv, exit code and stderr;
-`golden/<name>.out` holds the exact stdout.  Oracle cases eliminate through
+`golden/<name>.out` holds the exact stdout.  An argparse exit counts with
+its `SystemExit` code, and help is wrapped at 80 columns, as when recorded.  Oracle cases eliminate through
 the session-wide `shared_oracle_check`, so the plane cubic is eliminated once,
 and selftest cases read each check's result from the session-wide
 `battery_result`, so no check runs twice.
@@ -30,8 +31,12 @@ def test_golden(name, capsys, monkeypatch, shared_oracle_check, battery_result):
             if include_oracle or check is not selftest.check_oracle
         ],
     )
+    monkeypatch.setenv("COLUMNS", "80")
     case = CASES[name]
-    code = cli.main(case["argv"])
+    try:
+        code = cli.main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     assert out == (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
     assert (err, code) == (case["stderr"], case["exit"])

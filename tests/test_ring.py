@@ -179,6 +179,9 @@ def test_monomial_enumeration():
     assert set(table.monomials(2)) == {(2, 0), (0, 1)}
     assert set(table.monomials(0)) == {(0, 0)}
     assert len(list(table.monomials(4))) == 3  # a^4, a^2 b, b^2
+    # memoized per degree, and the memo stays out of equality
+    assert table.monomials(4) is table.monomials(4)
+    assert table == GeneratorTable(("a", "b"), (1, 2), bound=4)
 
 
 # -- base-degree truncation on bundle tables ----------------------------------
