@@ -9,7 +9,6 @@ code in this module.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import reduce
 from math import gcd, isqrt
 
 # evaluation points the heuristic gcd tries before the primitive PRS
@@ -73,10 +72,20 @@ def dup_resultant(f: list[int], g: list[int]) -> int:
     descending integer coefficient lists with nonzero heads, by the
     subresultant PRS (Collins, J. ACM 14, 1967; Cohen, Alg. 3.3.7).
 
-    Each pseudo-remainder and each division by lead * h**delta is exact, so
-    every intermediate value is a plain int.  The degree gap delta is 0 or 1
-    at almost every step; those steps skip the zero-padded tail and the
-    powers of h."""
+    A step of degree gap delta = deg f - deg g takes the pseudo-remainder
+    r = lc(g)**(delta + 1) f mod g, by delta + 1 steps that each drop the
+    head, and divides it by lead * h**delta.  By the subresultant theorem
+    that quotient is the next subresultant, whose coefficients are minors
+    of the Sylvester matrix of the inputs, so each coefficient of r is
+    divisible on its own and every intermediate value is a plain int.
+
+    The gap is 1 at almost every step (the normal case, and every step of
+    a generic (f, f') pair), and that step is one pass.  With f = f0 x**n +
+    f1 x**(n - 1) + ..., g = g0 x**(n - 1) + g1 x**(n - 2) + ... and
+    c = g0 f1 - f0 g1, the two head-dropping steps g0 f - f0 x g and
+    g0 (g0 f - f0 x g) - c g give coefficient i of r as
+    g0**2 f(i+2) - g0 f0 g(i+2) - c g(i+1), g past its end read as 0; it is
+    the same integer as before, so its division by lead * h stays exact."""
     sign = 1
     if len(f) < len(g):
         f, g = g, f
@@ -89,28 +98,28 @@ def dup_resultant(f: list[int], g: list[int]) -> int:
         delta = da - db
         if da * db % 2:
             sign = -sign
-        # r = lc(g)**(delta + 1) * f mod g, one elimination step per power
+        # r = lc(g)**(delta + 1) * f mod g, divided by scale = lead * h**delta
         lg, rest = g[0], g[1:]
-        if delta > 1:
+        if delta == 1:
+            c = lg * f[1] - f[0] * g[1]
+            lg2, lglf, scale = lg * lg, lg * f[0], lead * h
+            r = [
+                (lg2 * a - lglf * b - c * e) // scale
+                for a, b, e in zip(f[2:], rest[1:] + [0], rest)
+            ]
+        else:
             r, tail = f, rest + [0] * delta
             for _ in range(delta + 1):
                 c = r[0]
                 r = [lg * a - c * b for a, b in zip(r[1:], tail)]
             scale = lead * h**delta
-        else:
-            c = f[0]
-            r = [lg * a - c * b for a, b in zip(f[1:], rest)]
-            scale = lead
-            if delta:
-                r.append(lg * f[-1])
-                c = r[0]
-                r = [lg * a - c * b for a, b in zip(r[1:], rest)]
-                scale *= h
+            if scale != 1:
+                r = [c // scale for c in r]
         while r and not r[0]:
             del r[0]
         if not r:
             return 0
-        f, g = g, r if scale == 1 else [c // scale for c in r]
+        f, g = g, r
         lead = lg
         if delta == 1:
             h = lg
@@ -396,7 +405,10 @@ def interpolate(xs: list[int], ys: list[int]) -> list[int]:
 def pack(f: list[int], k: int) -> int:
     """f(2**k) of a descending integer coefficient list: Kronecker
     substitution, by shifts."""
-    return reduce(lambda acc, c: (acc << k) + c, f, 0)
+    value = 0
+    for c in f:
+        value = (value << k) + c
+    return value
 
 
 def unpack(value: int, k: int) -> list[int]:

@@ -11,7 +11,8 @@ The point (X, Y) lies on the normal at (x, y) when
 so R(x; X, Y) = Res_y(F, H) vanishes at the x-coordinates of the critical
 points of the distance from (X, Y).  Its content in x (the singular
 points, a root at every centre) is removed, and its multiplicities count
-the nodes and the ordinary cusps.  D = disc_x(R) vanishes where two
+the nodes and the ordinary cusps (those of the content in y of Res_x(F, H)
+where two share a vertical line).  D = disc_x(R) vanishes where two
 critical points meet (the evolute) and where two distinct ones share their
 x (the x-coincidence locus).  The second kind comes in pairs, so D is the
 evolute times the square of that locus, and the evolute is the
@@ -488,14 +489,9 @@ def _strip_content(R: _IntTerms, log: list[str]) -> tuple[_IntTerms, dict[int, i
     least 4 at any other point (A_k gives k + 1; m_p >= 3 gives
     mu_p >= (m_p - 1)**2) and on any line through two singular points.
     Singular points at infinity are flagged: a squarefree LF has d smooth."""
-    columns = _columns(R, 0)
-    common = content(columns.values())
-    singular = {mult: len(part) - 1 for part, mult in sqf_list(common)}
+    columns, common, singular = _read_content(R)
     if len(common) > 1:
-        log.append(
-            f"removed content of degree {len(common) - 1} in x (singular points: "
-            f"nodes {singular.get(2, 0)}, cusps {singular.get(3, 0)})"
-        )
+        log.append(f"removed {_content_line(common, singular, 'x')}")
         R = {}
         for (a, b), col in columns.items():
             quotient = exquo(col, common)[::-1]
@@ -503,6 +499,39 @@ def _strip_content(R: _IntTerms, log: list[str]) -> tuple[_IntTerms, dict[int, i
     if max(i for i, _, _ in R) == 0:
         raise DegenerateCurveError(ZERO_CURVATURE)
     return R, singular
+
+
+def _read_content(
+    R: _IntTerms,
+) -> tuple[dict[tuple[int, ...], list[int]], list[int], dict[int, int]]:
+    """R's columns in x, its content in x and the content's multiplicities
+    -> the degree of the part of each (`sqf_list`)."""
+    columns = _columns(R, 0)
+    common = content(columns.values())
+    return columns, common, {mult: len(part) - 1 for part, mult in sqf_list(common)}
+
+
+def _content_line(common: list[int], singular: dict[int, int], var: str) -> str:
+    return (
+        f"content of degree {len(common) - 1} in {var} (singular points: "
+        f"nodes {singular.get(2, 0)}, cusps {singular.get(3, 0)})"
+    )
+
+
+def _content_in_y(curve: PlaneCurve, log: list[str]) -> dict[int, int] | None:
+    """The multiplicities of the content in y of Res_x(F, H), where they
+    are all 2 and 3: `_strip_content`'s reading of R for the curve with x
+    and y, and with them X and Y, swapped; else None.  I_p(F, H) =
+    mu_p + m_p - 1 does not depend on the projection, and the squarefree
+    leading form that puts a constant head in y on F or H puts one in x
+    too, so `_strip_content`'s argument carries over: two nodes on one
+    vertical line, which add to 4 in x, read as two 2s in y."""
+    swapped = PlaneCurve({(j, i): c for (i, j), c in curve.terms.items()}, curve.degree)
+    _, common, singular = _read_content(_normal_resultant(*center_of_curvature_system(swapped)))
+    if not singular or singular.keys() - {2, 3}:
+        return None
+    log.append(f"read {_content_line(common, singular, 'y of Res_x(F, H)')}")
+    return singular
 
 
 def _discriminant_degree(R: _IntTerms) -> float:
@@ -542,9 +571,10 @@ def _discriminant_degree(R: _IntTerms) -> float:
 # the largest packed sample, in bits, of `_discriminant`'s one resultant per
 # X node; above it CPython's quadratic long division makes those resultants
 # slower than the lower-set grid's many small ones.  D's time packed against
-# on the grid (best of 3): 0.5 on 8-bit conics (2 900-3 000 bits), about 1
-# near 5 500 bits on conics and near 5 700 on the folium's shape (x**3 +
-# y**3 - c x y: 0.73 at 4 743 bits, 1.4 at 7 192), 3.5 on the generic cubic
+# on the grid (best of 3, with `dup_resultant`'s one-pass normal step): 0.6
+# on 8-bit conics (3 025 bits), about 1 near 5 200 bits on conics (0.97-1.04
+# at 5 236, 1.1 at 5 522) and near 5 300 on the folium's shape (x**3 +
+# y**3 - c x y: 0.82 at 4 743 bits, 1.3 at 6 231), 3.7 on the generic cubic
 # (12 126 bits)
 _PACKED_BITS = 5000
 
@@ -839,12 +869,16 @@ def oracle_check(curve: PlaneCurve) -> EvoluteResult:
     """Full oracle pipeline: build the curvature system, eliminate, and
     compare the evolute degree with 6(d + g - 1) - 2 k0, with the nodes and
     the cusps k0 read off R's content and g = (d - 1)(d - 2)/2 - nodes - k0.
-    Other singular points suspend the comparison, as do isotropic factors
-    stripped from the ED discriminant of a curve that avoids the circular
-    points (isotropic tangents of higher contact, as on
+    Where that content has another multiplicity, the content in y of
+    Res_x(F, H) is read instead when it shows only nodes and cusps
+    (`_content_in_y`).  Other singular points suspend the comparison, as do
+    isotropic factors stripped from the ED discriminant of a curve that
+    avoids the circular points (isotropic tangents of higher contact, as on
     x**3 - 3 x y**2 + 1): the closed form may count them."""
     flags = curve.genericity_flags()
     evolute, log, singular = eliminate(center_of_curvature_system(curve))
+    if singular.keys() - {2, 3}:
+        singular = _content_in_y(curve, log) or singular
     unread = ", ".join(str(k) for k in sorted(singular) if k not in (2, 3))
     if unread:
         flags.append(_suspended("a singular point other than a node or an ordinary cusp, or two "

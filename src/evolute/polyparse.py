@@ -56,14 +56,16 @@ def parse_polynomial(text: str) -> _Terms:
     if foreign:
         raise ValueError(f"curve may involve only x and y, got {', '.join(sorted(foreign))}")
     try:
-        return _build(tree.body, text)
+        return _build(tree.body, text)[0]
     except RecursionError:
         raise ValueError(TOO_DEEP) from None
 
 
-def _build(node: ast.expr, text: str) -> _Terms:
-    # a sum or product of m terms nests m levels deep on the left; fold that
-    # spine in a loop, so that only parentheses and powers recurse
+def _build(node: ast.expr, text: str) -> tuple[_Terms, int]:
+    # the terms of `node` and their degree (0 for no terms), carried along so
+    # that no cap re-scans the terms.  A sum or product of m terms nests m
+    # levels deep on the left; fold that spine in a loop, so that only
+    # parentheses and powers recurse
     spine = []
     while isinstance(node, ast.BinOp) and not isinstance(node.op, ast.Pow):
         spine.append(node)
@@ -74,9 +76,9 @@ def _build(node: ast.expr, text: str) -> _Terms:
     return value
 
 
-def _leaf(node: ast.expr, text: str) -> _Terms:
+def _leaf(node: ast.expr, text: str) -> tuple[_Terms, int]:
     if isinstance(node, ast.Name):
-        return {(1, 0) if node.id == "x" else (0, 1): 1}
+        return {(1, 0) if node.id == "x" else (0, 1): 1}, 1
     if isinstance(node, ast.Constant):
         if type(node.value) is int:
             if node.value.bit_length() > MAX_POWER_BITS:
@@ -86,20 +88,22 @@ def _leaf(node: ast.expr, text: str) -> _Terms:
             value = _decimal(ast.get_source_segment(text, node))
         else:
             raise ValueError(NOT_POLYNOMIAL)
-        return {(0, 0): value} if value else {}
+        return ({(0, 0): value} if value else {}), 0
     if isinstance(node, ast.UnaryOp):
-        operand = _build(node.operand, text)
-        return {m: -c for m, c in operand.items()} if isinstance(node.op, ast.USub) else operand
-    base, e = _build(node.left, text), node.right  # a power
+        operand, d = _build(node.operand, text)
+        if isinstance(node.op, ast.USub):
+            operand = {m: -c for m, c in operand.items()}
+        return operand, d
+    (base, d), e = _build(node.left, text), node.right  # a power
     if not (isinstance(e, ast.Constant) and type(e.value) is int):
         raise ValueError(NOT_POLYNOMIAL)
     bits = max((_bits(c) for c in base.values()), default=1)
-    if e.value * max(degree(base), 1) > MAX_DEGREE or e.value * bits > MAX_POWER_BITS:
+    if e.value * max(d, 1) > MAX_DEGREE or e.value * bits > MAX_POWER_BITS:
         raise ValueError(TOO_LARGE)
     power = {(0, 0): 1}
     for _ in range(e.value):
         power = _product(power, base)
-    return power
+    return power, e.value * d
 
 
 def _decimal(literal: str) -> Fraction:
@@ -142,17 +146,24 @@ def _product(left: _Terms, right: _Terms) -> _Terms:
     return {m: c for m, c in out.items() if c}
 
 
-def _combine(op: ast.operator, left: _Terms, right: _Terms) -> _Terms:
+def _combine(
+    op: ast.operator, left: tuple[_Terms, int], right: tuple[_Terms, int]
+) -> tuple[_Terms, int]:
+    (left, dl), (right, dr) = left, right
     if isinstance(op, ast.Div):
         if right.keys() != {(0, 0)}:  # zero or not a constant
             raise ValueError(NOT_POLYNOMIAL)
-        return {m: Fraction(c) / right[0, 0] for m, c in left.items()}
+        return {m: Fraction(c) / right[0, 0] for m, c in left.items()}, dl
     if isinstance(op, ast.Mult):
-        if degree(left) + degree(right) > MAX_DEGREE:
+        if dl + dr > MAX_DEGREE:
             raise ValueError(TOO_LARGE)
-        return _product(left, right)
+        # the leading forms multiply to a nonzero form of degree dl + dr
+        product = _product(left, right)
+        return product, dl + dr if product else 0
     sign = 1 if isinstance(op, ast.Add) else -1
     out = dict(left)
     for m, c in right.items():
         out[m] = out.get(m, 0) + sign * c
-    return {m: c for m, c in out.items() if c}
+    kept = {m: c for m, c in out.items() if c}
+    # only a cancellation can lower the degree below the larger one
+    return kept, max(dl, dr) if len(kept) == len(out) else degree(kept)

@@ -24,6 +24,7 @@ from evolute.intpoly import (
     _CERTIFYING_PRIMES,
     _gcd,
     _irreducible_mod,
+    derivative,
     dup_resultant,
     exquo,
     interpolate,
@@ -39,6 +40,7 @@ from evolute.oracle import (
     InconclusiveEliminationError,
     PlaneCurve,
     _certified_irreducible,
+    _content_in_y,
     _discriminant,
     _discriminant_degree,
     _discriminant_width,
@@ -171,6 +173,9 @@ _POLY_TEXT = st.recursive(
 @given(_POLY_TEXT)
 def test_parser_matches_sympify(text):
     assert parse_polynomial(text) == _exact_terms(sp.sympify(text, rational=True))
+    # the degree carried through the build is that of the terms it built
+    terms, d = polyparse._build(ast.parse(text, mode="eval").body, text)
+    assert d == polyparse.degree(terms)
 
 
 def test_parser_cap_boundaries():
@@ -182,6 +187,9 @@ def test_parser_cap_boundaries():
         ("1e1233*x", "1e1234*x"),  # 10**1233 has 4096 bits
         ("1e-1233*x", "1e-1234*x"),
         (f"{5**4095}e-4095*x", f"{5**4096}e-4096*x"),  # x / 2**4095 and x / 2**4096
+        # a cancelled head lowers the degree the caps see; a zero factor has degree 0
+        (f"(x**2 + y - x**2)**{MAX_DEGREE}", f"(x**2 + y - x**3)**{MAX_DEGREE}"),
+        (f"(x**9 - x**9) * y**{MAX_DEGREE}", f"(x**9 - x**9 + x) * y**{MAX_DEGREE}"),
     ):
         assert parse_polynomial(admitted) == _exact_terms(sp.sympify(admitted, rational=True))
         with pytest.raises(ValueError, match=f"^{TOO_LARGE}$"):
@@ -530,6 +538,34 @@ def test_kernel_fast_paths_are_sylvester_determinant(inputs):
         assert dup_resultant(a, b) == _sylvester_determinant(a, b)
 
 
+_BIG = st.integers(-(2**300), 2**300)
+
+
+@st.composite
+def _normal_pairs(draw):
+    """(f, g) of degrees n and n - 1, n in 8..16, at the oracle's sample
+    size: f with coefficients up to 2**300 and g = f', or the remainder
+    chain r(k + 1) = q(k) r(k) + r(k - 1) built up from a constant r(0) with
+    linear quotients q(k), whose subresultant PRS has degree gap 1 at every
+    step and whose coefficients grow to about 2**300."""
+    n = draw(st.integers(8, 16))
+    if draw(st.booleans()):
+        f = [draw(_BIG.filter(bool))] + draw(st.lists(_BIG, min_size=n, max_size=n))
+        return f, derivative(f)
+    small = st.integers(-(2 ** (300 // n)), 2 ** (300 // n))
+    low, chain = [], [draw(small.filter(bool))]
+    for _ in range(n):
+        q = [draw(small.filter(bool)), draw(small)]
+        low, chain = chain, _plus(_times(q, chain), low)
+    return chain, low
+
+
+@settings(max_examples=10, deadline=None)
+@given(_normal_pairs())
+def test_normal_steps_at_oracle_scale_are_sylvester_determinant(inputs):
+    assert dup_resultant(*inputs) == _sylvester_determinant(*inputs)
+
+
 _CURVE_TERMS = st.integers(2, 3).flatmap(
     lambda d: st.fixed_dictionaries(
         {(i, j): st.integers(-2, 2) for i in range(d + 1) for j in range(d + 1 - i)}
@@ -796,6 +832,17 @@ def test_triple_point_suspends_the_comparison():
         "suspended",
     )
     assert (result.degree, result.expected_degree, result.match) == (18, 36, None)
+
+
+def test_two_nodes_on_one_vertical_line_are_read_in_y():
+    # the nodes (0, 1) and (0, -1) add to 4 in x, and read as two 2s in y
+    log = []
+    curve = PlaneCurve.from_expr("x**4 + x**3 - 2*x**2 + y**4 - 2*y**2 + 1")
+    assert _content_in_y(curve, log) == {2: 2}
+    assert log == ["read content of degree 4 in y of Res_x(F, H) (singular points: nodes 2, cusps 0)"]
+    # a point that is no node or cusp reads the same in y: nothing is read or logged
+    assert _content_in_y(PlaneCurve.from_expr("x**3 - 3*x*y**2 + x**4 + y**4"), log) is None
+    assert len(log) == 1
 
 
 @pytest.mark.parametrize(
