@@ -71,7 +71,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import reduce
 from itertools import count, islice
-from math import comb, gcd, inf, lcm
+from math import comb, gcd, inf, lcm, prod
 
 from .intpoly import (
     content,
@@ -418,15 +418,14 @@ def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
     return R
 
 
-def _hadamard_bits(f: list[int], g: list[int]) -> int:
-    """k such that every coefficient of Res(f, g) is below 2**(k - 1) in
-    size, for f and g in one variable whose coefficients are polynomials
-    with the 1-norms `f` and `g` (descending lists, heads included).  On the
-    torus, where every other variable has modulus 1, an entry of their
-    Sylvester matrix is at most its 1-norm, so Hadamard's bound with those
-    norms bounds the determinant there, and with it each of its
-    coefficients (Cauchy's estimate)."""
-    square = sum(c * c for c in f) ** (len(g) - 1) * sum(c * c for c in g) ** (len(f) - 1)
+def _hadamard_bits(*rows: tuple[list[int], int]) -> int:
+    """k such that every coefficient of a determinant is below 2**(k - 1)
+    in size, for a square matrix of polynomials given as (norms, count):
+    `count` rows whose entries have the 1-norms `norms`.  On the torus,
+    where every variable has modulus 1, an entry is at most its 1-norm, so
+    Hadamard's bound with those norms bounds the determinant there, and
+    with it each of its coefficients (Cauchy's estimate)."""
+    square = prod(sum(c * c for c in norms) ** count for norms, count in rows)
     return (square.bit_length() + 1) // 2 + 1
 
 
@@ -441,10 +440,11 @@ def _norms(terms: _IntTerms, var: int) -> list[int]:
 
 
 def _normal_width(f: _IntTerms, h: _IntTerms) -> int:
-    """`_hadamard_bits` of F and H in y, whose coefficients are polynomials
-    in (x, X, Y): every coefficient of R = Res_y(F, H) is below 2**(k - 1)
-    in size."""
-    return _hadamard_bits(_norms(f, 1), _norms(h, 1))
+    """`_hadamard_bits` of the Sylvester matrix of F and H in y, whose
+    coefficients are polynomials in (x, X, Y): every coefficient of
+    R = Res_y(F, H) is below 2**(k - 1) in size."""
+    f_norms, h_norms = _norms(f, 1), _norms(h, 1)
+    return _hadamard_bits((f_norms, len(h_norms) - 1), (h_norms, len(f_norms) - 1))
 
 
 def _unpacked(nodes: list[int], values: list[int], k: int) -> Iterator[tuple[int, int, int]]:
@@ -584,7 +584,7 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
 
     Its total degree is at most T = `_discriminant_degree(R)`, so its
     coefficient of X**i has degree at most T - i in Y.  R is packed in Y
-    once, at Y = 2**k for k = `_discriminant_width(R, T)`, and sampled at
+    once, at Y = 2**k for k = `_discriminant_width(R)`, and sampled at
     T + 1 X nodes that avoid the zeros of its packed lc_x(R): at each node
     u0, one `dup_resultant(R0, R0')` gives Res_x(R, dR/dx)(u0, 2**k),
     divided exactly by lc_x(R)(u0, 2**k) as one integer.  The quotients,
@@ -592,13 +592,11 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
     is read back off its balanced base-2**k digits: a digit beyond Y**(T - i)
     raises `ArithmeticError`.
 
-    Every digit is below 2**(k - 1) in size: `_hadamard_bits` of R and
-    dR/dx in x bounds every coefficient of Res_x(R, dR/dx) on the torus, and
-    D, a factor of it in Z[X, Y], has partial degrees at most T, so by
-    Mignotte's bound (see `_square_split`) its 1-norm is at most 2**(2 T)
-    times that bound.  The packed lc_x(R) is a nonzero polynomial in X,
-    since its coefficients are below that bound too, so the nodes exist, and
-    R0 and R0' keep the degrees m and m - 1 in x at each of them.
+    Every digit is below 2**(k - 1) in size: `_discriminant_width` bounds
+    every coefficient of D by Hadamard's bound on a determinant that equals
+    it.  The packed lc_x(R) is a nonzero polynomial in X, since that width
+    covers its coefficients too, so the nodes exist, and R0 and R0' keep the
+    degrees m and m - 1 in x at each of them.
 
     When the packed samples, of about k (deg_Y lc_x(R) + T + 1) bits, would
     exceed `_PACKED_BITS`, D is sampled instead on the lower set of total
@@ -609,7 +607,7 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
         raise DegenerateCurveError(ZERO_CURVATURE)
     m = max(i for i, _, _ in R)
     top = max(b for i, _, b in R if i == m)  # deg_Y lc_x(R)
-    k = _discriminant_width(R, T)
+    k = _discriminant_width(R)
     D: _IntTerms = {}
     if k * (top + T + 1) <= _PACKED_BITS:
         deg_X = max(a for _, a, _ in R)
@@ -655,13 +653,23 @@ def _discriminant_sample(r0: list[int]) -> int:
     return q
 
 
-def _discriminant_width(R: _IntTerms, T: int) -> int:
-    """k such that every coefficient of disc_x(R), of total degree at most
-    T, is below 2**(k - 1) in size: `_hadamard_bits` of R and dR/dx in x,
-    whose coefficients are polynomials in (X, Y), plus 2 T bits for
-    Mignotte's bound on a factor of their resultant."""
+def _discriminant_width(R: _IntTerms) -> int:
+    """k such that every coefficient of disc_x(R), and of lc_x(R), is below
+    2**(k - 1) in size.  With m = deg_x R > 1, take m times the first row of
+    R off the first row of dR/dx in their Sylvester matrix in x: that clears
+    its first column but for lc_x(R), so disc_x(R) = Res_x(R, dR/dx) /
+    lc_x(R) is, up to sign, the determinant of the remaining (2m - 2)-square
+    matrix, with m - 2 rows of R, m - 1 rows of dR/dx and one row of
+    m R - x dR/dx, whose coefficient of x**i is (m - i) times R's.  Its
+    `_hadamard_bits` need no allowance for a factor, and they cover lc_x(R)
+    too, since a row of dR/dx holds m lc_x(R).  For m = 1 the Sylvester
+    matrix is (lc_x(R)) and the discriminant is 1."""
     norms = _norms(R, 0)
-    return _hadamard_bits(norms, derivative(norms)) + 2 * T
+    m = len(norms) - 1
+    if m == 1:
+        return _hadamard_bits((norms[:1], 1))
+    reduced = [j * c for j, c in enumerate(norms)]  # descending: x**(m - j)
+    return _hadamard_bits((norms, m - 2), (derivative(norms), m - 1), (reduced, 1))
 
 
 def _simple_part(D: _IntTerms, log: list[str]) -> _IntTerms:

@@ -32,7 +32,7 @@ and safe to share.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from operator import attrgetter
+from operator import add, attrgetter, itemgetter
 
 Exponents = tuple[int, ...]
 
@@ -333,16 +333,25 @@ class GradedClass:
         table = self.table
         bound, base_bound = table.bound, table.base_bound
         deg, base_deg = table.degree, table.base_degree
-        bitems = [(eb, cb, deg(eb), base_deg(eb)) for eb, cb in other.terms.items()]
+        # the right terms grouped by base degree, ascending, and each group
+        # ascending in total degree: a left term reads only the groups within
+        # its remaining base degree, and each of them only up to its remaining
+        # total degree, so no pair beyond either bound is visited
+        groups: dict[int, list[tuple[int, Exponents, int]]] = {}
+        for eb, cb in other.terms.items():
+            groups.setdefault(base_deg(eb), []).append((deg(eb), eb, cb))
+        ordered = [(bb, sorted(group, key=itemgetter(0))) for bb, group in sorted(groups.items())]
         out: dict[Exponents, int] = {}
         for ea, ca in self.terms.items():
-            da, ba = deg(ea), base_deg(ea)
-            for eb, cb, db, bb in bitems:
-                if da + db > bound or ba + bb > base_bound:
-                    continue
-                key = tuple(i + j for i, j in zip(ea, eb))
-                value = out.get(key)
-                out[key] = ca * cb if value is None else value + ca * cb
+            room, base_room = bound - deg(ea), base_bound - base_deg(ea)
+            for bb, group in ordered:
+                if bb > base_room:
+                    break
+                for db, eb, cb in group:
+                    if db > room:
+                        break
+                    key = tuple(map(add, ea, eb))
+                    out[key] = out.get(key, 0) + ca * cb
         return GradedClass._unchecked(table, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__

@@ -48,6 +48,7 @@ from evolute.oracle import (
     _is_isotropic_factor,
     _normal_resultant,
     _normal_width,
+    _normalize_sign,
     _nothing_to_strip,
     _simple_part,
     _square_split,
@@ -677,13 +678,15 @@ def test_normal_width_covers_normal_resultant(terms):
 @example({(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 2): 1})
 @example({(1, 1, 0): 2, (0, 0, 1): 1})  # m = 1
 def test_discriminant_width_covers_discriminant(terms):
-    # every coefficient of disc_x(R) in (X, Y) is within the packed path's
-    # one width, Hadamard's bound on Res_x(R, R') plus 2 T bits
+    # every coefficient of disc_x(R) in (X, Y), and of lc_x(R), is within the
+    # packed path's one width, Hadamard's bound on the (2m - 2)-square
+    # determinant that equals disc_x(R), with no allowance for a factor
     R = _as_poly(terms)
     T = _discriminant_degree(terms)
     assume(R.degree(x) > 0 and T >= 0)
-    reference = sp.Poly(sp.discriminant(R.as_expr(), x), X, Y)
-    assert _below_width(reference, _discriminant_width(terms, T))
+    k = _discriminant_width(terms)
+    assert _below_width(sp.Poly(sp.discriminant(R.as_expr(), x), X, Y), k)
+    assert _below_width(sp.Poly(sp.Poly(R.as_expr(), x).LC(), X, Y), k)
 
 
 @st.composite
@@ -734,7 +737,7 @@ def test_packed_discriminant_term_beyond_the_degree_is_refused(monkeypatch):
     system = center_of_curvature_system(PlaneCurve.from_expr(ELLIPSE))
     R = _strip_content(_normal_resultant(*system), [])[0]
     T = _discriminant_degree(R)
-    k = _discriminant_width(R, T)
+    k = _discriminant_width(R)
     monkeypatch.setattr(oracle, "dup_resultant", lambda f, g: f[0] << k * (T + 1))
     with _packed_bits(_D_PATHS[1]), pytest.raises(ArithmeticError, match="beyond its degree"):
         _discriminant(R)
@@ -1265,6 +1268,100 @@ def test_generic_cubic_oracle_agrees_with_engine(terms):
     result = oracle_check(curve)
     assert result.degree == evolute_row.engine_degree == 18
     assert result.match is True
+
+
+def _term_times(f, g):
+    out = {}
+    for (a, b), c in f.items():
+        for (i, j), e in g.items():
+            out[a + i, b + j] = out.get((a + i, b + j), 0) + c * e
+    return out
+
+
+def _composed(P, forms, den):
+    """den**d P(L1 / den, L2 / den) for the integer terms P of degree d and
+    the affine integer forms (L1, L2), as integer terms."""
+    d = max(i + j for i, j in P)
+    powers = []
+    for form in forms:
+        powers.append([{(0, 0): 1}])
+        for _ in range(d):
+            powers[-1].append(_term_times(powers[-1][-1], form))
+    out = {}
+    for (i, j), c in P.items():
+        for m, v in _term_times(powers[0][i], powers[1][j]).items():
+            out[m] = out.get(m, 0) + c * den ** (d - i - j) * v
+    return {m: v for m, v in out.items() if v}
+
+
+def _inverse_forms(Q, shift):
+    """The forms of Q^T (p - shift), the inverse of p -> Q p / c + shift
+    times c, where Q Q^T = c**2: a rotation (a, -b; b, a) with
+    a**2 + b**2 = c**2, or the swap (0, 1; 1, 0) with c = 1."""
+    (q11, q12), (q21, q22) = Q
+    t1, t2 = shift
+    return (
+        {(1, 0): q11, (0, 1): q21, (0, 0): -q11 * t1 - q21 * t2},
+        {(1, 0): q12, (0, 1): q22, (0, 0): -q12 * t1 - q22 * t2},
+    )
+
+
+def _reading(result):
+    """What the oracle reports of a curve apart from its evolute: the
+    flags, the singular points read, the expected degree and `match`."""
+    singular = [line for line in result.log if "singular points" in line]
+    return result.flags, singular, result.expected_degree, result.match
+
+
+# (Q, c) of the similarities' linear parts: the identity, the swap x <-> y,
+# a quarter turn and the rotations of the triple (3, 4, 5)
+_LINEAR_PARTS = st.sampled_from([
+    (((1, 0), (0, 1)), 1),
+    (((0, 1), (1, 0)), 1),
+    (((0, -1), (1, 0)), 1),
+    (((3, -4), (4, 3)), 5),
+    (((4, 3), (-3, 4)), 5),
+    (((-3, -4), (4, -3)), 5),
+])
+# (x, y) -> (x + y, y), affine but not a similarity; its inverse's forms
+_SHEAR_INVERSE = ({(1, 0): 1, (0, 1): -1}, {(0, 1): 1})
+
+
+@st.composite
+def _dense_curves(draw):
+    """Integer terms of a dense conic (coefficients -3..3, nonzero) or a
+    dense cubic (coefficients +-1, which keeps its grid small)."""
+    d = draw(st.sampled_from([2, 3]))
+    coefficient = st.sampled_from((-3, -2, -1, 1, 2, 3) if d == 2 else (-1, 1))
+    return {(i, j): draw(coefficient) for i in range(d + 1) for j in range(d + 1 - i)}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    _dense_curves(),
+    _LINEAR_PARTS,
+    st.sampled_from([-2, -1, 1, 2]),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+)
+def test_oracle_is_covariant_under_similarities(terms, linear, scale, shift):
+    # g(p) = scale Q p / c + shift maps the evolute of C onto that of g(C),
+    # so the oracle's E for g(C) is E o g**-1, the same polynomial after
+    # `_normalize_sign`; a shear is no similarity and must change E
+    (Q, c), den = linear, linear[1] * scale
+    try:
+        text = " + ".join(f"({c})*x**{i}*y**{j}" for (i, j), c in terms.items())
+        curve = PlaneCurve.from_expr(text)
+        result = oracle_check(curve)
+    except ValueError:  # reducible, or no evolute
+        assume(False)
+    forms = _inverse_forms(Q, shift)
+    moved = oracle_check(PlaneCurve(_normalize_sign(_composed(terms, forms, den)), curve.degree))
+    assert _normalize_sign(moved.terms) == _normalize_sign(_composed(result.terms, forms, den))
+    assert _reading(moved) == _reading(result)
+    sheared = oracle_check(PlaneCurve(_composed(terms, _SHEAR_INVERSE, 1), curve.degree))
+    assert _normalize_sign(sheared.terms) != _normalize_sign(
+        _composed(result.terms, _SHEAR_INVERSE, 1)
+    )
 
 
 T = sp.Symbol("t")

@@ -415,6 +415,35 @@ def test_osculating_realizable_matches_closed_form(n, extra, g, ks):
     assert report.passed
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(5, 8),
+    extra=st.integers(0, 8),
+    g=st.integers(0, 4),
+    ks=st.lists(st.integers(0, 2), min_size=5, max_size=5),
+)
+def test_osculating_report_at_benchmark_shape_matches_piene_ranks(n, extra, g, ks):
+    # the inputs of the `osculating_high` benchmark: n 5..8, d in n..n + 8,
+    # g <= 4, k_0..k_min(4, n - 2) <= 2 and a realizable curve.  Piene's
+    # m-th rank (m + 1)(d + m(g - 1)) - sum_{i<m} (m - i) k_i is written out
+    # here, so the engine rows meet a closed form that the ring products do
+    # not compute
+    d, stationary = n + extra, tuple(ks[: min(5, n - 1)])
+    padded = stationary + (0,) * (n - 1 - len(stationary))
+
+    def rank(m: int) -> int:
+        return (m + 1) * (d + m * (g - 1)) - sum((m - i) * k for i, k in enumerate(padded[:m]))
+
+    assume(rank(n) >= 0)
+    report = osculating_report(CurveInvariants(n, d, g, stationary))
+    rows = {r.locus: r.engine_degree for r in report.results}
+    assert report.passed
+    assert [rows[f"osculating developable D^{m}"] for m in range(1, n)] == [
+        rank(m) for m in range(1, n)
+    ]
+    assert rows["envelope of osculating hyperplanes"] == rank(n - 2) + rank(n)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(2, 9),
