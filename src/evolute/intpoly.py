@@ -3,13 +3,14 @@
 Their resultants (a subresultant PRS), gcds (the heuristic gcd), exact
 quotients, products, squarefree parts (Yun), irreducibility certificates,
 Newton interpolation at integer nodes and Kronecker packing are plain-int
-code in this module.
+code in this module, and so is the one sampled-elimination kernel (`sampled`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from math import gcd, isqrt
+from collections.abc import Callable, Iterable, Iterator
+from itertools import count, islice
+from math import gcd, isqrt, prod
 
 # evaluation points the heuristic gcd tries before the primitive PRS
 _HEURISTIC_POINTS = 6
@@ -17,6 +18,10 @@ _HEURISTIC_POINTS = 6
 # stays irreducible modulo about 1/n of the primes (Chebotarev), so a
 # generic one is certified by one of these
 _CERTIFYING_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+class InconclusiveEliminationError(ArithmeticError):
+    """Elimination collapsed (zero resultant or empty hypersurface part)."""
 
 
 def strip(f: list[int]) -> list[int]:
@@ -425,3 +430,63 @@ def unpack(value: int, k: int) -> list[int]:
         digits.append(digit)
         value = (value - digit) >> k
     return digits[::-1]
+
+
+def stable_nodes(leads: list[list[int]]) -> Iterator[int]:
+    """The integers 0, 1, -1, 2, -2, ... at which none of the univariate
+    polynomials `leads` (descending lists) vanishes, one at a time.  A
+    nonzero lead vanishes at finitely many of them, so the nodes run out
+    only where a lead is zero, which raises at the first node."""
+    if not all(any(lead) for lead in leads):
+        raise InconclusiveEliminationError("could not find stable sample points")
+    for v in count():
+        for cand in ((v,) if v == 0 else (v, -v)):
+            if all(horner(lead, cand) for lead in leads):
+                yield cand
+
+
+def sampled(
+    operands: list[list[list[int]]], n: int, k: int, sample: Callable[..., int]
+) -> Iterator[tuple[int, int, int]]:
+    """(i, e, c) for each nonzero balanced base-2**k digit c, at t**e, of the
+    coefficient of x**i of the integer polynomial of degree < n that takes
+    sample(*operands at x0) at the first n `stable_nodes` x0 of the operands'
+    heads (Newton interpolation, then `unpack`).  An operand is a list of
+    rows, each a polynomial in x (a descending list) packed at t = 2**k."""
+    xs = list(islice(stable_nodes([rows[0] for rows in operands]), n))
+    values = [sample(*[[horner(row, x0) for row in rows] for rows in operands]) for x0 in xs]
+    for i, packed in enumerate(interpolate(xs, values)):
+        for e, c in enumerate(reversed(unpack(packed, k))):
+            if c:
+                yield i, e, c
+
+
+def hadamard_bits(*rows: tuple[list[int], int]) -> int:
+    """k such that every coefficient of a determinant is below 2**(k - 1)
+    in size, for a square matrix of polynomials given as (norms, count):
+    `count` rows whose entries have the 1-norms `norms`.  On the torus,
+    where every variable has modulus 1, an entry is at most its 1-norm, so
+    Hadamard's bound with those norms bounds the determinant there, and
+    with it each of its coefficients (Cauchy's estimate)."""
+    square = prod(sum(c * c for c in norms) ** count for norms, count in rows)
+    return (square.bit_length() + 1) // 2 + 1
+
+
+def lower_set(rows: list[list[int]], us: list[int], vs: list[int]) -> dict[tuple[int, int], int]:
+    """The integer polynomial P(u, v) of total degree < n = len(us) =
+    len(vs), as exponents -> nonzero coefficient, from its values on the
+    lower set {(us[a], vs[b]): a + b < n} of the tensor grid, which fix it
+    (Dyn and Floater, J. Approx. Theory 177, 2014); `rows[a]` holds the
+    samples P(us[a], v0) at the nodes v0 in vs[: n - a].  The divided
+    differences in u down each column, then in v along each row, are the
+    Newton coefficients, and Horner's rule turns them into monomials."""
+    n = len(us)
+    columns = [divided_differences(us, [r[b] for r in rows[: n - b]]) for b in range(n)]
+    in_v = [interpolate(vs, [col[a] for col in columns[: n - a]]) for a in range(n)]
+    result: dict[tuple[int, int], int] = {}
+    for k in range(n):
+        dd = [coeffs[k] if k < len(coeffs) else 0 for coeffs in in_v[: n - k]]
+        for i, c in enumerate(monomials(us, dd)):
+            if c:
+                result[(i, k)] = c
+    return result

@@ -36,20 +36,21 @@ undecided: reducible or non-squarefree input, circles and other isotropic
 evolutes, and a D whose split is not a square.
 
 Both R and D are sampled at integer nodes and interpolated exactly in
-integer arithmetic (Collins' evaluation-interpolation scheme): each sample
-is one univariate resultant over the integers, computed by a subresultant
-PRS on plain ints (`dup_resultant`).  The variables (X, Y) are packed into
-one integer by Kronecker substitution at t = 2**k, one k per stage, which
-Hadamard's bound makes large enough for every coefficient of the result:
-X = t and Y = t**(p + 1) for R, whose total degree in (X, Y) is at most
-p = deg_y F, one resultant per x node; Y = t for D, one resultant per X
-node, while the packed samples stay within `_PACKED_BITS`.  The packed
-samples are Newton-interpolated as they are, and each interpolated
-coefficient is read back off its base-t digits.  A larger D is sampled on
-the lower set of total degree T of a tensor grid, which fixes a
+integer arithmetic by one kernel, `intpoly.sampled` (Collins' evaluation-
+interpolation scheme), on operands laid out by `_rows`: each sample is one
+univariate resultant over the integers, a subresultant PRS on plain ints
+(`dup_resultant`), which the oracle hands the kernel from its own module
+global.  The variables (X, Y) are packed into one integer by Kronecker
+substitution at t = 2**k, one k per stage, which Hadamard's bound makes
+large enough for every coefficient of the result: X = t and
+Y = t**(p + 1) for R, whose total degree in (X, Y) is at most p = deg_y F,
+one resultant per x node; Y = t for D, one resultant per X node, while the
+packed samples stay within `_PACKED_BITS`.  The packed samples are
+Newton-interpolated as they are, and each interpolated coefficient is read
+back off its base-t digits.  A larger D is sampled on the lower set of
+total degree T of a tensor grid (`intpoly.lower_set`), which fixes a
 polynomial of total degree T (Dyn and Floater, J. Approx. Theory 177,
-2014).  For D, T is read off the Newton polygon of R in x, from the
-degrees of its coefficients and the growth of its roots.  The work is
+2014).  For D, T is read off the Newton polygon of R in x.  The work is
 predicted from the degree and the coefficient size before the curve is
 checked, and a curve above `MAX_WORK` is refused.
 `PlaneCurve.from_expr` clears the denominators of the parsed terms
@@ -68,26 +69,29 @@ the cusp count k0 read off the curve.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 from functools import reduce
-from itertools import count, islice
-from math import comb, gcd, inf, lcm, prod
+from itertools import islice
+from math import comb, gcd, inf, lcm
 
 from .intpoly import (
+    InconclusiveEliminationError,
     content,
     derivative,
-    divided_differences,
     dup_resultant,
     exquo,
+    hadamard_bits,
     horner,
-    interpolate,
     irreducible,
+    lower_set,
     monomials,
     mul,
     newton_step,
     pack,
+    sampled,
     sqf_list,
     square_parts,
+    stable_nodes,
     strip,
     unpack,
 )
@@ -121,10 +125,6 @@ _IntTerms = dict[tuple[int, ...], int]
 
 class DegenerateCurveError(ValueError):
     """Input whose curvature system degenerates identically (lines, etc.)."""
-
-
-class InconclusiveEliminationError(ArithmeticError):
-    """Elimination collapsed (zero resultant or empty hypersurface part)."""
 
 
 class PlaneCurve(Record):
@@ -335,39 +335,6 @@ def _integer_terms(poly) -> _IntTerms:
     return {m: int(c) for m, c in poly.clear_denoms(convert=True)[1].rep.to_dict().items()}
 
 
-def _grid(leads: list[list[int]]) -> Iterator[int]:
-    """The integers 0, 1, -1, 2, -2, ... at which none of the univariate
-    polynomials `leads` (descending lists) vanishes, one at a time.  A
-    nonzero lead vanishes at finitely many of them, so the nodes run out
-    only where a lead is zero, which raises at the first node."""
-    if not all(any(lead) for lead in leads):
-        raise InconclusiveEliminationError("could not find stable sample points")
-    for v in count():
-        for cand in ((v,) if v == 0 else (v, -v)):
-            if all(horner(lead, cand) for lead in leads):
-                yield cand
-
-
-def _lower_set(rows: list[list[int]], us: list[int], vs: list[int]) -> dict[tuple[int, int], int]:
-    """The integer polynomial P(u, v) of total degree < n = len(us) =
-    len(vs), as exponents -> nonzero coefficient, from its values on the
-    lower set {(us[a], vs[b]): a + b < n} of the tensor grid, which fix it
-    (Dyn and Floater, J. Approx. Theory 177, 2014); `rows[a]` holds the
-    samples P(us[a], v0) at the nodes v0 in vs[: n - a].  The divided
-    differences in u down each column, then in v along each row, are the
-    Newton coefficients, and Horner's rule turns them into monomials."""
-    n = len(us)
-    columns = [divided_differences(us, [r[b] for r in rows[: n - b]]) for b in range(n)]
-    in_v = [interpolate(vs, [col[a] for col in columns[: n - a]]) for a in range(n)]
-    result: dict[tuple[int, int], int] = {}
-    for k in range(n):
-        dd = [coeffs[k] if k < len(coeffs) else 0 for coeffs in in_v[: n - k]]
-        for i, c in enumerate(monomials(us, dd)):
-            if c:
-                result[(i, k)] = c
-    return result
-
-
 def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
     """R(x; X, Y) = Res_y(F, H) up to a nonzero rational scale, from exact
     samples (Collins, J. ACM 18, 1971).
@@ -376,10 +343,10 @@ def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
     in the coefficients of H, which are linear in (X, Y), so p bounds its
     total degree in (X, Y); Bezout bounds its degree in x by d**2.  F and H
     are packed once, with X = t and Y = t**(p + 1) at t = 2**k for
-    k = `_normal_width(F, H)`, and R(x; t, t**(p + 1)) is sampled, one
+    k = `_normal_width(F, H)`, and `sampled` takes R(x; t, t**(p + 1)), one
     `dup_resultant` per node, at d**2 + 1 x nodes that avoid the zeros of
     lc_y(F) and of H's head in y at t, where F and H keep their degrees p
-    and n.  The samples are Newton-interpolated once, and the coefficient
+    and n.  It Newton-interpolates the samples once, and the coefficient
     of x**i in R is read back off the balanced base-2**k digits of that of
     R(x; t, t**(p + 1)) (Kronecker substitution): the exponent
     a + (p + 1) b of t is X**a Y**b's alone for a + b <= p, and a digit
@@ -391,24 +358,12 @@ def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
     rows of the Sylvester matrix, and H's head at t is a nonzero polynomial
     in x: the nodes exist.  When p = 0, H's head in y is Fx, free of
     (X, Y)."""
-    d = degree(f)
     p = max(j for _, j in f)
-    n = max(j for _, j, _, _ in h)
     k = _normal_width(f, h)
     # F and H at t, descending in y, then in x
-    f_rows = [[0] * (d + 1) for _ in range(p + 1)]
-    for (i, j), c in f.items():
-        f_rows[p - j][d - i] = c
-    h_rows = [[0] * (d + 1) for _ in range(n + 1)]
-    for (i, j, a, b), c in h.items():
-        h_rows[n - j][d - i] += c << k * (a + (p + 1) * b)
-    xs = list(islice(_grid([f_rows[0], h_rows[0]]), d * d + 1))
-    values = [
-        dup_resultant([horner(row, x0) for row in f_rows], [horner(row, x0) for row in h_rows])
-        for x0 in xs
-    ]
+    operands = [_rows(f, 1, 0, lambda m: 0), _rows(h, 1, 0, lambda m: k * (m[2] + (p + 1) * m[3]))]
     R: _IntTerms = {}
-    for i, e, c in _unpacked(xs, values, k):
+    for i, e, c in sampled(operands, degree(f) ** 2 + 1, k, dup_resultant):
         a, b = e % (p + 1), e // (p + 1)
         if a + b > p:
             raise ArithmeticError("packed resultant has a term beyond its degree")
@@ -416,17 +371,6 @@ def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
     if not R:
         raise InconclusiveEliminationError("resultant in y vanished identically")
     return R
-
-
-def _hadamard_bits(*rows: tuple[list[int], int]) -> int:
-    """k such that every coefficient of a determinant is below 2**(k - 1)
-    in size, for a square matrix of polynomials given as (norms, count):
-    `count` rows whose entries have the 1-norms `norms`.  On the torus,
-    where every variable has modulus 1, an entry is at most its 1-norm, so
-    Hadamard's bound with those norms bounds the determinant there, and
-    with it each of its coefficients (Cauchy's estimate)."""
-    square = prod(sum(c * c for c in norms) ** count for norms, count in rows)
-    return (square.bit_length() + 1) // 2 + 1
 
 
 def _norms(terms: _IntTerms, var: int) -> list[int]:
@@ -440,21 +384,22 @@ def _norms(terms: _IntTerms, var: int) -> list[int]:
 
 
 def _normal_width(f: _IntTerms, h: _IntTerms) -> int:
-    """`_hadamard_bits` of the Sylvester matrix of F and H in y, whose
+    """`hadamard_bits` of the Sylvester matrix of F and H in y, whose
     coefficients are polynomials in (x, X, Y): every coefficient of
     R = Res_y(F, H) is below 2**(k - 1) in size."""
     f_norms, h_norms = _norms(f, 1), _norms(h, 1)
-    return _hadamard_bits((f_norms, len(h_norms) - 1), (h_norms, len(f_norms) - 1))
+    return hadamard_bits((f_norms, len(h_norms) - 1), (h_norms, len(f_norms) - 1))
 
 
-def _unpacked(nodes: list[int], values: list[int], k: int) -> Iterator[tuple[int, int, int]]:
-    """(i, e, c) for each nonzero balanced base-2**k digit c, at t**e, of
-    the coefficient of x**i of the integer polynomial that takes `values`
-    at the integer `nodes` (Newton interpolation, then `unpack`)."""
-    for i, packed in enumerate(interpolate(nodes, values)):
-        for e, c in enumerate(reversed(unpack(packed, k))):
-            if c:
-                yield i, e, c
+def _rows(terms: _IntTerms, row: int, col: int, shift: Callable[..., int]) -> list[list[int]]:
+    """`terms` in `sampled`'s layout: rows descending in the variable at
+    position `row`, each a list descending in the one at position `col`,
+    with the coefficient of the monomial m shifted left by shift(m) bits."""
+    top, width = (max(m[var] for m in terms) for var in (row, col))
+    rows = [[0] * (width + 1) for _ in range(top + 1)]
+    for m, c in terms.items():
+        rows[top - m[row]][width - m[col]] += c << shift(m)
+    return rows
 
 
 def _columns(terms: _IntTerms, var: int) -> dict[tuple[int, ...], list[int]]:
@@ -584,10 +529,10 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
 
     Its total degree is at most T = `_discriminant_degree(R)`, so its
     coefficient of X**i has degree at most T - i in Y.  R is packed in Y
-    once, at Y = 2**k for k = `_discriminant_width(R)`, and sampled at
+    once, at Y = 2**k for k = `_discriminant_width(R)`, and `sampled` at
     T + 1 X nodes that avoid the zeros of its packed lc_x(R): at each node
-    u0, one `dup_resultant(R0, R0')` gives Res_x(R, dR/dx)(u0, 2**k),
-    divided exactly by lc_x(R)(u0, 2**k) as one integer.  The quotients,
+    u0, one `_discriminant_sample` gives Res_x(R, dR/dx)(u0, 2**k) divided
+    exactly by lc_x(R)(u0, 2**k) as one integer.  The quotients,
     D(u0, 2**k), are Newton-interpolated once, and each coefficient of X**i
     is read back off its balanced base-2**k digits: a digit beyond Y**(T - i)
     raises `ArithmeticError`.
@@ -610,13 +555,8 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
     k = _discriminant_width(R)
     D: _IntTerms = {}
     if k * (top + T + 1) <= _PACKED_BITS:
-        deg_X = max(a for _, a, _ in R)
-        rows = [[0] * (deg_X + 1) for _ in range(m + 1)]  # descending in x, then in X
-        for (i, a, b), c in R.items():
-            rows[m - i][deg_X - a] += c << k * b
-        us = list(islice(_grid([rows[0]]), T + 1))
-        quotients = [_discriminant_sample([horner(row, u0) for row in rows]) for u0 in us]
-        for i, b, c in _unpacked(us, quotients, k):
+        rows = _rows(R, 0, 1, lambda mono: k * mono[2])  # descending in x, then in X
+        for i, b, c in sampled([rows], T + 1, k, _discriminant_sample):
             if i + b > T:
                 raise ArithmeticError("packed discriminant has a term beyond its degree")
             D[(i, b)] = c
@@ -628,14 +568,14 @@ def _discriminant(R: _IntTerms) -> _IntTerms:
             return [horner(in_x.get((i, b), []), u0) for b in range(top, -1, -1)]
 
         # at the X nodes, lc_x(R) stays a nonzero polynomial in Y, of degree top
-        us = list(islice(_grid([in_x[m, top]]), T + 1))
-        vs = list(islice(_grid([at(u0, m, top) for u0 in us]), T + 1))
+        us = list(islice(stable_nodes([in_x[m, top]]), T + 1))
+        vs = list(islice(stable_nodes([at(u0, m, top) for u0 in us]), T + 1))
         rows = []
         for a, u0 in enumerate(us):
             r = [at(u0, i, e) for i in range(m, -1, -1)]  # descending in x
             samples = ([horner(coeffs, v0) for coeffs in r] for v0 in vs[: T + 1 - a])
             rows.append([_discriminant_sample(r0) for r0 in samples])
-        D = _lower_set(rows, us, vs)
+        D = lower_set(rows, us, vs)
     if not D:
         # two roots of R share x at every centre only when each normal
         # meets the curve twice at one x: a pair of horizontal lines
@@ -661,15 +601,15 @@ def _discriminant_width(R: _IntTerms) -> int:
     lc_x(R) is, up to sign, the determinant of the remaining (2m - 2)-square
     matrix, with m - 2 rows of R, m - 1 rows of dR/dx and one row of
     m R - x dR/dx, whose coefficient of x**i is (m - i) times R's.  Its
-    `_hadamard_bits` need no allowance for a factor, and they cover lc_x(R)
+    `hadamard_bits` need no allowance for a factor, and they cover lc_x(R)
     too, since a row of dR/dx holds m lc_x(R).  For m = 1 the Sylvester
     matrix is (lc_x(R)) and the discriminant is 1."""
     norms = _norms(R, 0)
     m = len(norms) - 1
     if m == 1:
-        return _hadamard_bits((norms[:1], 1))
+        return hadamard_bits((norms[:1], 1))
     reduced = [j * c for j, c in enumerate(norms)]  # descending: x**(m - j)
-    return _hadamard_bits((norms, m - 2), (derivative(norms), m - 1), (reduced, 1))
+    return hadamard_bits((norms, m - 2), (derivative(norms), m - 1), (reduced, 1))
 
 
 def _simple_part(D: _IntTerms, log: list[str]) -> _IntTerms:
@@ -726,9 +666,8 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
     X.  A failed division or certificate means C is not yet right, as when
     the nodes so far are symmetric about a centre of symmetry of its image:
     the next node goes on, up to deg_Y D + 1 kept nodes, which fix C."""
-    in_y = _columns(D, 1)
-    rows = [in_y.get((a,), []) for a in range(max(in_y)[0], -1, -1)]  # descending in X, then Y
-    top = max(len(row) for row in rows) - 1  # deg_Y D
+    rows = _rows(D, 0, 1, lambda m: 0)  # descending in X, then Y
+    top = len(rows[0]) - 1  # deg_Y D
     norm_bits = (sum(c * c for c in D.values()).bit_length() + 1) // 2  # 2**norm_bits >= |D|_2
     k = len(rows) - 1 + top + norm_bits + 2  # 2**(k - 2) >= 2**(deg_X D + deg_Y D) |D|_2
     packed = [pack(row, k) for row in rows]
@@ -758,7 +697,7 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
     tables: list[tuple[list[int], list[int]]] = []
     simple = -1
     try:
-        for v0 in islice(_grid([rows[0]]), 2 * top + 2):
+        for v0 in islice(stable_nodes([rows[0]]), 2 * top + 2):
             d0 = [horner(row, v0) for row in rows]
             parts = square_parts(d0)
             if parts is None or len(parts[0]) < simple:

@@ -1,10 +1,11 @@
 import ast
+import sys
 import time
 import types
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import islice, permutations
 from math import gcd, inf
 from pathlib import Path
 
@@ -29,9 +30,12 @@ from evolute.intpoly import (
     exquo,
     interpolate,
     irreducible,
+    mul,
     pack,
+    sampled,
     sqf_list,
     square_parts,
+    stable_nodes,
     strip,
     unpack,
 )
@@ -763,6 +767,55 @@ def test_unpack_inverts_pack(case):
     assert unpack(pack(f, k), k) == strip(f)
 
 
+@st.composite
+def _packed_in_x(draw):
+    """(terms, k): a nonzero integer polynomial in (x, Y), as (i, e) -> c for
+    x**i Y**e, whose coefficients are balanced base-2**k digits, both ends
+    and zero drawn often."""
+    k = draw(st.integers(1, 40))
+    half = 1 << (k - 1)
+    digit = st.one_of(st.sampled_from([1 - half, 0, half]), st.integers(1 - half, half))
+    rows = draw(st.lists(st.lists(digit, max_size=5), min_size=1, max_size=6))
+    terms = {(i, e): c for i, row in enumerate(rows) for e, c in enumerate(row) if c}
+    assume(terms)
+    return terms, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(_packed_in_x())
+@example(({(0, 0): -3, (0, 1): 4, (2, 2): 4}, 3))  # both ends of the digit range
+@example(({(0, 0): 1}, 1))
+def test_sampled_reads_back_the_packed_digits(case):
+    # one operand with one row, P(x; Y) packed at Y = 2**k, and the sample
+    # its value: the kernel's interpolation and unpacking alone
+    terms, k = case
+    n = max(i for i, _ in terms) + 1
+    top = max(e for _, e in terms)
+    row = [pack([terms.get((i, e), 0) for e in range(top, -1, -1)], k) for i in range(n)][::-1]
+    digits = list(sampled([[row]], n, k, lambda f0: f0[0]))
+    assert digits == sorted((i, e, c) for (i, e), c in terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 9), st.lists(st.integers(-6, 6), max_size=3)), min_size=1,
+                max_size=3))
+def test_stable_nodes_skip_exactly_the_zeros_of_the_leads(leads):
+    # each lead is a nonzero constant times (x - r) over its drawn roots r:
+    # the nodes are 0, 1, -1, 2, -2, ... without those roots
+    polys = [reduce(mul, ([1, -r] for r in roots), [c]) for c, roots in leads]
+    roots = {r for _, rs in leads for r in rs}
+    order = [0] + [s * v for v in range(1, 13) for s in (1, -1)]
+    assert list(islice(stable_nodes(polys), 12)) == [t for t in order if t not in roots][:12]
+
+
+def test_stable_nodes_refuse_a_zero_lead_before_any_node():
+    assert oracle.InconclusiveEliminationError is intpoly.InconclusiveEliminationError
+    for zero in ([], [0], [0, 0, 0]):
+        nodes = stable_nodes([[1, 2], zero])
+        with pytest.raises(InconclusiveEliminationError, match="stable sample points"):
+            next(nodes)
+
+
 def _content_by_gcd_fold(R):
     """R divided by the gcd of its X**a Y**b columns, with the log line and
     the content's multiplicities -> degrees, by sympy's `sqf_list`."""
@@ -1119,6 +1172,17 @@ def test_sympy_is_imported_by_the_accessor_alone():
         assert {owner for owner, name in imports if name.split(".")[0] == "sympy"} == importers
 
 
+def test_intpoly_is_a_leaf_module():
+    # the univariate algebra and the sampled-elimination kernel import only
+    # the standard library: no evolute module (a relative import reads as
+    # its bare name), no sympy, so new eliminations reuse them without the
+    # oracle's plumbing
+    imports = _imports(intpoly)
+    assert (None, "itertools") in imports  # the scan sees the module's own imports
+    for _, name in imports:
+        assert name.split(".")[0] in sys.stdlib_module_names - {"evolute"}, name
+
+
 def test_square_split_refuses_what_the_nodes_miss():
     # D = X + Y**3 - Y is X at the first nodes 0, 1, -1; only the image of
     # its square part C = 1 is interpolated, and D / C**2 is D itself
@@ -1135,7 +1199,7 @@ def test_square_split_out_of_nodes_is_inconclusive(monkeypatch):
         yield 0
         raise InconclusiveEliminationError("could not find stable sample points")
 
-    monkeypatch.setattr(oracle, "_grid", exhausted)
+    monkeypatch.setattr(oracle, "stable_nodes", exhausted)
     with pytest.raises(InconclusiveEliminationError):
         _square_split(_integer_terms(sp.Poly(X**2 + Y**2 - 1, X, Y)))
 

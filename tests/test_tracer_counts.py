@@ -1,9 +1,12 @@
 """The benchmark's span tracer counts the oracle's kernel calls.
 
 `perfbench/tracer.py` finds `dup_resultant` in every `evolute` module that
-holds it and wraps each reference; the oracle calls it through its own
-module global.  A reference the tracer misses would leave kernel calls
-uncounted, which only a traced benchmark run would otherwise show.
+holds it and wraps each reference.  The oracle looks it up in its own
+module global at each elimination and hands it to the sampling kernel
+`intpoly.sampled`: the function itself for R, and `_discriminant_sample`,
+which calls it, for D.  So every sample calls the wrapped reference.  A
+reference the tracer misses would leave kernel calls uncounted, which only
+a traced benchmark run would otherwise show.
 """
 
 import runpy
