@@ -56,9 +56,9 @@ def _lazy_module(name: str):
     """The module `name`, executed on its first attribute access.
 
     Only the `oracle` and `selftest` subcommands run the oracle, so the
-    engine subcommands skip its definitions and imports (sympy is imported
-    by its fallbacks alone, not when it loads).  The module is registered
-    in `sys.modules` at once, where instrumentation looks for it.
+    engine subcommands skip its definitions and imports.  The module is
+    registered in `sys.modules` at once, where instrumentation looks for
+    it.
 
     The lazy load is worth memory: over 7 launches of CPython 3.11 on Linux
     with no bytecode cache, `import evolute.cli` peaks at 15.1 MB of

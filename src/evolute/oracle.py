@@ -18,22 +18,21 @@ x (the x-coincidence locus).  The second kind comes in pairs, so D is the
 evolute times the square of that locus, and the evolute is the
 multiplicity-one part of D.  One elimination order suffices: the gcd with
 the other order's discriminant can keep a common factor of both
-coincidence loci that is not on the evolute.  Univariate and isotropic
-factors are then stripped, and every removal is logged.
+coincidence loci that is not on the evolute.  Univariate factors are then
+stripped, every removal is logged, and so are isotropic components.
 
-Exact integer certificates decide the common case before any bivariate
-factorization.  The input is certified irreducible when its content in x
+Exact integer certificates make every decision; no bivariate polynomial
+is factored.  The input is certified irreducible when its content in x
 is constant and one specialization F(x, y0) is irreducible (a quadratic
-by its discriminant, a higher degree modulo a small prime); the square
-part C of D is interpolated from univariate splits at sample nodes (one
-gcd each unless a root has multiplicity above 2), and the evolute E is
-D / C**2 by one exact division, accepted only on the exact identity
-D = mu E C**2; and nothing needs stripping when both of its
-contents are constant and X**2 + Y**2 does not divide its leading form.
-The genericity flags are exact tests on the leading form.  sympy's
-`factor_list` and `sqf_list` run only on what a certificate leaves
-undecided: reducible or non-squarefree input, circles and other isotropic
-evolutes, and a D whose split is not a square.
+by its discriminant, a higher degree modulo a small prime), in x or in
+y; else resultants and contents decide whether it is squarefree and
+reducible, and what stays undecided is refused.  The square part C of D
+is interpolated from univariate splits at sample nodes (one gcd each
+unless a root has multiplicity above 2), and the evolute E is D / C**2
+by one exact division, accepted only on the exact identity
+D = mu E C**2.  E's univariate factors are its two contents, and its
+leading form decides whether its components are all isotropic.  The
+genericity flags are exact tests on the leading form.
 
 Both R and D are sampled at integer nodes and interpolated exactly in
 integer arithmetic by one kernel, `intpoly.sampled` (Collins' evaluation-
@@ -56,10 +55,8 @@ checked, and a curve above `MAX_WORK` is refused.
 `PlaneCurve.from_expr` clears the denominators of the parsed terms
 (`polyparse`) once, by their lcm, and from there to the evolute every
 polynomial is an integer term map, exponents -> nonzero coefficient, and
-every univariate one a list of ints (`intpoly`).  sympy is imported only
-by the three fallbacks (the curve's `factor_list`, D's `sqf_list` and the
-evolute's `factor_list`), through `_sympy`; they build its `Poly`, and
-`_integer_terms` converts their results back.
+every univariate one a list of ints (`intpoly`): no module the oracle
+runs on imports sympy.
 
 This module shares no algebra with the intersection-theoretic engine, only
 the record base `ring.Record`, so the two paths cross-check each other
@@ -82,6 +79,7 @@ from .intpoly import (
     exquo,
     hadamard_bits,
     horner,
+    interpolate,
     irreducible,
     lower_set,
     monomials,
@@ -99,22 +97,14 @@ from .polyparse import degree, parse_polynomial
 from .ring import Record
 
 
-def _sympy():
-    """sympy, imported on first use: only the three fallbacks need it.  It
-    is also this module's attribute `sp` (PEP 562, `__getattr__` below),
-    which instrumentation may replace, so the fallbacks reach sympy here."""
-    global sp
-    try:
-        return sp
-    except NameError:
-        import sympy as sp
-
-        return sp
-
-
 def __getattr__(name: str):
+    # `sp` exists for perfbench/tracer.py alone, which proxies sympy's names
+    # here at install; nothing in the oracle uses it, and the in-package
+    # recorder of ROADMAP item 3 removes it
     if name == "sp":
-        return _sympy()
+        import sympy
+
+        return sympy
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -145,8 +135,8 @@ class PlaneCurve(Record):
         d = degree(F)
         if not d:
             raise ValueError("constant input is not a curve")
-        # before the irreducibility check, whose sympy fallback can cost
-        # more than the elimination for large coefficients
+        # before the irreducibility check, whose resultants grow with the
+        # coefficients as the elimination's do
         work, samples, bits = predicted_work(F)
         if work > MAX_WORK:
             raise ValueError(
@@ -154,12 +144,7 @@ class PlaneCurve(Record):
                 f"of ~{bits} bits, work {work:.1e} > budget {MAX_WORK:.0e}"
             )
         if not _certified_irreducible(F):
-            sp = _sympy()
-            _, factors = sp.factor_list(sp.Poly.from_dict(F, *sp.symbols("x y")))
-            if any(mult > 1 for _, mult in factors):
-                raise ValueError("curve polynomial must be squarefree")
-            if len(factors) > 1:
-                raise DegenerateCurveError("curve polynomial must be irreducible over Q")
+            _refuse_uncertified(F)
         return cls(F, d)
 
     def through_circular_points(self) -> bool:
@@ -195,13 +180,12 @@ def _suspended(reason: str) -> str:
 
 
 ZERO_CURVATURE = "zero curvature along the curve (line components)"
-STRIPPED_ISOTROPIC = "stripped isotropic-line factor"
+ISOTROPIC_KEPT = "X**2 + Y**2 divides the leading form: any isotropic-line factors are kept"
 
 # largest `predicted_work` the oracle accepts: a quartic with 6-bit
 # coefficients (1.7e10; the generic quartic is 1.9e9); a conic with 512-bit
 # coefficients (2.5e10) or a sextic (6.6e10) is refused.  The budget bounds
-# the sampling; sympy's factoring, which grows faster in the coefficient
-# size, runs only on inputs that fail the integer certificates
+# the sampling, the largest part of every stage
 MAX_WORK = 2 * 10**10
 
 
@@ -214,9 +198,7 @@ def predicted_work(F: _IntTerms) -> tuple[int, int, int]:
     T = (2m - 1) d.  A sample has degree 2m - 1 in the coefficients of R,
     which have about 2 d B bits, so about 2 T B bits.  The work is the
     sample count times the squared sample size: one schoolbook product of
-    two samples per sample.  The model covers the sampling only: sympy's
-    bivariate factoring is not modelled, and runs only on inputs that fail
-    the integer certificates.
+    two samples per sample.  The model covers the sampling only.
 
     This prices the lower-set grid of the Sylvester bound, kept on purpose
     although `_discriminant` samples only up to the tighter
@@ -268,6 +250,115 @@ def _certified_irreducible(f: _IntTerms) -> bool:
         if f0[0] and irreducible(f0):
             return True
     return False
+
+
+def _refuse_uncertified(f: _IntTerms) -> None:
+    """Return when F, which `_certified_irreducible` leaves undecided, is
+    certified irreducible with x and y swapped or by `_reducible`; else
+    raise.
+
+    F is not squarefree exactly when its content in x, a polynomial in y,
+    has a repeated part (`sqf_list`), or when Res_x(F, dF/dx) vanishes: a
+    repeated factor of positive degree in x divides dF/dx too.  That
+    resultant has degree at most (2n - 1) deg_y F in y for n = deg_x F, and
+    equals Res(F0, F0') at the `stable_nodes` y0 of lc_x(F), so it vanishes
+    when it does at that many + 1 of them.  F is reducible when it has both
+    variables and a nonconstant content in x or in y, or one variable and is
+    a quadratic (one with a nonsquare discriminant is certified); else
+    `_reducible` decides.  Anything else is refused as undecided: a
+    factorization is never guessed."""
+    if _certified_irreducible({(j, i): c for (i, j), c in f.items()}):
+        return
+    n, p = (max(m[var] for m in f) for var in (0, 1))
+    in_y = _columns(f, 1)
+    common = content(in_y.values())
+    nodes = islice(stable_nodes([in_y[n,]]), (2 * n - 1) * p + 1) if n else ()
+    samples = ((y0, [horner(in_y.get((i,), []), y0) for i in range(n, -1, -1)]) for y0 in nodes)
+    node = next(((y0, f0) for y0, f0 in samples if dup_resultant(f0, derivative(f0))), None)
+    if any(mult > 1 for _, mult in sqf_list(common)) or n and node is None:
+        raise ValueError("curve polynomial must be squarefree")
+    if n and p:
+        in_x = _columns(f, 0)
+        reducible = len(common) > 1 or len(content(in_x.values())) > 1 or _reducible(f, *node)
+    else:  # one variable, uncertified: a quadratic has a square discriminant
+        reducible = n + p == 2 or None
+    if reducible is False:
+        return
+    if reducible:
+        raise DegenerateCurveError("curve polynomial must be irreducible over Q")
+    raise ValueError("could not certify that the curve is irreducible over Q")
+
+
+def _reducible(f: _IntTerms, y0: int, f0: list[int]) -> bool | None:
+    """Whether F, squarefree of degrees n and p in x and y with constant
+    contents, is reducible over Q, by Gao's count of its factors (Math.
+    Comp. 72, 2003); None where it stays undecided.  F0 = F(x, y0) is
+    squarefree of degree n.
+
+    The solutions G of F G_y - G F_y = F H_x - H F_x with deg G <= (n - 1, p)
+    and deg H <= (n, p - 1) are the sums of c_i (F / F_i) dF_i/dx over the
+    s absolutely irreducible factors F_i of F, with c_i conjugate as the F_i
+    are.  At y0 a solution gives e(t) = Res_x(F0, G0 - t F0'), which is
+    a prod (c_i - t)**deg_x F_i, sampled at n + 1 nodes t.  For generic
+    weights of a basis, the c_i are distinct, e's squarefree part chi has
+    degree s, and F has the factors over Q that chi has.  So F is
+    irreducible where `irreducible` certifies chi, and reducible where chi
+    is a quadratic (with a square discriminant) or Yun's decomposition of e
+    splits it by the x-degrees of the factors."""
+    # one equation per monomial: a term c x**a y**b of F gives G's x**i y**j
+    # the coefficient (j - b) c at x**(a + i) y**(b + j - 1), and H's
+    # x**i y**j (i - a) c at x**(a + i - 1) y**(b + j)
+    n, p = len(f0) - 1, max(j for _, j in f)
+    monos = [(1, i, j) for i in range(n) for j in range(p + 1)]
+    monos += [(0, i, j) for i in range(n + 1) for j in range(p)]
+    rows: dict[tuple[int, int], list[int]] = {}
+    for col, (v, i, j) in enumerate(monos):
+        for (a, b), c in f.items():
+            if (i, j)[v] != (a, b)[v]:
+                key = (a + i - (v == 0), b + j - (v == 1))
+                rows.setdefault(key, [0] * len(monos))[col] += ((i, j)[v] - (a, b)[v]) * c
+    basis = _null_space(list(rows.values()))
+    # each solution's G at y0, descending in x
+    at_y0 = [[horner(v[i * (p + 1) : (i + 1) * (p + 1)][::-1], y0) for i in range(n - 1, -1, -1)]
+             for v in basis]
+    d0 = derivative(f0)
+    for w in range(2, 2 + len(basis) ** 3):  # some w < 2 + s**3 makes the c_i distinct
+        g0 = [sum(w**k * c for k, c in enumerate(coeffs)) for coeffs in zip(*at_y0)]
+        ts = list(islice(stable_nodes([[-d0[0], g0[0]]]), n + 1))
+        e = interpolate(ts, [dup_resultant(f0, [a - t * b for a, b in zip(g0, d0)]) for t in ts])
+        parts = [part for part, _ in sqf_list(e[::-1])]
+        chi = reduce(mul, parts, [1])
+        if len(chi) - 1 == len(basis):
+            return False if irreducible(chi) else True if len(parts) > 1 or len(chi) == 3 else None
+    return None
+
+
+def _null_space(rows: list[list[int]]) -> list[list[int]]:
+    """A basis of the integer vectors v with sum(row[k] v[k]) = 0 for
+    every row, by fraction-free Gauss-Jordan elimination."""
+    width = len(rows[0])
+    pivots: list[int] = []
+    for c in range(width):
+        r = next((r for r in range(len(pivots), len(rows)) if rows[r][c]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[r] = rows[r], rows[k]
+        for r, row in enumerate(rows):
+            if r != k and row[c]:
+                row = [rows[k][c] * a - row[c] * b for a, b in zip(row, rows[k])]
+                common = gcd(*row) or 1
+                rows[r] = [a // common for a in row]
+        pivots.append(c)
+    scale = lcm(*(rows[k][c] for k, c in enumerate(pivots)))
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        vector = [0] * width
+        vector[free] = scale
+        for k, c in enumerate(pivots):
+            vector[c] = -rows[k][free] * scale // rows[k][c]
+        basis.append(vector)
+    return basis
 
 
 class EvoluteResult(Record):
@@ -326,13 +417,6 @@ def center_of_curvature_system(curve: PlaneCurve) -> tuple[_IntTerms, _IntTerms]
 # --------------------------------------------------------------------------
 # exact sampled elimination
 # --------------------------------------------------------------------------
-
-
-def _integer_terms(poly) -> _IntTerms:
-    """The integer terms of a sympy `Poly` with its denominators cleared
-    (the rational scale is irrelevant downstream, where content is
-    removed): the way back from the sympy fallbacks."""
-    return {m: int(c) for m, c in poly.clear_denoms(convert=True)[1].rep.to_dict().items()}
 
 
 def _normal_resultant(f: _IntTerms, h: _IntTerms) -> _IntTerms:
@@ -434,26 +518,20 @@ def _strip_content(R: _IntTerms, log: list[str]) -> tuple[_IntTerms, dict[int, i
     least 4 at any other point (A_k gives k + 1; m_p >= 3 gives
     mu_p >= (m_p - 1)**2) and on any line through two singular points.
     Singular points at infinity are flagged: a squarefree LF has d smooth."""
-    columns, common, singular = _read_content(R)
+    common, singular = _read_content(R)
     if len(common) > 1:
         log.append(f"removed {_content_line(common, singular, 'x')}")
-        R = {}
-        for (a, b), col in columns.items():
-            quotient = exquo(col, common)[::-1]
-            R.update({(i, a, b): c for i, c in enumerate(quotient) if c})
+        R = _divided(R, 0, common)
     if max(i for i, _, _ in R) == 0:
         raise DegenerateCurveError(ZERO_CURVATURE)
     return R, singular
 
 
-def _read_content(
-    R: _IntTerms,
-) -> tuple[dict[tuple[int, ...], list[int]], list[int], dict[int, int]]:
-    """R's columns in x, its content in x and the content's multiplicities
-    -> the degree of the part of each (`sqf_list`)."""
-    columns = _columns(R, 0)
-    common = content(columns.values())
-    return columns, common, {mult: len(part) - 1 for part, mult in sqf_list(common)}
+def _read_content(R: _IntTerms) -> tuple[list[int], dict[int, int]]:
+    """R's content in x and the content's multiplicities -> the degree of
+    the part of each (`sqf_list`)."""
+    common = content(_columns(R, 0).values())
+    return common, {mult: len(part) - 1 for part, mult in sqf_list(common)}
 
 
 def _content_line(common: list[int], singular: dict[int, int], var: str) -> str:
@@ -472,7 +550,7 @@ def _content_in_y(curve: PlaneCurve, log: list[str]) -> dict[int, int] | None:
     too, so `_strip_content`'s argument carries over: two nodes on one
     vertical line, which add to 4 in x, read as two 2s in y."""
     swapped = PlaneCurve({(j, i): c for (i, j), c in curve.terms.items()}, curve.degree)
-    _, common, singular = _read_content(_normal_resultant(*center_of_curvature_system(swapped)))
+    common, singular = _read_content(_normal_resultant(*center_of_curvature_system(swapped)))
     if not singular or singular.keys() - {2, 3}:
         return None
     log.append(f"read {_content_line(common, singular, 'y of Res_x(F, H)')}")
@@ -614,16 +692,21 @@ def _discriminant_width(R: _IntTerms) -> int:
 
 def _simple_part(D: _IntTerms, log: list[str]) -> _IntTerms:
     """The product of the factors of multiplicity one of D, up to a
-    constant: `_square_split`, or sympy's `sqf_list` where that certifies
-    nothing.  D is the evolute times the square of the x-coincidence locus,
-    the centres on the normals of two curve points with one x; a curve of
-    lines has no multiplicity-one factor."""
+    constant, by `_square_split`.  D is the evolute times the square of the
+    x-coincidence locus, the centres on the normals of two curve points
+    with one x; a curve of lines has no multiplicity-one factor.
+
+    Where the split certifies nothing, it is taken again on D without the
+    repeated part of its content in Y, nu(X): a root of nu is one of D(X, v0)
+    at every node v0, so one of odd multiplicity above 1 skips them all.
+    What that leaves undecided is inconclusive: a split is never guessed."""
     P = _square_split(D)
     if P is None:
-        sp = _sympy()
-        gens = sp.symbols("X Y")
-        _, parts = sp.sqf_list(sp.Poly.from_dict(D, *gens, domain=sp.ZZ))
-        P = _integer_terms(sp.prod([f for f, mult in parts if mult == 1], start=sp.Poly(1, *gens)))
+        nu = content(_columns(D, 0).values())
+        simple = next((part for part, mult in sqf_list(nu) if mult == 1), [1])
+        P = _square_split(_divided(D, 0, exquo(nu, simple))) if len(nu) > len(simple) else None
+        if P is None:
+            raise InconclusiveEliminationError("no certified square split of the discriminant")
     if degree(P) == 0:
         raise DegenerateCurveError(ZERO_CURVATURE)
     if degree(P) < degree(D):
@@ -632,9 +715,9 @@ def _simple_part(D: _IntTerms, log: list[str]) -> _IntTerms:
 
 
 def _square_split(D: _IntTerms) -> _IntTerms | None:
-    """E primitive in X with D = mu(Y) E C**2, E squarefree and coprime to
-    C, and every factor of mu of multiplicity at least 2: then E is D's
-    multiplicity-one part.  None when the samples below certify no such E.
+    """E times the multiplicity-one part of mu for E primitive in X with
+    D = mu(Y) E C**2, E squarefree and coprime to C: D's multiplicity-one
+    part.  None when the samples below certify no such E.
 
     At a node v0 where lc_X(D) does not vanish, `square_parts` splits
     D0 = D(X, v0) into its simple roots and a square, by one gcd unless a
@@ -684,11 +767,12 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
             len(E) != simple
             or (sum(map(abs, mu)) * norm_e * norm_c**2).bit_length() >= k
             or [pack(mu, k) * pack(row, k) for row in E] != quotient
-            or any(mult == 1 for _, mult in sqf_list(mu))
         ):
             return None
+        simple_mu = next((part for part, mult in sqf_list(mu) if mult == 1), [1])
         return {
-            (len(E) - 1 - a, b): c for a, row in enumerate(E) for b, c in enumerate(row[::-1]) if c
+            (len(E) - 1 - a, b): c
+            for a, row in enumerate(E) for b, c in enumerate(mul(row, simple_mu)[::-1]) if c
         }
 
     nodes: list[int] = []
@@ -725,6 +809,17 @@ def _square_split(D: _IntTerms) -> _IntTerms | None:
     return None
 
 
+def _divided(P: _IntTerms, var: int, f: list[int]) -> _IntTerms:
+    """P / f for a polynomial f in the variable at position `var` that
+    divides each of P's `_columns` in it."""
+    quotient: _IntTerms = {}
+    for rest, col in _columns(P, var).items():
+        for e, c in enumerate(exquo(col, f)[::-1]):
+            if c:
+                quotient[rest[:var] + (e,) + rest[var:]] = c
+    return quotient
+
+
 def _primitive(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """The content in Z[Y], the integer content included, of a polynomial
     in (X, Y), as rows descending in X of coefficient lists descending in
@@ -746,51 +841,35 @@ def _primitive(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 def eliminate(system: tuple[_IntTerms, _IntTerms]) -> tuple[_IntTerms, list[str], dict[int, int]]:
     """Project the normal system (F, H) to the ED discriminant in (X, Y):
     R = Res_y(F, H) without its content in x, D = disc_x(R), the
-    multiplicity-one part of D, and the extraneous-factor policy.  Returns
-    the evolute in (X, Y), the log and `_strip_content`'s reading of R."""
+    multiplicity-one part of D, and the extraneous-factor policy
+    (`_strip_extraneous`).  Returns the evolute in (X, Y), the log and
+    `_strip_content`'s reading of R."""
     log: list[str] = []
     R, singular = _strip_content(_normal_resultant(*system), log)
-    evolute = _simple_part(_discriminant(R), log)
-    if _nothing_to_strip(evolute):
-        return _normalize_sign(evolute), log, singular
+    evolute = _strip_extraneous(_simple_part(_discriminant(R), log), log)
+    return _normalize_sign(evolute), log, singular
 
-    # sp.factor_list sorts the factors, which fixes the order of the log
-    sp = _sympy()
-    _, factors = sp.factor_list(sp.Poly.from_dict(evolute, *sp.symbols("X Y"), domain=sp.ZZ))
-    kept: list[sp.Poly] = []
-    isotropic: list[sp.Poly] = []
-    for fac, mult in factors:
-        if fac.degree(0) == 0 or fac.degree(1) == 0:
-            log.append(f"stripped univariate extraneous factor: {sp.sstr(fac.as_expr())}")
-            continue
-        if _is_isotropic_factor(_integer_terms(fac)):
-            isotropic.append(fac)
-            continue
-        kept.append(fac)
-    if not kept and isotropic:
-        # degenerate inputs (circles) collapse onto isotropic components;
-        # keep them so the residual locus is still reported
-        log.append("result consists of isotropic components only (degenerate input)")
-        kept = isotropic
-    else:
-        for fac in isotropic:
-            log.append(f"{STRIPPED_ISOTROPIC}: {sp.sstr(fac.as_expr())}")
-    if not kept:
+
+def _strip_extraneous(P: _IntTerms, log: list[str]) -> _IntTerms:
+    """P without its univariate factors, its contents in X and in Y, each
+    logged.  X**2 + Y**2 divides the leading form of each isotropic factor,
+    and so that of P, which is logged.  When P's whole leading form is a
+    power of it, the leading form of every factor divides that power, so
+    every component is isotropic; else P is kept whole (`ISOTROPIC_KEPT`)."""
+    for var in (1, 0):  # the content in X, a polynomial in Y, then the one in Y
+        common = content(_columns(P, var).values())
+        if len(common) > 1:
+            P = _divided(P, var, common)
+            factor = {(0, e) if var else (e, 0): c for e, c in enumerate(common[::-1]) if c}
+            text = canonical_text(_normalize_sign(factor))
+            log.append(f"stripped univariate extraneous factor: {text}")
+    if not degree(P):
         raise InconclusiveEliminationError("every factor was extraneous")
-
-    return _normalize_sign(_integer_terms(sp.prod(kept))), log, singular
-
-
-def _nothing_to_strip(P: _IntTerms) -> bool:
-    """Whether P certifiably has no univariate and no isotropic factor: its
-    contents in X and in Y are constant (`content`), and X**2 + Y**2 does
-    not divide its leading form, which every isotropic factor's leading
-    form would bring.  False leaves it undecided."""
-    return (
-        len(content(_columns(P, 1).values())) == 1
-        and len(content(_columns(P, 0).values())) == 1
-        and not _isotropic(_infinity_form(P))
-    )
+    if _isotropic(_infinity_form(P)):
+        # degenerate inputs (circles) collapse onto isotropic components
+        log.append("result consists of isotropic components only (degenerate input)"
+                   if _is_isotropic_factor(P) else ISOTROPIC_KEPT)
+    return P
 
 
 def _is_isotropic_factor(fac: _IntTerms) -> bool:
@@ -818,10 +897,10 @@ def oracle_check(curve: PlaneCurve) -> EvoluteResult:
     the cusps k0 read off R's content and g = (d - 1)(d - 2)/2 - nodes - k0.
     Where that content has another multiplicity, the content in y of
     Res_x(F, H) is read instead when it shows only nodes and cusps
-    (`_content_in_y`).  Other singular points suspend the comparison, as do
-    isotropic factors stripped from the ED discriminant of a curve that
-    avoids the circular points (isotropic tangents of higher contact, as on
-    x**3 - 3 x y**2 + 1): the closed form may count them."""
+    (`_content_in_y`).  Other singular points suspend the comparison, as
+    does an evolute kept whole with `ISOTROPIC_KEPT` for a curve that avoids
+    the circular points (isotropic tangents of higher contact, as on
+    x**3 - 3 x y**2 + 1): its isotropic-line factors are not separated."""
     flags = curve.genericity_flags()
     evolute, log, singular = eliminate(center_of_curvature_system(curve))
     if singular.keys() - {2, 3}:
@@ -830,10 +909,9 @@ def oracle_check(curve: PlaneCurve) -> EvoluteResult:
     if unread:
         flags.append(_suspended("a singular point other than a node or an ordinary cusp, or two "
                                 f"on one vertical line (content multiplicity {unread} in x)"))
-    stripped = any(line.startswith(STRIPPED_ISOTROPIC) for line in log)
-    if stripped and not curve.through_circular_points():
-        flags.append(_suspended("isotropic-line factors of the ED discriminant were stripped "
-                                "from the evolute"))
+    if ISOTROPIC_KEPT in log and not curve.through_circular_points():
+        flags.append(_suspended("the evolute passes through the circular points at infinity "
+                                "and may keep isotropic-line factors of the ED discriminant"))
     d, nodes, cusps = curve.degree, singular.get(2, 0), singular.get(3, 0)
     genus = (d - 1) * (d - 2) // 2 - nodes - cusps
     expected = 6 * (d + genus - 1) - 2 * cusps

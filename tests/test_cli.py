@@ -335,35 +335,49 @@ def test_engine_subcommands_leave_sympy_unloaded(argv):
     assert out.endswith("[]\nFalse\nFalse PlaneCurve\nFalse\n")
 
 
-# golden oracle cases that the integer certificates decide end to end
-COMMON_PATH = (
-    "oracle_ellipse_json", "oracle_cubic_json", "oracle_folium_json",
-    "oracle_wide_conic_json", "oracle_rational_cubic_json",
+# a finder first on `sys.meta_path` that refuses sympy, as where it is not
+# installed
+REFUSE_SYMPY = (
+    "import sys\n"
+    "class Refuse:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'sympy':\n"
+    "            raise ModuleNotFoundError('sympy is refused')\n"
+    "sys.meta_path.insert(0, Refuse())\n"
 )
 
 
 def test_oracle_common_path_leaves_sympy_unloaded():
-    # a fresh interpreter runs the golden curves through `main`, prints each
-    # exit code and report, and then whether sympy was ever imported
-    golden = Path(__file__).parent / "golden"
-    cases = json.loads((golden / "cases.json").read_text(encoding="utf-8"))
-    script = (
-        "import contextlib, io, json, sys, evolute.cli as cli\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    out = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out):\n"
-        "        code = cli.main(argv)\n"
-        "    print(json.dumps([code, out.getvalue()]))\n"
-        "print('sympy' in sys.modules)\n"
+    # a fresh interpreter that cannot import sympy replays every golden case
+    # through `record_golden`, which prints each case whose stdout, stderr or
+    # exit code differs from its recording, and then whether sympy was
+    # ever imported
+    script = REFUSE_SYMPY + (
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import record_golden\n"
+        "code = record_golden.main([])\n"
+        "print(code, 'sympy' in sys.modules)\n"
     )
-    argvs = json.dumps([cases[name]["argv"] for name in COMMON_PATH])
     env = {**os.environ, "PYTHONPATH": str(Path(evolute.__file__).parents[1])}
-    lines = subprocess.run(
-        [sys.executable, "-c", script, argvs], env=env, capture_output=True, text=True, check=True
-    ).stdout.splitlines()
-    assert lines[-1] == "False"
-    for name, line in zip(COMMON_PATH, lines[:-1], strict=True):
-        assert json.loads(line) == [0, (golden / f"{name}.out").read_text(encoding="utf-8")]
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(Path(__file__).parent)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "0 False\n"
+
+
+def test_sympy_refusal_is_seen():
+    # negative control: the refusal above does stop `import sympy`
+    script = REFUSE_SYMPY + (
+        "try:\n"
+        "    import sympy\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "sympy is refused\n"
 
 
 def test_non_integer_locus_degree_exits_three(capsys, monkeypatch):

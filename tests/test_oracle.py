@@ -1,7 +1,6 @@
 import ast
 import sys
 import time
-import types
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
@@ -48,15 +47,14 @@ from evolute.oracle import (
     _discriminant,
     _discriminant_degree,
     _discriminant_width,
-    _integer_terms,
     _is_isotropic_factor,
     _normal_resultant,
     _normal_width,
     _normalize_sign,
-    _nothing_to_strip,
     _simple_part,
     _square_split,
     _strip_content,
+    _strip_extraneous,
     canonical_text,
     center_of_curvature_system,
     oracle_check,
@@ -132,6 +130,11 @@ def test_parser_caps_degree_size_and_depth():
     assert parse_polynomial(" + ".join(["x"] * 2000)) == _exact_terms(2000 * x)
     with pytest.raises(ValueError, match="^curve polynomial nested too deeply$"):
         parse_polynomial("-" * 5000 + "x")
+
+
+def _integer_terms(poly):
+    """The integer terms of a sympy `Poly` with its denominators cleared."""
+    return {m: int(c) for m, c in poly.clear_denoms(convert=True)[1].rep.to_dict().items()}
 
 
 def _exact_terms(expr):
@@ -1162,10 +1165,10 @@ def _imports(module):
 
 def test_sympy_is_imported_by_the_accessor_alone():
     # nothing at module level (class bodies included) imports sympy, the
-    # only function of the oracle that does is the fallbacks' accessor, and
-    # the parser and the univariate algebra import it nowhere
+    # only function of the oracle that does is the tracer's `sp` accessor,
+    # and the parser and the univariate algebra import it nowhere
     for module, own, importers in (
-        (oracle, "functools", {"_sympy"}), (polyparse, "ast", set()), (intpoly, "math", set())
+        (oracle, "functools", {"__getattr__"}), (polyparse, "ast", set()), (intpoly, "math", set())
     ):
         imports = _imports(module)
         assert (None, own) in imports  # the scan sees the module's own imports
@@ -1204,14 +1207,141 @@ def test_square_split_out_of_nodes_is_inconclusive(monkeypatch):
         _square_split(_integer_terms(sp.Poly(X**2 + Y**2 - 1, X, Y)))
 
 
+def _leading_form(f):
+    d = f.total_degree()
+    return sp.Poly(sum(c * X**i * Y**j for (i, j), c in f.terms() if i + j == d), X, Y)
+
+
+def _isotropic_reference(f):
+    """Whether sympy's leading form of f is a constant times a power of
+    X**2 + Y**2."""
+    d = f.total_degree()
+    return d % 2 == 0 and _proportional(_leading_form(f), sp.Poly((X**2 + Y**2) ** (d // 2), X, Y))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_FACTORS, min_size=1, max_size=4))
+@example([X**2 + Y**2 + X, X - 2, Y + 1, Y**2 + 1])  # isotropic, with both contents
+@example([X**2 + Y**2 + X, X * Y - 1])  # mixed: kept whole
 def test_nothing_to_strip_certificate(factors):
+    # the strip divides out exactly sympy's univariate factors, one line per
+    # content, and logs the isotropic case its factors make; so an empty log
+    # certifies that nothing was there to strip
     P = sp.Poly(sp.prod(factors), X, Y)
-    if _nothing_to_strip(_integer_terms(P)):
-        for fac, _ in sp.factor_list(P)[1]:
-            assert fac.degree(X) > 0 and fac.degree(Y) > 0
-            assert not _is_isotropic_factor(_integer_terms(fac))
+    _, listed = sp.factor_list(P)
+    contents = [
+        sp.prod([f**k for f, k in listed if f.degree(other) == 0], start=sp.Poly(1, X, Y))
+        for other in (X, Y)
+    ]
+    bivariate = [(f, k) for f, k in listed if f.degree(X) and f.degree(Y)]
+    kept = sp.prod([f**k for f, k in bivariate], start=sp.Poly(1, X, Y))
+    log = []
+    if kept.is_ground:
+        with pytest.raises(InconclusiveEliminationError):
+            _strip_extraneous(_integer_terms(P), log)
+        return
+    assert _proportional(_as_poly(_strip_extraneous(_integer_terms(P), log), X, Y), kept)
+    texts = [canonical_text(_normalize_sign(_integer_terms(c))) for c in contents if not c.is_ground]
+    expected = [f"stripped univariate extraneous factor: {text}" for text in texts]
+    if all(_isotropic_reference(f) for f, _ in bivariate):
+        expected.append("result consists of isotropic components only (degenerate input)")
+    elif _leading_form(kept).rem(sp.Poly(X**2 + Y**2, X, Y)).is_zero:
+        expected.append(oracle.ISOTROPIC_KEPT)
+    assert log == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_FACTORS, min_size=1, max_size=2),
+    st.sampled_from([X, X - 2, X**2 + 1, 2 * X + 3]),
+    st.sampled_from([1, 2, 3]),
+    st.lists(_FACTORS, max_size=1),
+)
+@example([X**2 + Y + 1], X, 5, [X + Y**3 - Y])
+@example([X * Y - 1], X - 2, 3, [])
+def test_simple_part_matches_sqf_list(evolute, nu, a, square):
+    # D = E nu(X)**a C**2: the split, with the content taken out where it
+    # certifies nothing, gives sympy's multiplicity-one part or refuses
+    D = sp.Poly(sp.prod(evolute) * nu**a * sp.prod(square) ** 2, X, Y)
+    simple = sp.prod([f for f, m in sp.sqf_list(D)[1] if m == 1], start=sp.Poly(1, X, Y))
+    # the comparison tells a wrong answer apart: D itself, where it has a square
+    assert _proportional(D, simple) is (D.total_degree() == simple.total_degree())
+    try:
+        split = _simple_part(_integer_terms(D), [])
+    except InconclusiveEliminationError:
+        return
+    except DegenerateCurveError:
+        assert simple.is_ground
+        return
+    assert _proportional(_as_poly(split, X, Y), simple)
+
+
+_CURVE_FACTOR = st.integers(1, 2).flatmap(
+    lambda d: st.fixed_dictionaries(
+        {(i, j): st.integers(-3, 3) for i in range(d + 1) for j in range(d + 1 - i)}
+    )
+).map(lambda terms: sp.Poly.from_dict(terms, x, y)).filter(lambda f: not f.is_ground)
+
+
+@st.composite
+def _factored_curves(draw):
+    """Products of 1-3 random integer factors in (x, y), repeats allowed."""
+    pool = draw(st.lists(_CURVE_FACTOR, min_size=1, max_size=3))
+    return sp.prod(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+
+
+def _verdict(decide, F):
+    """`decide`'s verdict on the text of F: "accepted", or its error message."""
+    try:
+        decide(str(F.as_expr()))
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _verdict_errors(decide, F):
+    """How `decide`'s verdict on F contradicts sympy's factorization."""
+    _, factors = sp.factor_list(F)
+    repeated = any(mult > 1 for _, mult in factors)
+    verdict = _verdict(decide, F)
+    errors = []
+    if verdict == "accepted" and (repeated or len(factors) > 1):
+        errors.append("accepted a reducible or non-squarefree curve")
+    if (verdict == "curve polynomial must be squarefree") is not repeated:
+        errors.append("squarefree verdict differs")
+    if verdict == "curve polynomial must be irreducible over Q" and len(factors) < 2:
+        errors.append("irreducible verdict on one factor")
+    return errors
+
+
+@settings(max_examples=120, deadline=None)
+@given(_factored_curves())
+@example(sp.Poly((x**2 + 4 * y**2 - 4) * (9 * x**2 + 4 * y**2 - 9), x, y))  # two ellipses
+@example(sp.Poly((x - y) * (x + y) * (x + 2 * y - 1), x, y))  # undecided: three lines
+@example(sp.Poly(x**4 + y**2, x, y))  # irreducible, absolutely reducible
+@example(sp.Poly((x**2 + y**2 - 1) * (x - 3) ** 2, x, y))
+def test_irreducibility_decisions_match_factoring(F):
+    assume(oracle.predicted_work(_integer_terms(F))[0] <= oracle.MAX_WORK)
+    assert _verdict_errors(PlaneCurve.from_expr, F) == []
+
+
+def test_irreducibility_decision_check_can_fail():
+    # negative control: the check above refuses a decision that guesses
+    def accept(text):
+        return None
+
+    def call_irreducible(text):
+        raise DegenerateCurveError("curve polynomial must be irreducible over Q")
+
+    assert _verdict_errors(accept, sp.Poly(x**2 - y**2, x, y)) == [
+        "accepted a reducible or non-squarefree curve"
+    ]
+    assert _verdict_errors(accept, sp.Poly((x + y) ** 2, x, y)) == [
+        "accepted a reducible or non-squarefree curve", "squarefree verdict differs"
+    ]
+    assert _verdict_errors(call_irreducible, sp.Poly(x**2 + 4 * y**2 - 4, x, y)) == [
+        "irreducible verdict on one factor"
+    ]
 
 
 _FORM_COEFFICIENTS = st.integers(-2, 2)
@@ -1578,7 +1708,7 @@ _CERTIFICATE_CALLS = {
 # `genus` is the genus read off R's content, None where the content is
 # constant and the smooth genus (d - 1)(d - 2)/2 holds
 @pytest.mark.parametrize(
-    "text, genus, kernel_calls, factor_calls",
+    "text, genus, kernel_calls, isotropy_tests",
     [
         # R: one packed resultant at each of 5 x nodes; R's content is a gcd
         # fold, no resultant; the discriminant: m = 4 and a max-plus degree
@@ -1597,16 +1727,14 @@ _CERTIFICATE_CALLS = {
         # 42); one transversality resultant
         (CUBIC, None, 10 + 946 + 1, 0),
         # R: 5 nodes; 5 packed discriminant samples (total degree 4); one
-        # transversality resultant.  The evolute X**2 + Y**2 fails the
-        # isotropy certificate, so sympy lists its factors once
+        # transversality resultant.  X**2 + Y**2 divides the evolute's
+        # leading form, so its isotropy is tested once
         ("x**2 + y**2 - 1", None, 5 + 5 + 1, 1),
     ],
 )
-def test_oracle_work_counts(request, monkeypatch, text, genus, kernel_calls, factor_calls):
+def test_oracle_work_counts(request, monkeypatch, text, genus, kernel_calls, isotropy_tests):
     # the kernel and the certificates are reached by name, through the module
-    # globals that instrumentation wraps, and sympy through `_sympy`; no gcd
-    # of two Polys is left, and sympy factors only what the integer
-    # certificates leave undecided
+    # globals that instrumentation wraps, with sympy's import refused
     marker = request.node.get_closest_marker("packed_bits")
     if marker:
         monkeypatch.setattr(oracle, "_PACKED_BITS", *marker.args)
@@ -1619,8 +1747,8 @@ def test_oracle_work_counts(request, monkeypatch, text, genus, kernel_calls, fac
     assert result.expected_degree == 6 * (d + g - 1)
     modular, decompositions = _CERTIFICATE_CALLS[text]
     assert counts == {
-        "dup_resultant": kernel_calls, "gcd": 0, "factor_list": factor_calls, "sqf_list": 0,
-        "_irreducible_mod": modular, "_yun": decompositions,
+        "dup_resultant": kernel_calls, "_irreducible_mod": modular, "_yun": decompositions,
+        "_is_isotropic_factor": isotropy_tests,
     }
 
 
@@ -1652,49 +1780,55 @@ def test_square_split_goes_on_past_a_false_settling(monkeypatch):
     # D = (X**2 + Y + 1)(X + Y**3 - Y)**2: C's image is X at the nodes 0 and
     # 1, so the second node adds nothing and C = X, which the division by
     # C**2 refuses; the node -1, where E(X, -1) = X**2 meets C, is dropped,
-    # and the nodes 2, -2 and 3 fix C, with no sympy fallback
+    # and the nodes 2, -2 and 3 fix C, with no second split
+    D = _integer_terms(sp.Poly((X**2 + Y + 1) * (X + Y**3 - Y) ** 2, X, Y))
     _forbid_sympy(monkeypatch)
     counts = []
     monkeypatch.setattr(oracle, "square_parts", lambda f: counts.append(1) or square_parts(f))
-    D = _integer_terms(sp.Poly((X**2 + Y + 1) * (X + Y**3 - Y) ** 2, X, Y))
     split = _simple_part(D, [])
-    assert _proportional(_as_poly(split, X, Y), sp.Poly(X**2 + Y + 1, X, Y))
+    assert _normalize_sign(split) == {(2, 0): 1, (0, 1): 1, (0, 0): 1}
     assert len(counts) == 6
 
 
-def test_reducible_input_reaches_sympy_factoring(monkeypatch):
+def test_reducible_input_is_refused_by_its_contents(monkeypatch):
     # every F(x, y0) of (x**2 + y**2 - 1)(x - 3) splits, so the certificate
-    # fails at five values of y0 times 15 primes and one factor_list decides
+    # fails at five values of y0 times 15 primes; with x and y swapped its
+    # content in x is y - 3 and it fails at once.  One resultant at the
+    # first node shows F squarefree, and its content in y, x - 3, reducible
     counts = _count_calls(monkeypatch)
     with pytest.raises(DegenerateCurveError, match="irreducible over Q"):
         PlaneCurve.from_expr("(x**2+y**2-1)*(x-3)")
     assert counts == {
-        "dup_resultant": 0, "gcd": 0, "factor_list": 1, "sqf_list": 0,
-        "_irreducible_mod": 75, "_yun": 0,
+        "dup_resultant": 1, "_irreducible_mod": 75, "_yun": 0, "_is_isotropic_factor": 0,
     }
 
 
-def test_uncertified_square_split_reaches_sympy_sqf_list(monkeypatch):
-    # the higher cusp y**2 = x**5: the square split certifies no E for its
-    # D, so one sqf_list gives the multiplicity-one part
+def test_uncertified_square_split_takes_out_the_content(monkeypatch):
+    # the higher cusp y**2 = x**5: D = c E X**3 Y**8, and the root 0 of
+    # multiplicity 3 of every D(X, v0) skips each node, so the square split
+    # certifies no E for D; it does for D / X**3, sympy's multiplicity-one
+    # part of D
     system = center_of_curvature_system(PlaneCurve.from_expr("y**2 - x**5"))
     D = _discriminant(_strip_content(_normal_resultant(*system), [])[0])
-    assert _square_split(D) is None
-    counts = _count_calls(monkeypatch)
-    simple = _simple_part(D, [])
-    assert (counts["sqf_list"], counts["factor_list"]) == (1, 0)
-    assert polyparse.degree(simple) == 9
     expected = sp.prod(
         [f for f, mult in sp.sqf_list(_as_poly(D, X, Y))[1] if mult == 1], start=sp.Poly(1, X, Y)
     )
-    assert simple == _integer_terms(expected)
+    assert _as_poly(D, X, Y).exquo(expected * sp.Poly(X**3, X, Y)).is_monomial  # c Y**8
+    assert _square_split(D) is None
+    _forbid_sympy(monkeypatch)
+    simple = _simple_part(D, [])
+    assert polyparse.degree(simple) == 9
+    assert _normalize_sign(simple) == _normalize_sign(_integer_terms(expected))
 
 
 def _count_calls(monkeypatch):
-    # the kernel through the oracle's global, the certificates inside intpoly
-    own = ((oracle, "dup_resultant"), (intpoly, "_irreducible_mod"), (intpoly, "_yun"))
-    sympy_names = ("gcd", "factor_list", "sqf_list")
-    counts = dict.fromkeys([name for _, name in own] + list(sympy_names), 0)
+    # the kernel through the oracle's global, the certificates inside intpoly,
+    # and the isotropy test of an evolute that X**2 + Y**2 may divide
+    own = (
+        (oracle, "dup_resultant"), (intpoly, "_irreducible_mod"), (intpoly, "_yun"),
+        (oracle, "_is_isotropic_factor"),
+    )
+    counts = dict.fromkeys([name for _, name in own], 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -1705,18 +1839,14 @@ def _count_calls(monkeypatch):
 
     for module, name in own:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    proxy = types.SimpleNamespace(**vars(sp))
-    for name in sympy_names:
-        setattr(proxy, name, counting(name, getattr(sp, name)))
-    monkeypatch.setattr(oracle, "_sympy", lambda: proxy)
+    _forbid_sympy(monkeypatch)
     return counts
 
 
 def _forbid_sympy(monkeypatch):
-    def refuse():
-        raise AssertionError("sympy reached")
-
-    monkeypatch.setattr(oracle, "_sympy", refuse)
+    # `import sympy` raises from here to the end of the test, as where sympy
+    # is not installed; sympy objects made before stay usable
+    monkeypatch.setitem(sys.modules, "sympy", None)
 
 
 def test_wide_coefficient_conic_needs_no_sympy_factoring(monkeypatch):
